@@ -27,14 +27,16 @@ from .annotate import AnnotationError, annotate_file
 from .corpus import (CorpusError, TargetSpec, compose_text, describe,
                      load_products, make_targets, save_products,
                      structured_matrix)
-from .evaluate import (FAMILIES, REPRESENTATIONS, feature_curve,
+from .evaluate import (FAMILIES, N_TIERS, REPRESENTATIONS, feature_curve,
                        fit_family, fit_representation, merge_config,
                        mix_seed, run_grid)
+from .evaluate import fit_embedding_table as _fit_embedding_table
 from .explain import beeswarm_csv, embedding_keywords, global_importance, shap_values
 from .featsel import mrmr_select
 from .matrix import FeatureMatrix
 from .models import load_model, save_model
 from .synth import generate_products
+from .textrep import embedding_features
 from .textrep.word2vec import EmbeddingTable
 
 log = logging.getLogger("dataprice")
@@ -249,7 +251,6 @@ def cmd_featurize(cfg, out_dir: Path) -> int:
     for rep in cfg["representations"]:
         seed = mix_seed(cfg["seed"], rep, "full")
         if rep == "word2vec":
-            from .textrep import embedding_features
             # persist the embedding table for keyword back-mapping later
             table = _fit_embedding_table(texts, mcfg, seed)
             table.save(out_dir / "embedding_word2vec.txt")
@@ -265,14 +266,6 @@ def cmd_featurize(cfg, out_dir: Path) -> int:
     outputs.append("features_structured.csv")
     write_manifest(out_dir, "featurize", chash, [products_path], outputs)
     return 0
-
-
-def _fit_embedding_table(texts, mcfg, seed) -> EmbeddingTable:
-    from .textrep import train_skipgram
-    w = merge_config(mcfg)["word2vec"]
-    return train_skipgram(texts, d=w["d"], window=w["window"], epochs=w["epochs"],
-                          lr=w["lr"], negatives=w["negatives"], seed=seed,
-                          max_terms=merge_config(mcfg)["max_terms"])
 
 
 def _full_features(cfg, out_dir: Path, rep: str) -> FeatureMatrix:
@@ -323,7 +316,8 @@ def cmd_train(cfg, out_dir: Path) -> int:
     feats = _full_features(cfg, out_dir, rep)
     y = _targets(cfg, products)
     task = cfg["target"]["task"]
-    model = fit_family(family, feats.values, y, task, 5, merge_config(_model_config(cfg)),
+    model = fit_family(family, feats.values, y, task, N_TIERS,
+                       merge_config(_model_config(cfg)),
                        mix_seed(cfg["seed"], rep, family, "train"))
     model.manifest = list(feats.columns)
     fname = "model_%s_%s.json" % (rep, family)
@@ -425,9 +419,7 @@ def cmd_report(cfg, out_dir: Path) -> int:
         "curve": ["curve_%s_%s.csv" % (cfg["curve"]["representation"],
                                        cfg["curve"]["family"])],
     }
-    report_dir = out_dir / "report"
-    report_dir.mkdir(parents=True, exist_ok=True)
-    copied = []
+    sources = []
     for stage, files in pieces.items():
         mpath = _manifest_path(out_dir, stage)
         if not mpath.exists():
@@ -439,21 +431,25 @@ def cmd_report(cfg, out_dir: Path) -> int:
                               "configuration; rerun `dataprice %s`" % (stage, stage))
         for f in files:
             require_artifact(out_dir / f, stage)
-            shutil.copyfile(out_dir / f, report_dir / f)
-            copied.append(f)
+        sources += files
     optional = ["importance.csv", "beeswarm.csv", "embedding_keywords.csv",
                 "descriptive_stats.csv"]
-    for f in optional:
-        if (out_dir / f).exists():
-            shutil.copyfile(out_dir / f, report_dir / f)
-            copied.append(f)
+    sources += [f for f in optional if (out_dir / f).exists()]
+    inputs = [out_dir / f for f in sources]
+    if up_to_date(out_dir, "report", chash, inputs):
+        log.info("report: up-to-date")
+        return 0
+    report_dir = out_dir / "report"
+    report_dir.mkdir(parents=True, exist_ok=True)
+    for f in sources:
+        shutil.copyfile(out_dir / f, report_dir / f)
     summary = ["run summary", "===========",
                "config hash: %s" % chash, "task: %s" % task,
-               "artifacts: %s" % ", ".join(sorted(copied)), ""]
+               "artifacts: %s" % ", ".join(sorted(sources)), ""]
     (report_dir / "SUMMARY.txt").write_text("\n".join(summary), encoding="utf-8")
-    log.info("report: assembled %d artifacts under %s", len(copied), report_dir)
-    write_manifest(out_dir, "report", chash, [],
-                   ["report/" + f for f in copied] + ["report/SUMMARY.txt"])
+    log.info("report: assembled %d artifacts under %s", len(sources), report_dir)
+    write_manifest(out_dir, "report", chash, inputs,
+                   ["report/" + f for f in sources] + ["report/SUMMARY.txt"])
     return 0
 
 

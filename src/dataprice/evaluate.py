@@ -8,6 +8,7 @@ import csv
 import warnings
 import zlib
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -25,6 +26,7 @@ REPRESENTATIONS = ["bow", "tfidf", "word2vec", "lda", "bertopic"]
 FAMILIES = ["linear", "mlp", "cart", "svm", "forest", "gbt"]
 ERROR_METRICS = ("MSE", "RMSE", "MAPE")
 SCORE_METRICS = ("Accuracy", "AUC", "F1")
+N_TIERS = 5  # classes of the classification task: equal-frequency price tiers
 
 DEFAULT_CONFIG = {
     "max_terms": 300,
@@ -163,6 +165,15 @@ def classification_metrics(y, scores, yhat_class) -> dict:
 
 # --------------------------------------------------------- featurization ----
 
+def fit_embedding_table(texts: list[str], config: dict, seed: int):
+    """Skip-gram embedding table under the word2vec settings of config."""
+    cfg = merge_config(config)
+    w = cfg["word2vec"]
+    return train_skipgram(texts, d=w["d"], window=w["window"], epochs=w["epochs"],
+                          lr=w["lr"], negatives=w["negatives"], seed=seed,
+                          max_terms=cfg["max_terms"])
+
+
 def fit_representation(name: str, train_texts: list[str], config: dict,
                        seed: int):
     """Fit one text representation on training documents only. Returns
@@ -176,11 +187,7 @@ def fit_representation(name: str, train_texts: list[str], config: dict,
         vocab = build_vocabulary(train_texts, max_terms)
         return tfidf(train_texts, vocab), lambda texts: tfidf(texts, vocab)
     if name == "word2vec":
-        w = cfg["word2vec"]
-        table = train_skipgram(train_texts, d=w["d"], window=w["window"],
-                               epochs=w["epochs"], lr=w["lr"],
-                               negatives=w["negatives"], seed=seed,
-                               max_terms=max_terms)
+        table = fit_embedding_table(train_texts, cfg, seed)
         return (embedding_features(train_texts, table),
                 lambda texts: embedding_features(texts, table))
     if name == "lda":
@@ -191,12 +198,8 @@ def fit_representation(name: str, train_texts: list[str], config: dict,
         return (topic_features(model.theta, "lda"),
                 lambda texts: topic_features(model.infer_theta(texts), "lda"))
     if name == "bertopic":
-        w = cfg["word2vec"]
         b = cfg["bertopic"]
-        table = train_skipgram(train_texts, d=w["d"], window=w["window"],
-                               epochs=w["epochs"], lr=w["lr"],
-                               negatives=w["negatives"], seed=seed,
-                               max_terms=max_terms)
+        table = fit_embedding_table(train_texts, cfg, seed)
         train_vecs = embedding_features(train_texts, table).values
         reducer = PCAReducer.fit(train_vecs, b["reduce_dims"])
         _, centroids = kmeans(reducer.transform(train_vecs), b["n_clusters"],
@@ -214,90 +217,113 @@ def fit_representation(name: str, train_texts: list[str], config: dict,
 def fit_family(family: str, X, y, task: str, n_classes: int, cfg: dict,
                seed: int):
     """Fit one learner family for the given task; returns the fitted model.
-    Scale-sensitive families are wrapped with fold-fitted standardization."""
-    if task == "regression":
-        if family == "linear":
-            return fit_standardized(fit_linear, X, y, ridge=cfg["linear"]["ridge"])
-        if family == "mlp":
-            m = cfg["mlp"]
-            return fit_standardized(fit_mlp, X, y, hidden=tuple(m["hidden"]),
-                                    epochs=m["epochs"], lr=m["lr"],
-                                    batch_size=m["batch_size"], seed=seed,
-                                    task="regression")
-        if family == "cart":
-            c = cfg["cart"]
-            return fit_cart(X, y, max_depth=c["max_depth"],
-                            min_leaf=c["min_leaf"], task="regression")
-        if family == "svm":
-            s = cfg["svr"]
-            return fit_standardized(fit_svr, X, y, C=s["C"],
-                                    epsilon=s["epsilon"], kernel=s["kernel"],
-                                    gamma=s["gamma"], max_iter=s["max_iter"])
-        if family == "forest":
-            f = cfg["forest"]
-            p = X.shape[1]
-            return fit_forest(X, y, n_trees=f["n_trees"],
-                              k_features=max(1, int(np.sqrt(p))),
-                              max_depth=f["max_depth"], min_leaf=f["min_leaf"],
-                              task="regression", seed=seed,
-                              n_threads=f.get("n_threads", 1))
-        if family == "gbt":
-            g = cfg["gbt"]
-            return fit_gbt(X, y, n_rounds=g["n_rounds"],
-                           learning_rate=g["learning_rate"], lam=g["lam"],
-                           max_depth=g["max_depth"], min_leaf=g["min_leaf"],
-                           loss="squared")
-        raise ValueError("unknown family %r" % family)
-
-    if family == "linear":
-        lg = cfg["logistic"]
-        return one_vs_rest(
-            lambda Xb, yb: fit_standardized(fit_logistic, Xb, yb,
-                                            lr=lg["lr"], epochs=lg["epochs"]),
-            X, y, n_classes=n_classes)
+    Scale-sensitive families are wrapped with fold-fitted standardization.
+    linear, svm and gbt classify one-vs-rest over binary members."""
     if family == "mlp":
         m = cfg["mlp"]
         return fit_standardized(fit_mlp, X, y, hidden=tuple(m["hidden"]),
                                 epochs=m["epochs"], lr=m["lr"],
                                 batch_size=m["batch_size"], seed=seed,
-                                task="classification", n_classes=n_classes)
+                                task=task, n_classes=n_classes)
     if family == "cart":
         c = cfg["cart"]
         return fit_cart(X, y, max_depth=c["max_depth"], min_leaf=c["min_leaf"],
-                        task="classification", n_classes=n_classes)
-    if family == "svm":
-        s = cfg["svm"]
-        return one_vs_rest(
-            lambda Xb, yb: fit_standardized(fit_svm, Xb, yb, C=s["C"],
-                                            kernel=s["kernel"], gamma=s["gamma"],
-                                            tol=s["tol"], seed=seed),
-            X, y, n_classes=n_classes, labels="pm1")
+                        task=task, n_classes=n_classes)
     if family == "forest":
         f = cfg["forest"]
-        p = X.shape[1]
         return fit_forest(X, y, n_trees=f["n_trees"],
-                          k_features=max(1, int(np.sqrt(p))),
+                          k_features=max(1, int(np.sqrt(X.shape[1]))),
                           max_depth=f["max_depth"], min_leaf=f["min_leaf"],
-                          task="classification", seed=seed,
+                          task=task, seed=seed,
                           n_threads=f.get("n_threads", 1))
-    if family == "gbt":
+
+    regression = task == "regression"
+    labels = "01"
+    if family == "linear" and regression:
+        fit = partial(fit_standardized, fit_linear, ridge=cfg["linear"]["ridge"])
+    elif family == "linear":
+        lg = cfg["logistic"]
+        fit = partial(fit_standardized, fit_logistic, lr=lg["lr"],
+                      epochs=lg["epochs"])
+    elif family == "svm" and regression:
+        s = cfg["svr"]
+        fit = partial(fit_standardized, fit_svr, C=s["C"], epsilon=s["epsilon"],
+                      kernel=s["kernel"], gamma=s["gamma"],
+                      max_iter=s["max_iter"])
+    elif family == "svm":
+        s = cfg["svm"]
+        fit = partial(fit_standardized, fit_svm, C=s["C"], kernel=s["kernel"],
+                      gamma=s["gamma"], tol=s["tol"], seed=seed)
+        labels = "pm1"
+    elif family == "gbt":
         g = cfg["gbt"]
-        return one_vs_rest(
-            lambda Xb, yb: fit_gbt(Xb, yb, n_rounds=g["n_rounds"],
-                                   learning_rate=g["learning_rate"],
-                                   lam=g["lam"], max_depth=g["max_depth"],
-                                   min_leaf=g["min_leaf"], loss="logistic"),
-            X, y, n_classes=n_classes)
-    raise ValueError("unknown family %r" % family)
+        fit = partial(fit_gbt, n_rounds=g["n_rounds"],
+                      learning_rate=g["learning_rate"], lam=g["lam"],
+                      max_depth=g["max_depth"], min_leaf=g["min_leaf"],
+                      loss="squared" if regression else "logistic")
+    else:
+        raise ValueError("unknown family %r" % family)
+    if regression:
+        return fit(X, y)
+    return one_vs_rest(fit, X, y, n_classes=n_classes, labels=labels)
 
 
-def model_scores(model, X, task: str, n_classes: int):
-    """(predictions, score matrix) for metric computation."""
-    if task == "regression":
-        return model.predict(X), None
+def model_scores(model, X, task: str):
+    """(predictions, score matrix) for metric computation; regression
+    models have no score matrix."""
     pred = model.predict(X)
-    scores = model.predict_scores(X)
-    return pred, scores
+    return pred, None if task == "regression" else model.predict_scores(X)
+
+
+# ------------------------------------------------------------------ cells ----
+
+@dataclass
+class CVData:
+    """What the grid and the curve share: documents, structured columns,
+    targets, metric names and the fold plan, all from the master seed."""
+    texts: list
+    struct: FeatureMatrix
+    y: np.ndarray
+    metrics: list
+    plan: FoldPlan
+    seed: int
+
+    @classmethod
+    def build(cls, products: list[DataProduct], task: str, seed: int,
+              k: int) -> "CVData":
+        return cls([compose_text(p) for p in products],
+                   structured_matrix(products),
+                   make_targets(products, TargetSpec(task)),
+                   list(ERROR_METRICS if task == "regression" else SCORE_METRICS),
+                   kfold_split(len(products), k, mix_seed(seed, "folds")),
+                   seed)
+
+    def fold_features(self, rep: str, fold: int, cfg: dict):
+        """Fit rep on one fold's training documents. Returns the train and
+        test row indices and both feature matrices, structured columns
+        appended."""
+        train, test = self.plan.train_test(fold)
+        feats_train, transform = fit_representation(
+            rep, [self.texts[i] for i in train], cfg, mix_seed(self.seed, rep, fold))
+        feats_test = transform([self.texts[i] for i in test])
+        return (train, test, feats_train.hstack(self.struct.rows(train)),
+                feats_test.hstack(self.struct.rows(test)))
+
+
+def evaluate_cell(family: str, X_train, y_train, X_test, y_test, task: str,
+                  cfg: dict, seed: int) -> dict:
+    """Fit one family on training rows and score it on test rows; returns
+    {metric: value}. MAPE reads NaN when a test target is zero."""
+    model = fit_family(family, X_train, y_train, task, N_TIERS, cfg, seed)
+    pred, scores = model_scores(model, X_test, task)
+    if task == "classification":
+        return classification_metrics(y_test, scores, pred)
+    try:
+        return regression_metrics(y_test, pred)
+    except MetricError:
+        cell = regression_metrics(y_test, pred, ("MSE", "RMSE"))
+        cell["MAPE"] = float("nan")
+        return cell
 
 
 # ------------------------------------------------------------------ grid ----
@@ -371,7 +397,9 @@ def run_grid(products: list[DataProduct], representations=None, families=None,
 
     Vocabularies, embeddings, topic models and standardization are all
     fitted on training folds only. Regression targets are log prices;
-    classification targets are five equal-frequency price tiers.
+    classification targets are five equal-frequency price tiers. A failed
+    fold or cell is recorded in the report's errors and left out of the
+    means.
     """
     representations = list(REPRESENTATIONS if representations is None
                            else representations)
@@ -379,56 +407,35 @@ def run_grid(products: list[DataProduct], representations=None, families=None,
     if not representations or not families:
         raise ValueError("empty grid axes")
     cfg = merge_config(config)
-    texts = [compose_text(p) for p in products]
-    struct = structured_matrix(products)
-    spec = TargetSpec("regression") if task == "regression" else TargetSpec("classification")
-    y = make_targets(products, spec)
-    n_classes = 5 if task == "classification" else 0
-    metrics = list(ERROR_METRICS if task == "regression" else SCORE_METRICS)
-    plan = kfold_split(len(products), k, mix_seed(seed, "folds"))
+    data = CVData.build(products, task, seed, k)
 
-    report = ExperimentReport(task, representations, families, metrics)
+    report = ExperimentReport(task, representations, families, data.metrics)
     report.metadata["target"] = ("log(price), metrics in log space"
                                  if task == "regression"
                                  else "five equal-frequency price tiers")
     report.metadata["cv"] = "%d-fold, seed %d" % (k, seed)
     acc = {m: np.full((len(representations), len(families), k), np.nan)
-           for m in metrics}
+           for m in data.metrics}
 
     for ri, rep in enumerate(representations):
         for fold in range(k):
-            train, test = plan.train_test(fold)
-            rep_seed = mix_seed(seed, rep, fold)
-            train_texts = [texts[i] for i in train]
-            test_texts = [texts[i] for i in test]
             try:
-                feats_train, transform = fit_representation(
-                    rep, train_texts, cfg, rep_seed)
-                feats_test = transform(test_texts)
+                train, test, ftr, fte = data.fold_features(rep, fold, cfg)
             except Exception as exc:  # noqa: BLE001 - recorded in the report
                 report.errors.append((rep, "*", fold, str(exc)))
                 continue
-            Xtr = np.hstack([feats_train.values, struct.values[train]])
-            Xte = np.hstack([feats_test.values, struct.values[test]])
             for fi, family in enumerate(families):
                 try:
-                    model = fit_family(family, Xtr, y[train], task, n_classes,
-                                       cfg, mix_seed(seed, rep, fold, family))
-                    pred, scores = model_scores(model, Xte, task, n_classes)
-                    if task == "regression":
-                        try:
-                            cell = regression_metrics(y[test], pred)
-                        except MetricError:
-                            cell = regression_metrics(y[test], pred, ("MSE", "RMSE"))
-                            cell["MAPE"] = float("nan")
-                    else:
-                        cell = classification_metrics(y[test], scores, pred)
-                    for m in metrics:
-                        acc[m][ri, fi, fold] = cell[m]
+                    cell = evaluate_cell(family, ftr.values, data.y[train],
+                                         fte.values, data.y[test], task, cfg,
+                                         mix_seed(seed, rep, fold, family))
                 except Exception as exc:  # noqa: BLE001
                     report.errors.append((rep, family, fold, str(exc)))
+                    continue
+                for m in data.metrics:
+                    acc[m][ri, fi, fold] = cell[m]
 
-    for m in metrics:
+    for m in data.metrics:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             report.values[m] = np.nanmean(acc[m], axis=2)
@@ -460,55 +467,32 @@ def feature_curve(products: list[DataProduct], representation: str,
                   config: dict | None = None, seed: int = 0,
                   k: int = 5) -> FeatureCurve:
     """Metric vs number of mRMR-selected features, averaged over CV folds.
-    m values beyond the feature count are clamped with a warning."""
+    m values beyond the feature count are clamped with a warning. Any
+    failed fold raises."""
     m_values = list(m_values)
     if m_values != sorted(m_values):
         raise ValueError("m_values must be ascending")
     cfg = merge_config(config)
-    texts = [compose_text(p) for p in products]
-    struct = structured_matrix(products)
-    spec = TargetSpec("regression") if task == "regression" else TargetSpec("classification")
-    y = make_targets(products, spec)
-    n_classes = 5 if task == "classification" else 0
-    metrics = list(ERROR_METRICS if task == "regression" else SCORE_METRICS)
-    plan = kfold_split(len(products), k, mix_seed(seed, "folds"))
+    data = CVData.build(products, task, seed, k)
 
-    per_m = {m: {name: [] for name in metrics} for m in m_values}
+    per_m = {m: {name: [] for name in data.metrics} for m in m_values}
     clamped = False
     for fold in range(k):
-        train, test = plan.train_test(fold)
-        rep_seed = mix_seed(seed, representation, fold)
-        feats_train, transform = fit_representation(
-            representation, [texts[i] for i in train], cfg, rep_seed)
-        feats_test = transform([texts[i] for i in test])
-        ftr = FeatureMatrix(
-            np.hstack([feats_train.values, struct.values[train]]),
-            feats_train.columns + struct.columns,
-            feats_train.provenance + struct.provenance)
-        Xte = np.hstack([feats_test.values, struct.values[test]])
-        trace = mrmr_select(ftr, y[train], min(max(m_values), ftr.n_cols),
+        train, test, ftr, fte = data.fold_features(representation, fold, cfg)
+        trace = mrmr_select(ftr, data.y[train], min(max(m_values), ftr.n_cols),
                             target_is_discrete=task == "classification")
         for m in m_values:
             mm = min(m, ftr.n_cols)
             if mm < m:
                 clamped = True
             sel = trace.selected[:mm]
-            model = fit_family(family, ftr.values[:, sel], y[train], task,
-                               n_classes, cfg,
-                               mix_seed(seed, representation, fold, family, m))
-            pred, scores = model_scores(model, Xte[:, sel], task, n_classes)
-            if task == "regression":
-                try:
-                    cell = regression_metrics(y[test], pred)
-                except MetricError:
-                    cell = regression_metrics(y[test], pred, ("MSE", "RMSE"))
-                    cell["MAPE"] = float("nan")
-            else:
-                cell = classification_metrics(y[test], scores, pred)
-            for name in metrics:
+            cell = evaluate_cell(family, ftr.values[:, sel], data.y[train],
+                                 fte.values[:, sel], data.y[test], task, cfg,
+                                 mix_seed(seed, representation, fold, family, m))
+            for name in data.metrics:
                 per_m[m][name].append(cell[name])
     if clamped:
         warnings.warn("some m values exceeded the feature count and were clamped")
-    rows = [(m, {name: float(np.mean(per_m[m][name])) for name in metrics})
+    rows = [(m, {name: float(np.mean(per_m[m][name])) for name in data.metrics})
             for m in m_values]
     return FeatureCurve(representation, family, task, rows)

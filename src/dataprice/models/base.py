@@ -124,20 +124,19 @@ class StandardizedModel(Model):
         self.inner = inner
         self.standardizer = standardizer
 
-    def predict(self, X):
-        return self.inner.predict(self.standardizer.transform(np.atleast_2d(X)))
+    def _scaled(self, X):
+        return self.standardizer.transform(np.atleast_2d(X))
 
-    def __getattr__(self, name):
-        # delegate score/probability accessors to the wrapped model
-        if name.startswith("_"):
-            raise AttributeError(name)
-        inner = self.__dict__.get("inner")
-        attr = getattr(inner, name)
-        if callable(attr) and name in ("predict_proba", "scores", "decision_function",
-                                       "predict_scores"):
-            std = self.__dict__["standardizer"]
-            return lambda X, *a, **k: attr(std.transform(np.atleast_2d(X)), *a, **k)
-        return attr
+    def predict(self, X):
+        return self.inner.predict(self._scaled(X))
+
+    # the two score accessors callers use: a one-vs-rest member's binary
+    # score and a multiclass model's score matrix
+    def scores(self, X):
+        return self.inner.scores(self._scaled(X))
+
+    def predict_scores(self, X):
+        return self.inner.predict_scores(self._scaled(X))
 
     def params_dict(self) -> dict:
         return {

@@ -141,11 +141,30 @@ class TestPipeline:
                    "curve_bow_gbt.csv"]
         before = {f: (out / f).read_bytes() for f in watched}
         with caplog.at_level(logging.INFO, logger="dataprice"):
-            for stage in STAGES[:-1]:  # report always reassembles its copies
+            for stage in STAGES:
                 assert run(stage, config) == 0
-        assert caplog.text.count("up-to-date") == len(STAGES) - 1
+        assert caplog.text.count("up-to-date") == len(STAGES)
         for f in watched:
             assert (out / f).read_bytes() == before[f]
+
+    def test_report_reassembles_when_a_source_changes_or_appears(self, tmp_path, caplog):
+        config, raw = write_config(tmp_path)
+        out = Path(raw["out_dir"])
+        for stage in ["ingest", "featurize", "evaluate", "curve", "report"]:
+            assert run(stage, config) == 0
+        edited = (out / "report_regression.csv").read_text() + "# edited\n"
+        (out / "report_regression.csv").write_text(edited)
+        with caplog.at_level(logging.INFO, logger="dataprice"):
+            assert run("report", config) == 0
+        assert "report: up-to-date" not in caplog.text
+        assert (out / "report" / "report_regression.csv").read_text() == edited
+        # a newly produced optional artifact is a new source
+        assert run("train", config) == 0 and run("explain", config) == 0
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="dataprice"):
+            assert run("report", config) == 0
+        assert "report: up-to-date" not in caplog.text
+        assert (out / "report" / "importance.csv").exists()
 
     def test_thread_cap_does_not_invalidate_artifacts(self, pipeline, caplog):
         _, config, out = pipeline

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from dataprice.evaluate import (ExperimentReport, MetricError, _rank,
+from dataprice.evaluate import (ERROR_METRICS, FAMILIES, SCORE_METRICS,
+                                ExperimentReport, MetricError, _rank,
                                 binary_auc, classification_metrics,
-                                feature_curve, kfold_split, mix_seed,
-                                regression_metrics, run_grid)
+                                evaluate_cell, feature_curve, kfold_split,
+                                merge_config, mix_seed, regression_metrics,
+                                run_grid)
 from dataprice.synth import generate_products
 
 
@@ -179,6 +181,22 @@ class TestGrid:
         r2 = run_grid(products, ["bow"], ["gbt"], task="regression",
                       config=self.CFG, seed=3, k=5)
         assert np.array_equal(r1.values["MSE"], r2.values["MSE"])
+
+
+class TestEvaluateCell:
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_every_family_scores_finite(self, family, task):
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(60, 4))
+        y = 3.0 + X @ np.array([1.0, -0.5, 0.25, 0.0]) + 0.1 * rng.normal(size=60)
+        if task == "classification":
+            y = np.searchsorted(np.quantile(y, [0.2, 0.4, 0.6, 0.8]), y)
+        cell = evaluate_cell(family, X[:45], y[:45], X[45:], y[45:], task,
+                             merge_config(TestGrid.CFG), seed=1)
+        expected = ERROR_METRICS if task == "regression" else SCORE_METRICS
+        assert set(cell) == set(expected)
+        assert all(np.isfinite(v) for v in cell.values())
 
 
 class TestCurve:
