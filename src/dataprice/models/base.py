@@ -86,6 +86,12 @@ def load_model(path) -> Model:
                            env.get("seed"), env["params"])
 
 
+def require_finite(X: np.ndarray, y) -> None:
+    """Reject NaN or inf, which a split search would sort and place silently."""
+    if not (np.isfinite(X).all() and np.isfinite(np.asarray(y, float)).all()):
+        raise ModelError("non-finite value (NaN or inf) in the training data")
+
+
 def require_task(model: Model, task: str) -> None:
     if model.task != task:
         raise ModelError("model is a %s model, pipeline expects %s"

@@ -8,8 +8,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .base import Model, ModelError, register
-from .tree import CARTModel, fit_cart, tree_predict_row
+from .base import Model, ModelError, register, require_finite
+from .tree import CARTModel, fit_cart
 
 
 def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
@@ -35,28 +35,23 @@ class ForestModel(Model):
         return [tree.predict(X[:, fs])
                 for tree, fs in zip(self.trees, self.feature_subsets)]
 
+    def _vote_counts(self, X):
+        votes = np.array(self._tree_votes(X)).astype(np.int64)
+        return np.eye(self.n_classes)[votes].sum(axis=0)
+
     def predict(self, X):
         X = self._check_input(X)
-        votes = np.array(self._tree_votes(X))
         if self.task == "regression":
-            return votes.mean(axis=0)
-        out = np.empty(X.shape[0], dtype=np.int64)
-        for i in range(X.shape[0]):
-            counts = np.bincount(votes[:, i].astype(np.int64),
-                                 minlength=self.n_classes)
-            out[i] = int(np.argmax(counts))  # argmax takes the lower class on ties
-        return out
+            return np.array(self._tree_votes(X)).mean(axis=0)
+        # argmax takes the lower class on ties
+        return np.argmax(self._vote_counts(X), axis=1).astype(np.int64)
 
     def predict_scores(self, X):
         """Vote fractions per class (classification only)."""
         if self.task != "classification":
             raise ModelError("scores are only defined for classification forests")
         X = self._check_input(X)
-        votes = np.array(self._tree_votes(X)).astype(np.int64)
-        scores = np.zeros((X.shape[0], self.n_classes))
-        for t in range(votes.shape[0]):
-            scores[np.arange(X.shape[0]), votes[t]] += 1.0
-        return scores / votes.shape[0]
+        return self._vote_counts(X) / len(self.trees)
 
     def params_dict(self):
         return {"trees": [t.params_dict() for t in self.trees],
@@ -78,6 +73,7 @@ def fit_forest(X, y, n_trees: int = 100, m_samples: int | None = None,
     if n_trees < 1:
         raise ModelError("n_trees must be >= 1")
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    require_finite(X, y)
     n, p = X.shape
     m = n if m_samples is None else m_samples
     k = p if k_features is None else k_features

@@ -2,57 +2,45 @@
 
 Each round fits a regression tree to the first/second derivatives of the
 loss at the current prediction: leaf weight w* = -G / (H + lambda), split
-gain 1/2 [G_L^2/(H_L+lambda) + G_R^2/(H_R+lambda) - G^2/(H+lambda)] - gamma.
-Squared error uses g = yhat - y, h = 1; binary classification uses the
-logistic loss with g = p - y, h = p(1-p).
+gain 1/2 [G_L^2/(H_L+lambda) + G_R^2/(H_R+lambda) - G^2/(H+lambda)] - gamma
+(Chen & Guestrin 2016). Squared error uses g = yhat - y, h = 1; binary
+classification uses the logistic loss with g = p - y, h = p(1-p).
+
+Trees grow by the presorted search of tree.py, which sorts the columns once
+per fit for all rounds and breaks ties as CART does. Each round updates the
+training predictions with the leaf values written while growing.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .base import Model, ModelError, register
-from .tree import tree_predict_row
+from .base import Model, ModelError, register, require_finite
+from .tree import FlatTree, grow_tree, presort
 
 
 def _leaf_weight(G, H, lam):
     return -G / (H + lam)
 
 
-def _grow(X, g, h, depth, max_depth, min_leaf, lam, gamma_pen, feature_indices):
-    n = len(g)
-    G, H = float(np.sum(g)), float(np.sum(h))
-    if depth >= max_depth or n < 2 * min_leaf:
-        return {"leaf": True, "value": _leaf_weight(G, H, lam), "n": n}
-    best = None
-    for j in feature_indices:
-        xj = X[:, j]
-        order = np.argsort(xj, kind="stable")
-        xs = xj[order]
-        valid = xs[:-1] < xs[1:]
-        if not valid.any():
-            continue
-        gl = np.cumsum(g[order])[:-1]
-        hl = np.cumsum(h[order])[:-1]
-        pos = np.arange(1, n)
-        gain = 0.5 * (gl ** 2 / (hl + lam) + (G - gl) ** 2 / (H - hl + lam)
+def _grow(X, order, g, h, max_depth, min_leaf, lam, gamma_pen):
+    """One round's tree, plus the leaf value of every training row."""
+    step = np.empty(len(g))
+
+    def leaf(idx):
+        value = _leaf_weight(float(np.sum(g[idx])), float(np.sum(h[idx])), lam)
+        step[idx] = value
+        return {"leaf": True, "value": value, "n": len(idx)}
+
+    def gain(block, idx):
+        G, H = float(np.sum(g[idx])), float(np.sum(h[idx]))
+        gl = np.cumsum(g[block], axis=1)[:, :-1]
+        hl = np.cumsum(h[block], axis=1)[:, :-1]
+        # G ** 2 squares a Python float (libm pow); the trees depend on it
+        return 0.5 * (gl ** 2 / (hl + lam) + (G - gl) ** 2 / (H - hl + lam)
                       - G ** 2 / (H + lam)) - gamma_pen
-        ok = valid & (pos >= min_leaf) & ((n - pos) >= min_leaf)
-        gain = np.where(ok, gain, -np.inf)
-        k = int(np.argmax(gain))
-        if gain[k] > 1e-12 and (best is None or gain[k] > best[0]):
-            best = (float(gain[k]), j, float((xs[k] + xs[k + 1]) / 2))
-    if best is None:
-        return {"leaf": True, "value": _leaf_weight(G, H, lam), "n": n}
-    _, j, thr = best
-    mask = X[:, j] <= thr
-    return {
-        "leaf": False, "feature": int(j), "threshold": thr, "n": n,
-        "left": _grow(X[mask], g[mask], h[mask], depth + 1, max_depth,
-                      min_leaf, lam, gamma_pen, feature_indices),
-        "right": _grow(X[~mask], g[~mask], h[~mask], depth + 1, max_depth,
-                       min_leaf, lam, gamma_pen, feature_indices),
-    }
+
+    return grow_tree(X, order, gain, leaf, max_depth, min_leaf), step
 
 
 @register
@@ -63,6 +51,7 @@ class GBTModel(Model):
         task = "regression" if loss == "squared" else "classification"
         super().__init__(task, **kw)
         self.trees = trees  # list of tree roots
+        self.flat = [FlatTree(root) for root in trees]
         self.base_score = float(base_score)
         self.learning_rate = float(learning_rate)
         self.loss = loss
@@ -70,9 +59,8 @@ class GBTModel(Model):
     def predict_raw(self, X):
         X = self._check_input(X)
         out = np.full(X.shape[0], self.base_score)
-        for root in self.trees:
-            out += self.learning_rate * np.array(
-                [tree_predict_row(root, x)["value"] for x in X])
+        for tree in self.flat:
+            out += self.learning_rate * tree.values(X)
         return out
 
     def predict_proba(self, X):
@@ -109,6 +97,7 @@ def fit_gbt(X, y, n_rounds: int = 50, learning_rate: float = 0.3,
     if n_rounds < 1:
         raise ModelError("n_rounds must be >= 1")
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    require_finite(X, y)
     y = np.asarray(y, dtype=np.float64)
     if loss == "squared":
         base = float(np.mean(y))
@@ -120,7 +109,7 @@ def fit_gbt(X, y, n_rounds: int = 50, learning_rate: float = 0.3,
 
     raw = np.full(len(y), base)
     trees = []
-    features = list(range(X.shape[1]))
+    order = presort(X)
     for _ in range(n_rounds):
         if loss == "squared":
             g = raw - y
@@ -129,10 +118,9 @@ def fit_gbt(X, y, n_rounds: int = 50, learning_rate: float = 0.3,
             prob = 1.0 / (1.0 + np.exp(-raw))
             g = prob - y
             h = prob * (1.0 - prob)
-        root = _grow(X, g, h, 0, max_depth, min_leaf, lam, gamma_pen, features)
+        root, step = _grow(X, order, g, h, max_depth, min_leaf, lam, gamma_pen)
         trees.append(root)
-        raw += learning_rate * np.array([tree_predict_row(root, x)["value"]
-                                         for x in X])
+        raw += learning_rate * step
     return GBTModel(trees, base, learning_rate, loss,
                     hyperparams={"n_rounds": n_rounds,
                                  "learning_rate": learning_rate, "lam": lam,

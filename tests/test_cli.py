@@ -184,6 +184,17 @@ class TestPipeline:
         assert len(lines) == 1 + 5  # header + m selected features
 
 
+@pytest.mark.parametrize("family", ["linear", "mlp", "svm"])
+def test_explain_classifier_with_kernel_method(tmp_path, family):
+    config, raw = write_config(tmp_path, target={"task": "classification"},
+                               train={"representation": "bow", "family": family})
+    out = Path(raw["out_dir"])
+    for stage in ["ingest", "featurize", "train", "explain"]:
+        assert run(stage, config) == 0, "stage %s failed" % stage
+    assert (out / "importance.csv").exists()
+    assert len((out / "beeswarm.csv").read_text().splitlines()) > 1
+
+
 class TestFailureModes:
     def test_missing_artifact_names_prior_stage(self, tmp_path, caplog):
         config, _ = write_config(tmp_path)

@@ -161,6 +161,13 @@ class TestCART:
 
         assert min(leaves(m.root)) >= 3
 
+    def test_rejects_non_finite_input(self):
+        X, y = np.arange(6, dtype=float).reshape(-1, 1), np.arange(6.0)
+        with pytest.raises(ModelError, match="non-finite"):
+            fit_cart(np.where(X == 2, np.nan, X), y)
+        with pytest.raises(ModelError, match="non-finite"):
+            fit_cart(X, np.where(y == 2, np.inf, y))
+
 
 class TestSVM:
     def test_two_point_analytic_solution(self):
@@ -297,6 +304,15 @@ class TestForest:
         with pytest.raises(ModelError):
             fit_forest(X, y, n_trees=2, k_features=99)
 
+    def test_rejects_non_finite_input(self):
+        X, y = self.make_data()
+        X[3, 1] = -np.inf
+        with pytest.raises(ModelError, match="non-finite"):
+            fit_forest(X, y, n_trees=2)
+        with pytest.raises(ModelError, match="non-finite"):
+            fit_forest(self.make_data()[0], np.where(y > 0, np.nan, 0.0),
+                       n_trees=2, task="classification")
+
 
 class TestGBT:
     def test_leaf_weight_fixture(self):
@@ -347,3 +363,217 @@ class TestGBT:
         free = fit_gbt(X, y, n_rounds=1, gamma_pen=0.0, max_depth=4)
         taxed = fit_gbt(X, y, n_rounds=1, gamma_pen=10.0, max_depth=4)
         assert count(taxed.trees[0]) <= count(free.trees[0])
+
+    def test_rejects_non_finite_input(self):
+        X, y = np.arange(6, dtype=float).reshape(-1, 1), np.arange(6.0)
+        with pytest.raises(ModelError, match="non-finite"):
+            fit_gbt(np.where(X == 2, np.nan, X), y)
+        with pytest.raises(ModelError, match="non-finite"):
+            fit_gbt(X, np.where(y == 2, np.inf, y % 2), loss="logistic")
+
+
+# ------------------------------------------------------ split finder ----
+# The per-column search that the presorted finder replaced, copied as it
+# was: every node copies its rows and sorts each column again. Fitted trees
+# and their predictions must match it bit for bit.
+
+def _ref_cart_split(X, y, min_leaf, n_classes):
+    n = len(y)
+    best = None
+    if n_classes is not None:
+        onehot = np.zeros((n, n_classes))
+        onehot[np.arange(n), y.astype(np.int64)] = 1.0
+    for j in range(X.shape[1]):
+        xj = X[:, j]
+        order = np.argsort(xj, kind="stable")
+        xs = xj[order]
+        valid = xs[:-1] < xs[1:]
+        if not valid.any():
+            continue
+        pos = np.arange(1, n)
+        if n_classes is None:
+            ys = y[order]
+            cum = np.cumsum(ys)[:-1]
+            total = float(np.sum(ys))
+            decrease = (cum ** 2 / pos + (total - cum) ** 2 / (n - pos)
+                        - total ** 2 / n)
+        else:
+            cum = np.cumsum(onehot[order], axis=0)[:-1]
+            total = cum[-1] + onehot[order][-1]
+            left = np.sum(cum ** 2, axis=1) / pos
+            right = np.sum((total[None, :] - cum) ** 2, axis=1) / (n - pos)
+            decrease = left + right - float(np.sum(total ** 2)) / n
+        ok = valid & (pos >= min_leaf) & ((n - pos) >= min_leaf)
+        if not ok.any():
+            continue
+        decrease = np.where(ok, decrease, -np.inf)
+        k = int(np.argmax(decrease))
+        if decrease[k] > 1e-12 and (best is None or decrease[k] > best[0]):
+            best = (float(decrease[k]), j, float((xs[k] + xs[k + 1]) / 2))
+    return best
+
+
+def _ref_cart_leaf(y, n_classes):
+    if n_classes is None:
+        return {"leaf": True, "value": float(np.mean(y)), "n": len(y)}
+    counts = np.bincount(y.astype(np.int64), minlength=n_classes)
+    return {"leaf": True, "value": int(np.argmax(counts)),
+            "probs": (counts / counts.sum()).tolist(), "n": len(y)}
+
+
+def _ref_cart_grow(X, y, depth, max_depth, min_leaf, n_classes):
+    if depth >= max_depth or len(y) < 2 * min_leaf or len(np.unique(y)) == 1:
+        return _ref_cart_leaf(y, n_classes)
+    split = _ref_cart_split(X, y, min_leaf, n_classes)
+    if split is None:
+        return _ref_cart_leaf(y, n_classes)
+    _, j, thr = split
+    mask = X[:, j] <= thr
+    return {"leaf": False, "feature": int(j), "threshold": thr, "n": len(y),
+            "left": _ref_cart_grow(X[mask], y[mask], depth + 1, max_depth,
+                                   min_leaf, n_classes),
+            "right": _ref_cart_grow(X[~mask], y[~mask], depth + 1, max_depth,
+                                    min_leaf, n_classes)}
+
+
+def _ref_gbt_grow(X, g, h, depth, max_depth, min_leaf, lam, gamma_pen):
+    n = len(g)
+    G, H = float(np.sum(g)), float(np.sum(h))
+    leaf = {"leaf": True, "value": _leaf_weight(G, H, lam), "n": n}
+    if depth >= max_depth or n < 2 * min_leaf:
+        return leaf
+    best = None
+    for j in range(X.shape[1]):
+        xj = X[:, j]
+        order = np.argsort(xj, kind="stable")
+        xs = xj[order]
+        valid = xs[:-1] < xs[1:]
+        if not valid.any():
+            continue
+        gl = np.cumsum(g[order])[:-1]
+        hl = np.cumsum(h[order])[:-1]
+        pos = np.arange(1, n)
+        gain = 0.5 * (gl ** 2 / (hl + lam) + (G - gl) ** 2 / (H - hl + lam)
+                      - G ** 2 / (H + lam)) - gamma_pen
+        ok = valid & (pos >= min_leaf) & ((n - pos) >= min_leaf)
+        gain = np.where(ok, gain, -np.inf)
+        k = int(np.argmax(gain))
+        if gain[k] > 1e-12 and (best is None or gain[k] > best[0]):
+            best = (float(gain[k]), j, float((xs[k] + xs[k + 1]) / 2))
+    if best is None:
+        return leaf
+    _, j, thr = best
+    mask = X[:, j] <= thr
+    return {"leaf": False, "feature": int(j), "threshold": thr, "n": n,
+            "left": _ref_gbt_grow(X[mask], g[mask], h[mask], depth + 1,
+                                  max_depth, min_leaf, lam, gamma_pen),
+            "right": _ref_gbt_grow(X[~mask], g[~mask], h[~mask], depth + 1,
+                                   max_depth, min_leaf, lam, gamma_pen)}
+
+
+def _ref_values(root, X, key="value"):
+    return np.array([tree_predict_row(root, x)[key] for x in X])
+
+
+def _ref_gbt_trees(X, y, n_rounds, learning_rate, lam, gamma_pen, max_depth,
+                   min_leaf, loss, base):
+    raw = np.full(len(y), base)
+    trees = []
+    for _ in range(n_rounds):
+        if loss == "squared":
+            g, h = raw - y, np.ones_like(y)
+        else:
+            prob = 1.0 / (1.0 + np.exp(-raw))
+            g, h = prob - y, prob * (1.0 - prob)
+        trees.append(_ref_gbt_grow(X, g, h, 0, max_depth, min_leaf, lam,
+                                   gamma_pen))
+        raw += learning_rate * _ref_values(trees[-1], X)
+    return trees
+
+
+def _split_case(case, seed):
+    """(X, regression target, class labels, min_leaf, unseen rows)."""
+    rng = np.random.default_rng(seed)
+    n, min_leaf = {"ties": (200, 1), "constant": (40, 2), "n2": (2, 1),
+                   "big_min_leaf": (9, 5), "bootstrap": (50, 3),
+                   "wide": (150, 1)}[case]
+    X = np.column_stack([rng.integers(0, 3, size=n).astype(float),
+                         rng.normal(size=n),
+                         np.round(rng.normal(size=n), 1),
+                         rng.integers(0, 6, size=n).astype(float)])
+    if case == "wide":  # many columns with near-equal best gains
+        X = np.column_stack([X] + [rng.integers(0, 4, size=n) * 0.5
+                                   for _ in range(16)])
+    if case == "constant":
+        X[:, 1] = 4.0
+        X[:, 3] = -1.0
+    if case == "bootstrap":
+        X = X[rng.integers(0, n, size=n)]  # duplicate rows
+    # targets spread over orders of magnitude, so that the order of a
+    # cumulative sum shows in its last bits
+    y = X[:, 0] * 2 + rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n)
+    labels = rng.integers(0, 3, size=n)
+    Xt = np.vstack([X, rng.normal(size=(20, X.shape[1])) * 2])
+    return X, y, labels, min_leaf, Xt
+
+
+def _same_bits(a, b):
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+SPLIT_CASES = ["ties", "constant", "n2", "big_min_leaf", "bootstrap", "wide"]
+
+
+class TestPresortedSplitFinder:
+    @pytest.mark.parametrize("case", SPLIT_CASES)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cart_matches_reference(self, case, seed):
+        X, y, labels, min_leaf, Xt = _split_case(case, seed)
+        m = fit_cart(X, y, max_depth=6, min_leaf=min_leaf)
+        ref = _ref_cart_grow(X, y, 0, 6, min_leaf, None)
+        assert m.root == ref
+        assert _same_bits(m.predict(Xt), _ref_values(ref, Xt))
+        m = fit_cart(X, labels, max_depth=6, min_leaf=min_leaf,
+                     task="classification", n_classes=3)
+        ref = _ref_cart_grow(X, labels, 0, 6, min_leaf, 3)
+        assert m.root == ref
+        assert _same_bits(m.predict(Xt), _ref_values(ref, Xt).astype(np.int64))
+        assert _same_bits(m.predict_scores(Xt), _ref_values(ref, Xt, "probs"))
+
+    @pytest.mark.parametrize("case", SPLIT_CASES)
+    @pytest.mark.parametrize("loss", ["squared", "logistic"])
+    @pytest.mark.parametrize("lam,gamma_pen", [(1.0, 0.0), (0.0, 0.5)])
+    def test_gbt_matches_reference(self, case, loss, lam, gamma_pen):
+        X, y, labels, min_leaf, Xt = _split_case(case, 3)
+        target = y if loss == "squared" else (labels == 1).astype(float)
+        m = fit_gbt(X, target, n_rounds=6, learning_rate=0.3, lam=lam,
+                    gamma_pen=gamma_pen, max_depth=3, min_leaf=min_leaf,
+                    loss=loss)
+        ref = _ref_gbt_trees(X, target, 6, 0.3, lam, gamma_pen, 3, min_leaf,
+                             loss, m.base_score)
+        assert m.trees == ref
+        raw = np.full(len(Xt), m.base_score)
+        for root in ref:
+            raw += 0.3 * _ref_values(root, Xt)
+        assert _same_bits(m.predict_raw(Xt), raw)
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_forest_trees_match_reference(self, task):
+        X, y, labels, _, Xt = _split_case("ties", 4)
+        target = y if task == "regression" else labels
+        drawn = []
+
+        def sampler(rng, n, m):
+            drawn.append(rng.integers(0, n, size=m))
+            return drawn[-1]
+
+        m = fit_forest(X, target, n_trees=4, k_features=2, max_depth=5,
+                       task=task, seed=9, row_sampler=sampler)
+        n_classes = None if task == "regression" else 3
+        for tree, rows, feats in zip(m.trees, drawn, m.feature_subsets):
+            sub = X[np.ix_(rows, feats)]
+            ref = _ref_cart_grow(sub, target[rows], 0, 5, 1, n_classes)
+            assert tree.root == ref
+            assert _same_bits(tree.predict(Xt[:, feats]).astype(np.float64),
+                              _ref_values(ref, Xt[:, feats]).astype(np.float64))
