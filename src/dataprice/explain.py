@@ -1,10 +1,13 @@
 """Per-prediction attributions.
 
-Tree models get exact path-dependent attributions computed from the node
-cover counts recorded at fit time; every other model gets a sampling
-kernel-weighted least-squares approximation against a background dataset.
-Both satisfy local accuracy: the attributions plus the expected value sum
-to the model output for the explained row.
+CART, forest and GBT models, and one-vs-rest ensembles of them, get exact
+path-dependent attributions computed from the node cover counts recorded at
+fit time, all by one method that reads each model as a weighted sum of
+trees. Every other model, a standardized tree model included (its trees
+split on scaled columns), gets a sampling kernel-weighted least-squares
+approximation against a background dataset. Both satisfy local accuracy:
+the attributions plus the expected value sum to the model output for the
+explained row.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ from math import comb
 
 import numpy as np
 
+from .evaluate import mix_seed
 from .models import CARTModel, ForestModel, GBTModel, OvREnsemble
-from .models.base import StandardizedModel
 from .textrep.word2vec import EmbeddingTable
 
 
@@ -117,57 +120,40 @@ def tree_expected(root, leaf_value=_default_leaf_value) -> float:
             + (1 - wl) * tree_expected(root["right"], leaf_value))
 
 
+def _vote(class_index):
+    """A leaf's hard prediction as a 1-or-0 vote for the class."""
+    return lambda node: 1.0 if int(node["value"]) == class_index else 0.0
+
+
 def _class_leaf_value(class_index):
-    def value(node):
-        if "probs" in node:
-            return float(node["probs"][class_index])
-        return 1.0 if int(node["value"]) == class_index else 0.0
-    return value
+    vote = _vote(class_index)
+    return lambda node: (float(node["probs"][class_index]) if "probs" in node
+                         else vote(node))
 
 
-def shap_cart(model: CARTModel, x, n_features: int,
-              class_index: int | None = None):
-    """(phi, expected) for one tree. Classification explains the leaf
-    probability of the given class."""
-    lv = (_default_leaf_value if model.task == "regression"
-          else _class_leaf_value(class_index))
-    if model.task == "classification" and class_index is None:
-        raise ExplainError("class_index required for classification trees")
-    return tree_shap(model.root, x, n_features, lv), tree_expected(model.root, lv)
+def _tree_sum(model, class_index):
+    """A tree model's output as (offset + weight * sum of trees) / divisor:
+    returns ([(root, columns)], leaf_value, weight, offset, divisor), where
+    a tree reads the given columns of the row.
+
+    CART explains the leaf probability of the class, a forest its vote
+    fraction (a tree votes its hard prediction), and GBT the raw boosted
+    score (log-odds under the logistic loss) whatever the class."""
+    if isinstance(model, GBTModel):
+        return ([(root, slice(None)) for root in model.trees],
+                _default_leaf_value, model.learning_rate, model.base_score, 1)
+    regression = model.task == "regression"
+    if isinstance(model, ForestModel):
+        return (list(zip((t.root for t in model.trees), model.feature_subsets)),
+                _default_leaf_value if regression else _vote(class_index),
+                1.0, 0.0, len(model.trees))
+    return ([(model.root, slice(None))],
+            _default_leaf_value if regression else _class_leaf_value(class_index),
+            1.0, 0.0, 1)
 
 
-def shap_forest(model: ForestModel, x, n_features: int,
-                class_index: int | None = None):
-    """(phi, expected) averaged over trees, with subset-local feature
-    indices mapped back to the full feature space. Classification explains
-    the vote fraction of the given class (a leaf votes 1 or 0)."""
-    if model.task == "classification":
-        if class_index is None:
-            raise ExplainError("class_index required for classification forests")
-        # a tree's vote is its hard prediction, not the leaf probabilities
-        lv = lambda node: 1.0 if int(node["value"]) == class_index else 0.0
-    else:
-        lv = _default_leaf_value
-    x = np.asarray(x, dtype=np.float64)
-    phi = np.zeros(n_features)
-    expected = 0.0
-    for tree, subset in zip(model.trees, model.feature_subsets):
-        local = tree_shap(tree.root, x[subset], len(subset), lv)
-        for li, gi in enumerate(subset):
-            phi[gi] += local[li]
-        expected += tree_expected(tree.root, lv)
-    return phi / len(model.trees), expected / len(model.trees)
-
-
-def shap_gbt(model: GBTModel, x, n_features: int):
-    """(phi, expected) for the raw boosted score (log-odds under the
-    logistic loss): learning-rate-scaled sum over rounds plus the base."""
-    phi = np.zeros(n_features)
-    expected = model.base_score
-    for root in model.trees:
-        phi += model.learning_rate * tree_shap(root, x, n_features)
-        expected += model.learning_rate * tree_expected(root)
-    return phi, expected
+def _is_tree(model) -> bool:
+    return isinstance(model, (CARTModel, ForestModel, GBTModel))
 
 
 # --------------------------------------------------------- kernel method ----
@@ -243,65 +229,47 @@ def kernel_shap(predict_fn, x, background, n_samples: int = 2048,
 
 # ---------------------------------------------------------- dispatching ----
 
-def _unwrap(model):
-    """Peel standardization for tree dispatch decisions (trees are never
-    wrapped; wrapped models always go through the kernel path)."""
-    return model.inner if isinstance(model, StandardizedModel) else model
-
-
 def shap_values(model, X, background=None, n_samples: int = 2048,
                 seed: int = 0, class_index: int | None = None):
     """Attribution matrix (one row per explained row) plus the expected
-    value. Tree families use the exact tree method; everything else uses
-    the kernel method and requires a background dataset.
+    value. CART, forest and GBT models, and one-vs-rest ensembles of them,
+    use the exact tree method; everything else, standardized models
+    included, uses the kernel method and requires a background dataset.
 
     For classifiers, class_index picks the score column to explain; it
     defaults to each row's predicted class for the tree method and must be
     given explicitly for the kernel method."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     n, p = X.shape
-    inner = _unwrap(model)
+    ovr = isinstance(model, OvREnsemble) and all(
+        _is_tree(m) or m.family == "constant_score" for m in model.members)
 
-    if isinstance(inner, OvREnsemble) and all(
-            isinstance(_unwrap(m), (CARTModel, ForestModel, GBTModel))
-            or m.family == "constant_score" for m in inner.members):
-        preds = inner.predict(X) if class_index is None else None
+    if ovr or _is_tree(model):
+        if class_index is not None:
+            classes = [class_index] * n
+        elif model.task == "classification" and not isinstance(model, GBTModel):
+            classes = model.predict(X)  # a GBT's raw score names no class
+        else:
+            classes = [None] * n
         phi = np.zeros((n, p))
         expected = np.zeros(n)
-        for i in range(n):
-            c = int(class_index if class_index is not None else preds[i])
-            member = _unwrap(inner.members[c])
-            if member.family == "constant_score":
-                expected[i] = member.SCORE
+        for i, c in enumerate(classes):
+            if ovr:
+                member = model.members[int(c)]
+                if member.family == "constant_score":
+                    expected[i] = member.SCORE
+                    continue
+                phi[i:i + 1], expected[i:i + 1] = shap_values(member, X[i:i + 1])
                 continue
-            phi_row, exp_row = shap_values(member, X[i:i + 1], background,
-                                           n_samples, seed)
-            phi[i] = phi_row[0]
-            expected[i] = exp_row[0]
+            trees, leaf_value, w, offset, divisor = _tree_sum(model, c)
+            total = offset
+            for root, cols in trees:
+                x = X[i, cols]
+                phi[i, cols] += w * tree_shap(root, x, len(x), leaf_value)
+                total += w * tree_expected(root, leaf_value)
+            phi[i] /= divisor
+            expected[i] = total / divisor
         return phi, expected
-
-    if isinstance(inner, GBTModel) and inner is model:
-        out = np.array([shap_gbt(inner, X[i], p) for i in range(n)], dtype=object)
-        return np.stack([o[0] for o in out]), np.array([o[1] for o in out])
-    if isinstance(inner, ForestModel) and inner is model:
-        cls = None
-        if inner.task == "classification":
-            preds = inner.predict(X)
-        rows = []
-        for i in range(n):
-            c = (class_index if class_index is not None
-                 else (int(preds[i]) if inner.task == "classification" else None))
-            rows.append(shap_forest(inner, X[i], p, c))
-        return np.stack([r[0] for r in rows]), np.array([r[1] for r in rows])
-    if isinstance(inner, CARTModel) and inner is model:
-        if inner.task == "classification":
-            preds = inner.predict(X)
-        rows = []
-        for i in range(n):
-            c = (class_index if class_index is not None
-                 else (int(preds[i]) if inner.task == "classification" else None))
-            rows.append(shap_cart(inner, X[i], p, c))
-        return np.stack([r[0] for r in rows]), np.array([r[1] for r in rows])
 
     if background is None:
         raise ExplainError("a background dataset is required for this model")
@@ -312,13 +280,9 @@ def shap_values(model, X, background=None, n_samples: int = 2048,
         fn = lambda rows: np.asarray(model.predict_scores(rows))[:, class_index]
     else:
         fn = lambda rows: np.asarray(model.predict(rows), dtype=np.float64)
-    rows = [kernel_shap(fn, X[i], background, n_samples, mix(seed, i))
+    rows = [kernel_shap(fn, X[i], background, n_samples, mix_seed(seed, i))
             for i in range(n)]
     return np.stack([r[0] for r in rows]), np.array([r[1] for r in rows])
-
-
-def mix(seed: int, i: int) -> int:
-    return int(np.random.SeedSequence([seed, i]).generate_state(1)[0])
 
 
 # ------------------------------------------------------------- summaries ----

@@ -21,8 +21,9 @@ def register(cls):
 
 
 class Model:
-    """Base fitted model. Subclasses set `family`, implement predict() and
-    the params_dict()/from_params() persistence pair."""
+    """Base fitted model. Subclasses set `family` and implement predict()
+    and params_dict(); they override from_params() when their params are
+    not the keyword arguments of their constructor."""
 
     family = "base"
 
@@ -50,22 +51,43 @@ class Model:
         raise NotImplementedError
 
     @classmethod
-    def from_params(cls, task, hyperparams, manifest, seed, params):  # pragma: no cover
-        raise NotImplementedError
+    def from_params(cls, task, hyperparams, manifest, seed, params):
+        """The model of saved params, which by default are the keyword
+        arguments of the constructor."""
+        return cls(**params, hyperparams=hyperparams, manifest=manifest,
+                   seed=seed)
+
+
+def to_envelope(model: Model) -> dict:
+    """The saved form of a model: its family, task, hyperparameters,
+    feature manifest, seed and params."""
+    return {"family": model.family, "task": model.task,
+            "hyperparameters": model.hyperparams, "manifest": model.manifest,
+            "seed": model.seed, "params": model.params_dict()}
+
+
+def from_envelope(env: dict) -> Model:
+    """The model of a saved envelope; a malformed one raises ModelError."""
+    family = env.get("family")
+    if family not in _REGISTRY:
+        raise ModelError("unknown model family %r" % family)
+    try:
+        model = _REGISTRY[family].from_params(
+            env["task"], env["hyperparameters"], env["manifest"],
+            env.get("seed"), env["params"])
+    except (KeyError, TypeError) as exc:
+        raise ModelError("malformed %s model: %s: %s"
+                         % (family, type(exc).__name__, exc)) from exc
+    if model.task != env["task"]:
+        raise ModelError("malformed %s model: task %r, params give %r"
+                         % (family, env["task"], model.task))
+    return model
 
 
 def save_model(model: Model, path) -> None:
-    envelope = {
-        "format_version": FORMAT_VERSION,
-        "family": model.family,
-        "task": model.task,
-        "hyperparameters": model.hyperparams,
-        "manifest": model.manifest,
-        "seed": model.seed,
-        "params": model.params_dict(),
-    }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(envelope, fh, sort_keys=True)
+        json.dump({"format_version": FORMAT_VERSION, **to_envelope(model)},
+                  fh, sort_keys=True)
         fh.write("\n")
 
 
@@ -78,12 +100,7 @@ def load_model(path) -> Model:
     if env.get("format_version") != FORMAT_VERSION:
         raise ModelError("unsupported model format version %r"
                          % env.get("format_version"))
-    family = env.get("family")
-    if family not in _REGISTRY:
-        raise ModelError("unknown model family %r" % family)
-    cls = _REGISTRY[family]
-    return cls.from_params(env["task"], env["hyperparameters"], env["manifest"],
-                           env.get("seed"), env["params"])
+    return from_envelope(env)
 
 
 def require_finite(X: np.ndarray, y) -> None:
@@ -125,13 +142,15 @@ class StandardizedModel(Model):
 
     family = "standardized"
 
-    def __init__(self, inner: Model, standardizer: Standardizer):
-        super().__init__(inner.task, inner.hyperparams, inner.manifest, inner.seed)
+    def __init__(self, inner: Model, standardizer: Standardizer, **kw):
+        kw = {"hyperparams": inner.hyperparams, "manifest": inner.manifest,
+              "seed": inner.seed, **kw}
+        super().__init__(inner.task, **kw)
         self.inner = inner
         self.standardizer = standardizer
 
     def _scaled(self, X):
-        return self.standardizer.transform(np.atleast_2d(X))
+        return self.standardizer.transform(self._check_input(X))
 
     def predict(self, X):
         return self.inner.predict(self._scaled(X))
@@ -145,27 +164,17 @@ class StandardizedModel(Model):
         return self.inner.predict_scores(self._scaled(X))
 
     def params_dict(self) -> dict:
-        return {
-            "mean": self.standardizer.mean.tolist(),
-            "scale": self.standardizer.scale.tolist(),
-            "inner_family": self.inner.family,
-            "inner": {
-                "task": self.inner.task,
-                "hyperparameters": self.inner.hyperparams,
-                "manifest": self.inner.manifest,
-                "seed": self.inner.seed,
-                "params": self.inner.params_dict(),
-            },
-        }
+        inner = to_envelope(self.inner)
+        return {"mean": self.standardizer.mean.tolist(),
+                "scale": self.standardizer.scale.tolist(),
+                "inner_family": inner.pop("family"), "inner": inner}
 
     @classmethod
     def from_params(cls, task, hyperparams, manifest, seed, params):
-        inner_cls = _REGISTRY[params["inner_family"]]
-        inn = params["inner"]
-        inner = inner_cls.from_params(inn["task"], inn["hyperparameters"],
-                                      inn["manifest"], inn.get("seed"), inn["params"])
+        inner = from_envelope(dict(params["inner"], family=params["inner_family"]))
         return cls(inner, Standardizer(np.array(params["mean"]),
-                                       np.array(params["scale"])))
+                                       np.array(params["scale"])),
+                   hyperparams=hyperparams, manifest=manifest, seed=seed)
 
 
 def fit_standardized(fit_fn, X, y, **kwargs) -> StandardizedModel:

@@ -27,13 +27,19 @@ def _grow(X, order, g, h, max_depth, min_leaf, lam, gamma_pen):
     """One round's tree, plus the leaf value of every training row."""
     step = np.empty(len(g))
 
+    def sums(idx):
+        G, H = float(np.sum(g[idx])), float(np.sum(h[idx]))
+        if H + lam == 0:  # logistic probabilities saturated at 0 or 1, lam 0
+            raise ModelError("a node's hessian sum plus lam is 0; use lam > 0")
+        return G, H
+
     def leaf(idx):
-        value = _leaf_weight(float(np.sum(g[idx])), float(np.sum(h[idx])), lam)
+        value = _leaf_weight(*sums(idx), lam)
         step[idx] = value
         return {"leaf": True, "value": value, "n": len(idx)}
 
     def gain(block, idx):
-        G, H = float(np.sum(g[idx])), float(np.sum(h[idx]))
+        G, H = sums(idx)
         gl = np.cumsum(g[block], axis=1)[:, :-1]
         hl = np.cumsum(h[block], axis=1)[:, :-1]
         # G ** 2 squares a Python float (libm pow); the trees depend on it
@@ -81,12 +87,6 @@ class GBTModel(Model):
         return {"trees": self.trees, "base_score": self.base_score,
                 "learning_rate": self.learning_rate, "loss": self.loss}
 
-    @classmethod
-    def from_params(cls, task, hyperparams, manifest, seed, params):
-        return cls(params["trees"], params["base_score"],
-                   params["learning_rate"], params["loss"],
-                   hyperparams=hyperparams, manifest=manifest, seed=seed)
-
 
 def fit_gbt(X, y, n_rounds: int = 50, learning_rate: float = 0.3,
             lam: float = 1.0, gamma_pen: float = 0.0, max_depth: int = 3,
@@ -96,6 +96,8 @@ def fit_gbt(X, y, n_rounds: int = 50, learning_rate: float = 0.3,
     and the empirical log-odds for the logistic loss (y in {0,1})."""
     if n_rounds < 1:
         raise ModelError("n_rounds must be >= 1")
+    if lam < 0:
+        raise ModelError("lam must be >= 0")
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     require_finite(X, y)
     y = np.asarray(y, dtype=np.float64)

@@ -24,11 +24,6 @@ class LinearModel(Model):
         return {"w": self.w.tolist(), "b": self.b,
                 "rank_deficient": self.rank_deficient}
 
-    @classmethod
-    def from_params(cls, task, hyperparams, manifest, seed, params):
-        return cls(params["w"], params["b"], params["rank_deficient"],
-                   hyperparams=hyperparams, manifest=manifest, seed=seed)
-
 
 def fit_linear(X, y, ridge: float = 0.0, manifest=None) -> LinearModel:
     """Least squares with optional L2 penalty on the weights (never on the
@@ -77,11 +72,6 @@ class LogisticModel(Model):
 
     def params_dict(self):
         return {"w": self.w.tolist(), "b": self.b}
-
-    @classmethod
-    def from_params(cls, task, hyperparams, manifest, seed, params):
-        return cls(params["w"], params["b"], hyperparams=hyperparams,
-                   manifest=manifest, seed=seed)
 
 
 def fit_logistic(X, y, lr: float = 0.5, epochs: int = 500, l2: float = 0.0,

@@ -92,12 +92,6 @@ class MLPModel(Model):
                 "activation": self.activation,
                 "n_classes": self.n_classes}
 
-    @classmethod
-    def from_params(cls, task, hyperparams, manifest, seed, params):
-        return cls(params["weights"], params["biases"], params["activation"],
-                   params["n_classes"], hyperparams=hyperparams,
-                   manifest=manifest, seed=seed)
-
 
 def fit_mlp(X, y, hidden=(16,), activation="tanh", lr: float = 0.1,
             epochs: int = 500, batch_size: int | None = 32, seed: int = 0,

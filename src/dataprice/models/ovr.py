@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 
-from .base import Model, ModelError, register, _REGISTRY
+from .base import Model, ModelError, from_envelope, register, to_envelope
 
 
 @register
@@ -30,10 +30,6 @@ class ConstantScoreModel(Model):
     def params_dict(self):
         return {}
 
-    @classmethod
-    def from_params(cls, task, hyperparams, manifest, seed, params):
-        return cls(hyperparams=hyperparams, manifest=manifest, seed=seed)
-
 
 @register
 class OvREnsemble(Model):
@@ -56,20 +52,12 @@ class OvREnsemble(Model):
 
     def params_dict(self):
         return {"classes": self.classes,
-                "members": [{"family": m.family, "task": m.task,
-                             "hyperparameters": m.hyperparams,
-                             "manifest": m.manifest, "seed": m.seed,
-                             "params": m.params_dict()} for m in self.members]}
+                "members": [to_envelope(m) for m in self.members]}
 
     @classmethod
     def from_params(cls, task, hyperparams, manifest, seed, params):
-        members = []
-        for env in params["members"]:
-            mcls = _REGISTRY[env["family"]]
-            members.append(mcls.from_params(env["task"], env["hyperparameters"],
-                                            env["manifest"], env.get("seed"),
-                                            env["params"]))
-        return cls(members, params["classes"], hyperparams=hyperparams,
+        return cls([from_envelope(env) for env in params["members"]],
+                   params["classes"], hyperparams=hyperparams,
                    manifest=manifest, seed=seed)
 
 

@@ -54,12 +54,6 @@ class SVMModel(_KernelModel):
     def predict(self, X):
         return np.where(self.decision_function(X) >= 0, 1, -1).astype(np.int64)
 
-    @classmethod
-    def from_params(cls, task, hyperparams, manifest, seed, params):
-        return cls(params["support_vectors"], params["coef"], params["b"],
-                   params["kernel"], params["gamma"], hyperparams=hyperparams,
-                   manifest=manifest, seed=seed)
-
 
 @register
 class SVRModel(_KernelModel):
@@ -71,12 +65,6 @@ class SVRModel(_KernelModel):
 
     def predict(self, X):
         return self.decision_function(X)
-
-    @classmethod
-    def from_params(cls, task, hyperparams, manifest, seed, params):
-        return cls(params["support_vectors"], params["coef"], params["b"],
-                   params["kernel"], params["gamma"], hyperparams=hyperparams,
-                   manifest=manifest, seed=seed)
 
 
 def dual_objective(alpha, y, K) -> float:

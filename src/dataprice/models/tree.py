@@ -177,11 +177,6 @@ class CARTModel(Model):
     def params_dict(self):
         return {"root": self.root, "n_classes": self.n_classes}
 
-    @classmethod
-    def from_params(cls, task, hyperparams, manifest, seed, params):
-        return cls(params["root"], params["n_classes"], hyperparams=hyperparams,
-                   manifest=manifest, seed=seed)
-
 
 def fit_cart(X, y, max_depth: int = 10, min_leaf: int = 1,
              task: str = "regression", n_classes: int | None = None,

@@ -1,15 +1,16 @@
 import itertools
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
 from dataprice.explain import (ExplainError, beeswarm_csv, embedding_keywords,
-                               global_importance, kernel_shap, shap_cart,
-                               shap_forest, shap_gbt, shap_values,
+                               global_importance, kernel_shap, shap_values,
                                shapley_kernel_weight, tree_expected, tree_shap)
-from dataprice.models import (fit_cart, fit_forest, fit_gbt, fit_linear,
-                              fit_mlp, one_vs_rest)
+from dataprice.models import (CARTModel, ForestModel, GBTModel, OvREnsemble,
+                              fit_cart, fit_forest, fit_gbt, fit_linear,
+                              fit_mlp, fit_standardized, one_vs_rest)
 from dataprice.textrep.word2vec import EmbeddingTable
 
 
@@ -85,11 +86,11 @@ class TestTreeShap:
         X, _ = make_data(4, n=100, p=3)
         y = (X[:, 0] + X[:, 1] > 0).astype(int)
         model = fit_cart(X, y, max_depth=4, task="classification")
-        phi, expected = shap_cart(model, X[0], 3, class_index=1)
+        phi, expected = shap_values(model, X[:1], class_index=1)
         lv = lambda node: float(node["probs"][1])
         oracle = exhaustive_shapley(model.root, X[0], 3, lv)
-        assert np.max(np.abs(phi - oracle)) < 1e-8
-        assert abs(phi.sum() + expected
+        assert np.max(np.abs(phi[0] - oracle)) < 1e-8
+        assert abs(phi[0].sum() + expected[0]
                    - model.predict_scores(X[:1])[0, 1]) < 1e-8
 
     def test_expected_is_cover_weighted_leaf_mean(self):
@@ -97,12 +98,16 @@ class TestTreeShap:
         model = fit_cart(X, y, max_depth=5)
         assert tree_expected(model.root) == pytest.approx(np.mean(y), abs=1e-10)
 
-    def test_classification_requires_class_index(self):
+    def test_classification_default_explains_predicted_class(self):
         X, _ = make_data(6, n=40, p=2)
         y = (X[:, 0] > 0).astype(int)
-        model = fit_cart(X, y, task="classification")
-        with pytest.raises(ExplainError, match="class_index"):
-            shap_cart(model, X[0], 2)
+        model = fit_cart(X, y, max_depth=3, task="classification")
+        phi, expected = shap_values(model, X[:10])
+        preds = model.predict(X[:10])
+        assert len(set(preds.tolist())) == 2
+        for i in range(10):
+            one, e = shap_values(model, X[i:i + 1], class_index=int(preds[i]))
+            assert np.array_equal(phi[i], one[0]) and expected[i] == e[0]
 
 
 class TestForestShap:
@@ -110,9 +115,9 @@ class TestForestShap:
         X, y = make_data(7, n=150, p=5)
         model = fit_forest(X, y, n_trees=8, k_features=3, max_depth=5, seed=0)
         preds = model.predict(X[:20])
+        phi, expected = shap_values(model, X[:20])
         for i in range(20):
-            phi, expected = shap_forest(model, X[i], 5)
-            assert abs(phi.sum() + expected - preds[i]) < 1e-6
+            assert abs(phi[i].sum() + expected[i] - preds[i]) < 1e-6
 
     def test_classification_explains_vote_fraction(self):
         X, _ = make_data(8, n=120, p=3)
@@ -120,10 +125,10 @@ class TestForestShap:
         model = fit_forest(X, y, n_trees=7, max_depth=4, task="classification",
                            seed=1)
         x = X[0]
-        phi, expected = shap_forest(model, x, 3, class_index=1)
+        phi, expected = shap_values(model, x[None], class_index=1)
         votes = np.mean([t.predict(x[s].reshape(1, -1))[0] == 1
                          for t, s in zip(model.trees, model.feature_subsets)])
-        assert abs(phi.sum() + expected - votes) < 1e-8
+        assert abs(phi[0].sum() + expected[0] - votes) < 1e-8
 
 
 class TestGBTShap:
@@ -131,9 +136,128 @@ class TestGBTShap:
         X, y = make_data(9, n=130)
         model = fit_gbt(X, y, n_rounds=15, max_depth=3)
         preds = model.predict_raw(X[:25])
+        phi, expected = shap_values(model, X[:25])
         for i in range(25):
-            phi, expected = shap_gbt(model, X[i], 4)
-            assert abs(phi.sum() + expected - preds[i]) < 1e-6
+            assert abs(phi[i].sum() + expected[i] - preds[i]) < 1e-6
+
+
+# ----------------------------------------------- reference tree dispatch ----
+# The per-family tree attributions that the one weighted-sum loop of
+# shap_values replaced, copied as they were. Attributions and expected
+# values must match them bit for bit.
+
+def _ref_class_leaf_value(class_index):
+    def value(node):
+        if "probs" in node:
+            return float(node["probs"][class_index])
+        return 1.0 if int(node["value"]) == class_index else 0.0
+    return value
+
+
+def _ref_shap_cart(model, x, n_features, class_index=None):
+    lv = (leaf_mean if model.task == "regression"
+          else _ref_class_leaf_value(class_index))
+    return tree_shap(model.root, x, n_features, lv), tree_expected(model.root, lv)
+
+
+def _ref_shap_forest(model, x, n_features, class_index=None):
+    if model.task == "classification":
+        lv = lambda node: 1.0 if int(node["value"]) == class_index else 0.0
+    else:
+        lv = leaf_mean
+    phi = np.zeros(n_features)
+    expected = 0.0
+    for tree, subset in zip(model.trees, model.feature_subsets):
+        local = tree_shap(tree.root, x[subset], len(subset), lv)
+        for li, gi in enumerate(subset):
+            phi[gi] += local[li]
+        expected += tree_expected(tree.root, lv)
+    return phi / len(model.trees), expected / len(model.trees)
+
+
+def _ref_shap_gbt(model, x, n_features):
+    phi = np.zeros(n_features)
+    expected = model.base_score
+    for root in model.trees:
+        phi += model.learning_rate * tree_shap(root, x, n_features)
+        expected += model.learning_rate * tree_expected(root)
+    return phi, expected
+
+
+def _ref_shap_values(model, X, class_index=None):
+    n, p = X.shape
+    if isinstance(model, OvREnsemble):
+        preds = model.predict(X) if class_index is None else None
+        phi, expected = np.zeros((n, p)), np.zeros(n)
+        for i in range(n):
+            c = int(class_index if class_index is not None else preds[i])
+            member = model.members[c]
+            if member.family == "constant_score":
+                expected[i] = member.SCORE
+                continue
+            phi_row, exp_row = _ref_shap_values(member, X[i:i + 1])
+            phi[i], expected[i] = phi_row[0], exp_row[0]
+        return phi, expected
+    if isinstance(model, GBTModel):
+        rows = [_ref_shap_gbt(model, X[i], p) for i in range(n)]
+    else:
+        assert isinstance(model, (CARTModel, ForestModel))
+        fn = _ref_shap_forest if isinstance(model, ForestModel) else _ref_shap_cart
+        classify = model.task == "classification"
+        preds = model.predict(X) if classify else None
+        rows = [fn(model, X[i], p,
+                   class_index if class_index is not None
+                   else (int(preds[i]) if classify else None))
+                for i in range(n)]
+    return np.stack([r[0] for r in rows]), np.array([r[1] for r in rows])
+
+
+@pytest.fixture(scope="module")
+def tree_models():
+    X, y = make_data(20, n=90, p=4)
+    yc = np.digitize(y, np.quantile(y, [1 / 3, 2 / 3]))
+    gbt = lambda Xb, yb: fit_gbt(Xb, yb, n_rounds=5, max_depth=3, loss="logistic")
+    with pytest.warns(UserWarning, match="absent"):
+        absent = one_vs_rest(gbt, X, np.minimum(yc, 1), n_classes=3)
+    return X, {
+        "cart_reg": fit_cart(X, y, max_depth=5),
+        "cart_cls": fit_cart(X, yc, max_depth=4, task="classification"),
+        "forest_reg": fit_forest(X, y, n_trees=5, k_features=3, max_depth=4,
+                                 seed=0),
+        "forest_cls": fit_forest(X, yc, n_trees=5, k_features=3, max_depth=4,
+                                 task="classification", seed=1),
+        "gbt_reg": fit_gbt(X, y, n_rounds=6, max_depth=3),
+        "gbt_binary": fit_gbt(X, (yc > 0).astype(int), n_rounds=6,
+                              max_depth=3, loss="logistic"),
+        "ovr_gbt": one_vs_rest(gbt, X, yc),
+        "ovr_gbt_absent_class": absent,
+    }
+
+
+class TestTreeReference:
+    @pytest.mark.parametrize("class_index", [None, 0, 1, 2])
+    def test_matches_reference_bit_for_bit(self, tree_models, class_index):
+        X, models = tree_models
+        for name, model in models.items():
+            phi, expected = shap_values(model, X[:8], class_index=class_index)
+            ref_phi, ref_expected = _ref_shap_values(model, X[:8], class_index)
+            assert phi.tobytes() == ref_phi.tobytes(), name
+            assert expected.tobytes() == ref_expected.tobytes(), name
+
+    def test_ovr_of_standardized_trees_takes_kernel_path(self):
+        # the members' trees split on scaled columns, which the tree method
+        # cannot see, so the ensemble is explained by the kernel method
+        X, y = make_data(21, n=90, p=3)
+        X = 10.0 * X + 3.0
+        yc = np.digitize(y, np.quantile(y, [1 / 3, 2 / 3]))
+        model = one_vs_rest(partial(fit_standardized, fit_gbt, n_rounds=5,
+                                    loss="logistic"), X, yc)
+        with pytest.raises(ExplainError, match="class_index"):
+            shap_values(model, X[:2], background=X[:10])
+        phi, expected = shap_values(model, X[:4], background=X[:10],
+                                    class_index=1)
+        target = model.predict_scores(X[:4])[:, 1]
+        assert np.allclose(phi.sum(axis=1) + expected, target, atol=1e-8)
 
 
 # ---------------------------------------------------- kernel attribution -----

@@ -371,6 +371,18 @@ class TestGBT:
         with pytest.raises(ModelError, match="non-finite"):
             fit_gbt(X, np.where(y == 2, np.inf, y % 2), loss="logistic")
 
+    def test_zero_hessian_with_zero_lam_raises_model_error(self):
+        # the probabilities saturate to 0 and 1, so a node's H is exactly 0
+        X = [[-0.8, 1.6], [-1.1, -0.3], [0.5, 1.0], [0.6, 1.3], [-0.1, 1.2]]
+        with np.errstate(divide="ignore"), pytest.raises(ModelError,
+                                                         match="hessian"):
+            fit_gbt(X, [1, 0, 1, 1, 0], n_rounds=53, lam=0.0, loss="logistic",
+                    learning_rate=1.0, max_depth=1, min_leaf=1)
+
+    def test_rejects_negative_lam(self):
+        with pytest.raises(ModelError, match="lam"):
+            fit_gbt(np.arange(4.0).reshape(-1, 1), np.arange(4.0), lam=-0.5)
+
 
 # ------------------------------------------------------ split finder ----
 # The per-column search that the presorted finder replaced, copied as it

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from dataprice.evaluate import N_TIERS, fit_family, merge_config
 from dataprice.models import (ConstantScoreModel, ModelError, OvREnsemble,
                               fit_cart, fit_forest, fit_gbt, fit_linear,
                               fit_logistic, fit_mlp, fit_standardized,
@@ -105,6 +106,92 @@ class TestSaveLoad:
         require_task(m, "regression")
         with pytest.raises(ModelError):
             require_task(m, "classification")
+
+
+FAMILIES = ["linear", "mlp", "cart", "svm", "forest", "gbt"]
+
+
+@pytest.mark.parametrize("task", ["regression", "classification"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_every_family_round_trips_byte_for_byte(family, task, tmp_path):
+    X, y = data(4, n=60)
+    target = y if task == "regression" else np.digitize(
+        y, np.quantile(y, np.linspace(0, 1, N_TIERS + 1)[1:-1]))
+    cfg = merge_config({"gbt": {"n_rounds": 5}, "mlp": {"epochs": 5},
+                        "forest": {"n_trees": 4}})
+    model = fit_family(family, X, target, task, N_TIERS, cfg, 3)
+    model.manifest = ["a", "b", "c"]
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_model(model, first)
+    back = load_model(first)
+    save_model(back, second)
+    assert second.read_bytes() == first.read_bytes()
+    assert back.manifest == ["a", "b", "c"]
+    assert back.predict(X).tobytes() == model.predict(X).tobytes()
+
+
+class TestMalformedFile:
+    """A model file that parses but does not describe a model is a
+    ModelError, so the CLI reports it as bad input."""
+
+    def load_edited(self, model, edit, tmp_path):
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        env = json.loads(path.read_text())
+        edit(env)
+        path.write_text(json.dumps(env))
+        return load_model(path)
+
+    def test_unknown_inner_family(self, tmp_path):
+        X, y = data()
+        m = fit_standardized(fit_linear, X, y)
+        with pytest.raises(ModelError, match="catboost"):
+            self.load_edited(m, lambda env: env["params"].update(
+                inner_family="catboost"), tmp_path)
+
+    def test_unknown_member_family(self, tmp_path):
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(40, 2))
+        y = (X[:, 0] > 0).astype(int) + (X[:, 1] > 0).astype(int)
+        m = one_vs_rest(lambda Xb, yb: fit_logistic(Xb, yb, epochs=10), X, y)
+        with pytest.raises(ModelError, match="xgb"):
+            self.load_edited(m, lambda env: env["params"]["members"][1].update(
+                family="xgb"), tmp_path)
+
+    def test_missing_param(self, tmp_path):
+        X, y = data()
+        with pytest.raises(ModelError, match="malformed"):
+            self.load_edited(fit_linear(X, y),
+                             lambda env: env["params"].pop("w"), tmp_path)
+        with pytest.raises(ModelError, match="malformed"):
+            self.load_edited(fit_forest(X, y, n_trees=2, seed=0),
+                             lambda env: env["params"].pop("trees"), tmp_path)
+        # a defaulted param that would silently change the task
+        yc = (y > 0).astype(int)
+        with pytest.raises(ModelError, match="task"):
+            self.load_edited(fit_cart(X, yc, task="classification"),
+                             lambda env: env["params"].pop("n_classes"),
+                             tmp_path)
+
+    def test_extra_param(self, tmp_path):
+        X, y = data()
+        m = fit_standardized(fit_svr, X, y, max_iter=50)
+        with pytest.raises(ModelError, match="malformed"):
+            self.load_edited(m, lambda env: env["params"]["inner"]["params"]
+                             .update(bogus=1), tmp_path)
+
+
+def test_standardized_checks_its_manifest(tmp_path):
+    X, y = data()
+    m = fit_standardized(fit_linear, X, y)
+    m.manifest = ["a", "b", "c"]
+    path = tmp_path / "m.json"
+    save_model(m, path)
+    back = load_model(path)
+    assert back.manifest == ["a", "b", "c"]
+    assert (back.hyperparams, back.seed) == (m.hyperparams, m.seed)
+    with pytest.raises(ModelError, match="columns"):
+        back.predict(np.zeros((2, 5)))
 
 
 class TestOvR:
