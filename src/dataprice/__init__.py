@@ -13,7 +13,7 @@ from .corpus import (CorpusError, DataProduct, DescriptiveStats, TargetSpec,
                      INDUSTRIES, REFERENCE_TIER_CUTPOINTS, compose_text,
                      describe, encode_structured, load_products, make_targets,
                      quantile_cutpoints, save_products, structured_matrix)
-from .matrix import FeatureMatrix, hstack_all
+from .matrix import FeatureMatrix
 from .featsel import SelectionTrace, discretize, mrmr_select, mutual_information
 from .evaluate import (ExperimentReport, FeatureCurve, classification_metrics,
                        feature_curve, fit_family, fit_representation,

@@ -73,10 +73,3 @@ class FeatureMatrix:
             rows = [[float(x) for x in line] for line in r]
         values = np.array(rows, dtype=np.float64).reshape(len(rows), len(columns))
         return FeatureMatrix(values, columns, provenance)
-
-
-def hstack_all(mats: list[FeatureMatrix]) -> FeatureMatrix:
-    out = mats[0]
-    for m in mats[1:]:
-        out = out.hstack(m)
-    return out

@@ -81,6 +81,12 @@ def from_envelope(env: dict) -> Model:
     if model.task != env["task"]:
         raise ModelError("malformed %s model: task %r, params give %r"
                          % (family, env["task"], model.task))
+    # a constructor default would stand in for a missing param silently
+    saved, expected = set(env["params"]), set(model.params_dict())
+    if saved != expected:
+        raise ModelError("malformed %s model: params lack %s, have extra %s"
+                         % (family, sorted(expected - saved),
+                            sorted(saved - expected)))
     return model
 
 
@@ -104,7 +110,8 @@ def load_model(path) -> Model:
 
 
 def require_finite(X: np.ndarray, y) -> None:
-    """Reject NaN or inf, which a split search would sort and place silently."""
+    """Reject NaN or inf, which a split search would sort and place, and a
+    kernel solver carry into its multipliers, silently."""
     if not (np.isfinite(X).all() and np.isfinite(np.asarray(y, float)).all()):
         raise ModelError("non-finite value (NaN or inf) in the training data")
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Model, ModelError, register
+from .base import Model, ModelError, register, require_finite
 
 
 def kernel_matrix(A, B, kernel: str, gamma: float = 1.0) -> np.ndarray:
@@ -82,6 +82,7 @@ def fit_svm(X, y, C: float = 1.0, kernel: str = "linear", gamma: float = 1.0,
     moves, which leaves every point KKT-consistent within tol.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    require_finite(X, y)
     y = np.asarray(y, dtype=np.float64)
     if set(np.unique(y)) - {-1.0, 1.0}:
         raise ModelError("labels must be -1/+1")
@@ -195,6 +196,42 @@ def epsilon_loss(z, epsilon: float):
     return np.maximum(z - epsilon, 0.0)
 
 
+def _soft_box(s, thr: float, C: float):
+    """Soft-threshold s by thr, then clip to the box [-C, C]."""
+    return np.clip(np.sign(s) * np.maximum(np.abs(s) - thr, 0.0), -C, C)
+
+
+# change of slope, in nu, of sum_i _soft_box(z_i - nu) at each of the four
+# breakpoint groups z - thr - C, z - thr, z + thr, z + thr + C
+_KNOT_SLOPES = np.array([-1.0, 1.0, -1.0, 1.0])
+
+
+def svr_prox(z, thr: float, C: float):
+    """argmin_b 1/2||b - z||^2 + thr*||b||_1 over -C <= b_i <= C, sum(b) = 0.
+
+    The solution is b(nu) = _soft_box(z - nu) at the multiplier nu of the
+    sum constraint where sum(b(nu)) = 0. That sum is piecewise linear and
+    nonincreasing in nu: coordinate i has slope -1 on (z_i - thr - C,
+    z_i - thr) and on (z_i + thr, z_i + thr + C), and 0 elsewhere. Sorting
+    the breakpoints gives the sum at each of them from the cumulative
+    slopes; nu is the zero on the piece where the sum changes sign (a
+    continuous quadratic knapsack; Kiwiel 2008).
+    """
+    n = len(z)
+    knots = np.concatenate((z - (thr + C), z - thr, z + thr, z + (thr + C)))
+    order = np.argsort(knots, kind="stable")
+    knots = knots[order]
+    slope = np.cumsum(_KNOT_SLOPES[order // n])  # on (knots[k], knots[k+1])
+    at_knot = n * C + np.concatenate(
+        ([0.0], np.cumsum(slope[:-1] * np.diff(knots))))
+    k = int(np.argmax(at_knot <= 0.0))  # at_knot[0] = nC > 0 >= at_knot[k]
+    # the cumulative sums only locate the piece; the sum at its left end is
+    # evaluated directly, so rounding does not accumulate over the knots
+    lo = knots[k - 1]
+    nu = lo - _soft_box(z - lo, thr, C).sum() / slope[k - 1]
+    return _soft_box(z - nu, thr, C)
+
+
 def fit_svr(X, y, C: float = 1.0, epsilon: float = 0.1, kernel: str = "linear",
             gamma: float = 1.0, tol: float = 1e-6, max_iter: int = 5000,
             manifest=None) -> SVRModel:
@@ -204,10 +241,12 @@ def fit_svr(X, y, C: float = 1.0, epsilon: float = 0.1, kernel: str = "linear",
         max  -1/2 beta' K beta - eps * sum|beta| + y' beta
         s.t. sum(beta) = 0,  -C <= beta_i <= C
 
-    by accelerated proximal gradient; the prox handles the l1 term, the box
-    and the sum constraint jointly (bisection on the constraint multiplier).
+    by accelerated proximal gradient (FISTA); `svr_prox` handles the l1
+    term, the box and the sum constraint jointly and exactly, by a
+    breakpoint search on the constraint multiplier.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    require_finite(X, y)
     y = np.asarray(y, dtype=np.float64)
     if C <= 0:
         raise ModelError("C must be positive")
@@ -217,31 +256,13 @@ def fit_svr(X, y, C: float = 1.0, epsilon: float = 0.1, kernel: str = "linear",
     K = kernel_matrix(X, X, kernel, gamma)
     L = float(np.linalg.eigvalsh(K)[-1]) + 1e-12
 
-    def prox(z, step):
-        # argmin_b 1/2||b - z||^2 + step*eps*||b||_1  over box and sum(b)=0
-        thr = step * epsilon
-
-        def solve(nu):
-            s = z - nu
-            b = np.sign(s) * np.maximum(np.abs(s) - thr, 0.0)
-            return np.clip(b, -C, C)
-
-        lo, hi = z.min() - thr - C - 1.0, z.max() + thr + C + 1.0
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if solve(mid).sum() > 0:
-                lo = mid
-            else:
-                hi = mid
-        return solve(0.5 * (lo + hi))
-
     beta = np.zeros(n)
     z = beta.copy()
     t_prev = 1.0
     step = 1.0 / L
     for _ in range(max_iter):
         grad = K @ z - y  # gradient of the smooth part (negated objective)
-        beta_new = prox(z - step * grad, step)
+        beta_new = svr_prox(z - step * grad, step * epsilon, C)
         t = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_prev ** 2))
         z = beta_new + ((t_prev - 1.0) / t) * (beta_new - beta)
         if np.max(np.abs(beta_new - beta)) < tol:

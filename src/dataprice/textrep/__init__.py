@@ -1,8 +1,7 @@
 from .tokenizer import tokenize, STOPWORDS, STOPWORDS_VERSION
 from .vocab import Vocabulary, build_vocabulary, bow, tfidf, idf_vector
 from .word2vec import (EmbeddingTable, train_skipgram, doc_embedding,
-                       embedding_features, sgns_loss_and_grad,
-                       save_doc_vectors, load_doc_vectors)
+                       embedding_features, sgns_loss_and_grad)
 from .lda import TopicModel, train_lda, topic_features
 from .clustering import (ClusterTopics, cluster_topics, ctfidf, kmeans,
                          reduce_dimensions, PCAReducer, membership_probabilities)
@@ -11,7 +10,7 @@ __all__ = [
     "tokenize", "STOPWORDS", "STOPWORDS_VERSION",
     "Vocabulary", "build_vocabulary", "bow", "tfidf", "idf_vector",
     "EmbeddingTable", "train_skipgram", "doc_embedding", "embedding_features",
-    "sgns_loss_and_grad", "save_doc_vectors", "load_doc_vectors",
+    "sgns_loss_and_grad",
     "TopicModel", "train_lda", "topic_features",
     "ClusterTopics", "cluster_topics", "ctfidf", "kmeans", "reduce_dimensions",
     "PCAReducer", "membership_probabilities",

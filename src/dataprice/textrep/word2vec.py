@@ -94,9 +94,25 @@ def sgns_loss_and_grad(center: np.ndarray, positive: np.ndarray,
     return loss, g_center, g_pos, g_negs
 
 
-def _negative_table(counts: np.ndarray) -> np.ndarray:
+def _negative_cdf(counts: np.ndarray) -> np.ndarray:
+    """The unigram^0.75 noise distribution as the normalised CDF that
+    `Generator.choice(V, p=probs)` builds from it."""
     p = counts.astype(np.float64) ** 0.75
-    return p / p.sum()
+    cdf = (p / p.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _context_pairs(ids: list[int], window: int) -> tuple[list[int], list[int]]:
+    """The (center, context) ids of one document, centers in order and each
+    center's contexts left to right."""
+    centers, contexts = [], []
+    for t in range(len(ids)):
+        for j in range(max(0, t - window), min(len(ids), t + window + 1)):
+            if j != t:
+                centers.append(ids[t])
+                contexts.append(ids[j])
+    return centers, contexts
 
 
 def train_skipgram(corpus: list[str], d: int = 100, window: int = 5,
@@ -117,12 +133,11 @@ def train_skipgram(corpus: list[str], d: int = 100, window: int = 5,
     for text in corpus:
         ids = [vocab.index[t] for t in tokenize(text) if t in vocab.index]
         if len(ids) >= 2:
-            docs.append(np.array(ids, dtype=np.int64))
+            docs.append(_context_pairs(ids, window))
             np.add.at(counts, ids, 1)
     if not docs:
         raise ValueError("corpus too small: no (center, context) pairs")
-    counts = np.maximum(counts, 1)
-    neg_probs = _negative_table(counts)
+    neg_cdf = _negative_cdf(np.maximum(counts, 1))
 
     rng = np.random.default_rng(seed)
     V = len(vocab)
@@ -132,23 +147,23 @@ def train_skipgram(corpus: list[str], d: int = 100, window: int = 5,
     loss_curve = []
     for _ in range(epochs):
         total, n_pairs = 0.0, 0
-        for ids in docs:
-            L = len(ids)
-            for t in range(L):
-                lo, hi = max(0, t - window), min(L, t + window + 1)
-                for j in range(lo, hi):
-                    if j == t:
-                        continue
-                    c, o = ids[t], ids[j]
-                    negs = rng.choice(V, size=negatives, p=neg_probs)
-                    center = vec_in[c]
-                    loss, g_c, g_p, g_n = sgns_loss_and_grad(
-                        center, vec_out[o], vec_out[negs])
-                    vec_in[c] = center - lr * g_c
-                    vec_out[o] -= lr * g_p
-                    np.add.at(vec_out, negs, -lr * g_n)
-                    total += loss
-                    n_pairs += 1
+        for centers, contexts in docs:
+            # Generator.choice(V, size=k, p=probs) looks k draws of random()
+            # up in neg_cdf (side="right"). Drawing all of a document's
+            # uniforms in one call reads the same stream in the same order,
+            # so every pair gets the negatives that a per-pair choice gave.
+            u = rng.random(len(centers) * negatives)
+            neg_ids = neg_cdf.searchsorted(u, side="right").reshape(
+                len(centers), negatives)
+            for c, o, negs in zip(centers, contexts, neg_ids):
+                center = vec_in[c]
+                loss, g_c, g_p, g_n = sgns_loss_and_grad(
+                    center, vec_out[o], vec_out[negs])
+                vec_in[c] = center - lr * g_c
+                vec_out[o] -= lr * g_p
+                np.add.at(vec_out, negs, -lr * g_n)
+                total += loss
+            n_pairs += len(centers)
         loss_curve.append(total / n_pairs)
 
     config = {"dimension": d, "window": window, "epochs": epochs, "lr": lr,
@@ -171,11 +186,3 @@ def embedding_features(corpus: list[str], table: EmbeddingTable) -> FeatureMatri
     values = np.array([doc_embedding(doc, table) for doc in corpus])
     cols = ["embedding_%d" % i for i in range(table.dimension)]
     return FeatureMatrix(values, cols, ["word2vec"] * len(cols))
-
-
-def save_doc_vectors(values: np.ndarray, path) -> None:
-    np.savetxt(path, values, delimiter=",", fmt="%.17g")
-
-
-def load_doc_vectors(path) -> np.ndarray:
-    return np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=np.float64))

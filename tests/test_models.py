@@ -5,6 +5,7 @@ from dataprice.models import (ModelError, dual_objective, epsilon_loss,
                               fit_cart, fit_forest, fit_gbt, fit_linear,
                               fit_logistic, fit_mlp, fit_svm, fit_svr, gini,
                               kernel_matrix, tree_predict_row)
+from dataprice.models import svm
 from dataprice.models.gbt import _leaf_weight
 
 
@@ -228,6 +229,16 @@ class TestSVM:
         with pytest.raises(ModelError):
             fit_svm(np.eye(2), np.array([0.0, 1.0]))
 
+    def test_rejects_non_finite_input(self):
+        rng = np.random.default_rng(13)
+        X = rng.normal(size=(10, 3))
+        y = np.where(X[:, 0] > 0, 1.0, -1.0)
+        X[4, 1] = np.nan
+        with pytest.raises(ModelError, match="non-finite"):
+            fit_svm(X, y)
+        with pytest.raises(ModelError, match="non-finite"):
+            fit_svm(np.nan_to_num(X), np.where(np.arange(10) == 2, np.inf, y))
+
 
 class TestSVR:
     def test_fits_linear_trend(self):
@@ -255,6 +266,16 @@ class TestSVR:
         y = X[:, 0] - 2 * X[:, 1] + 0.01 * rng.normal(size=30)
         m = fit_svr(X, y, C=5.0, epsilon=0.01, kernel="rbf", gamma=0.5)
         assert abs(float(np.sum(m.coef))) < 1e-6
+
+    def test_rejects_non_finite_input(self):
+        rng = np.random.default_rng(14)
+        X = rng.normal(size=(10, 3))
+        y = X[:, 0].copy()
+        X[4, 1] = np.nan
+        with pytest.raises(ModelError, match="non-finite"):
+            fit_svr(X, y)
+        with pytest.raises(ModelError, match="non-finite"):
+            fit_svr(np.nan_to_num(X), np.where(np.arange(10) == 2, -np.inf, y))
 
 
 class TestForest:
@@ -589,3 +610,74 @@ class TestPresortedSplitFinder:
             assert tree.root == ref
             assert _same_bits(tree.predict(Xt[:, feats]).astype(np.float64),
                               _ref_values(ref, Xt[:, feats]).astype(np.float64))
+
+
+# ------------------------------------------------------------ SVR prox ----
+# The prox that the breakpoint search replaced, copied as it was: 100
+# bisection steps on the multiplier of the sum constraint.
+
+def _ref_svr_prox(z, thr, C):
+    def solve(nu):
+        s = z - nu
+        b = np.sign(s) * np.maximum(np.abs(s) - thr, 0.0)
+        return np.clip(b, -C, C)
+
+    lo, hi = z.min() - thr - C - 1.0, z.max() + thr + C + 1.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if solve(mid).sum() > 0:
+            lo = mid
+        else:
+            hi = mid
+    return solve(0.5 * (lo + hi))
+
+
+def _prox_cases():
+    rng = np.random.default_rng(21)
+    for i in range(400):
+        n = int(rng.choice([1, 2, 3, 8, 40, 200]))
+        C = float(rng.choice([1e-3, 0.1, 1.0, 50.0]))
+        thr = 0.0 if i % 4 == 0 else float(10.0 ** rng.uniform(-4, 1))
+        z = rng.normal(size=n) * 10.0 ** rng.uniform(-2, 2)
+        if i % 3 == 0:  # ties among the z, so breakpoints coincide
+            z = np.round(z)
+        yield z, thr, C
+
+
+class TestSVRProx:
+    def test_matches_bisection_reference(self):
+        worst = 0.0
+        for z, thr, C in _prox_cases():
+            diff = svm.svr_prox(z, thr, C) - _ref_svr_prox(z, thr, C)
+            worst = max(worst, float(np.max(np.abs(diff))) / max(C, 1.0))
+        assert worst < 1e-9
+
+    def test_meets_sum_and_box(self):
+        for z, thr, C in _prox_cases():
+            b = svm.svr_prox(z, thr, C)
+            scale = max(C, 1.0)
+            assert abs(float(np.sum(b))) < 1e-9 * scale * len(z)
+            assert np.all(np.abs(b) <= C)
+
+    @pytest.mark.parametrize("case", ["trend", "tube", "rbf"])
+    def test_fit_svr_matches_reference_solver(self, case, monkeypatch):
+        # the fixtures of TestSVR
+        rng = np.random.default_rng({"trend": 11, "tube": 0, "rbf": 12}[case])
+        if case == "trend":
+            X = rng.uniform(-2, 2, size=(60, 1))
+            y = 3.0 * X[:, 0] + 1.0
+            kw = dict(C=10.0, epsilon=0.05, kernel="linear", max_iter=4000)
+        elif case == "tube":
+            y = np.array([0.01, -0.02, 0.015, 0.0])
+            X = np.arange(4, dtype=float).reshape(-1, 1)
+            kw = dict(C=1.0, epsilon=0.5, kernel="linear")
+        else:
+            X = rng.normal(size=(30, 2))
+            y = X[:, 0] - 2 * X[:, 1] + 0.01 * rng.normal(size=30)
+            kw = dict(C=5.0, epsilon=0.01, kernel="rbf", gamma=0.5)
+        Xt = np.vstack([X, X[:5] + 0.5])
+        m = fit_svr(X, y, **kw)
+        monkeypatch.setattr(svm, "svr_prox", _ref_svr_prox)
+        ref = fit_svr(X, y, **kw)
+        assert len(m.coef) == len(ref.coef)
+        assert np.max(np.abs(m.predict(Xt) - ref.predict(Xt))) < 1e-9

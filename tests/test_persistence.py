@@ -173,6 +173,13 @@ class TestMalformedFile:
                              lambda env: env["params"].pop("n_classes"),
                              tmp_path)
 
+    def test_missing_defaulted_param(self, tmp_path):
+        X, y = data()
+        with pytest.raises(ModelError, match=r"lack \['rank_deficient'\]"):
+            self.load_edited(fit_linear(X, y),
+                             lambda env: env["params"].pop("rank_deficient"),
+                             tmp_path)
+
     def test_extra_param(self, tmp_path):
         X, y = data()
         m = fit_standardized(fit_svr, X, y, max_iter=50)

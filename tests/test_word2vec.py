@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from dataprice.textrep import (EmbeddingTable, doc_embedding,
-                               embedding_features, sgns_loss_and_grad,
-                               train_skipgram)
+from dataprice.corpus import compose_text
+from dataprice.synth import generate_products
+from dataprice.textrep import (EmbeddingTable, build_vocabulary,
+                               doc_embedding, embedding_features,
+                               sgns_loss_and_grad, tokenize, train_skipgram)
 
 CORPUS = [
     "apple banana cherry apple banana",
@@ -92,6 +94,92 @@ class TestTraining:
     def test_tiny_corpus_rejected(self):
         with pytest.raises(ValueError):
             train_skipgram(["solo"], d=4)
+
+
+# The training loop that per-document negative draws replaced, copied as it
+# was: one rng.choice(V, size=negatives, p=...) per (center, context) pair.
+# Tables must match it bit for bit.
+
+def _ref_train_skipgram(corpus, d, window, epochs, lr, negatives, seed,
+                        max_terms=500):
+    vocab = build_vocabulary(corpus, max_terms=max_terms)
+    docs = []
+    counts = np.zeros(len(vocab), dtype=np.int64)
+    for text in corpus:
+        ids = [vocab.index[t] for t in tokenize(text) if t in vocab.index]
+        if len(ids) >= 2:
+            docs.append(np.array(ids, dtype=np.int64))
+            np.add.at(counts, ids, 1)
+    counts = np.maximum(counts, 1)
+    p = counts.astype(np.float64) ** 0.75
+    neg_probs = p / p.sum()
+
+    rng = np.random.default_rng(seed)
+    V = len(vocab)
+    vec_in = (rng.random((V, d)) - 0.5) / d
+    vec_out = np.zeros((V, d))
+    loss_curve = []
+    for _ in range(epochs):
+        total, n_pairs = 0.0, 0
+        for ids in docs:
+            L = len(ids)
+            for t in range(L):
+                lo, hi = max(0, t - window), min(L, t + window + 1)
+                for j in range(lo, hi):
+                    if j == t:
+                        continue
+                    c, o = ids[t], ids[j]
+                    negs = rng.choice(V, size=negatives, p=neg_probs)
+                    center = vec_in[c]
+                    loss, g_c, g_p, g_n = sgns_loss_and_grad(
+                        center, vec_out[o], vec_out[negs])
+                    vec_in[c] = center - lr * g_c
+                    vec_out[o] -= lr * g_p
+                    np.add.at(vec_out, negs, -lr * g_n)
+                    total += loss
+                    n_pairs += 1
+        loss_curve.append(total / n_pairs)
+    config = {"dimension": d, "window": window, "epochs": epochs, "lr": lr,
+              "negatives": negatives, "seed": seed,
+              "loss_curve": ",".join(format(x, ".6g") for x in loss_curve)}
+    return vec_in, vec_out, config, rng.random()
+
+
+REFERENCE_CORPORA = {
+    "three_docs": CORPUS,
+    # two terms: a pair's negatives repeat, so the order of np.add.at's
+    # accumulation shows in the bits
+    "two_terms": ["apple banana apple apple banana"] * 4,
+    # documents shorter than a window of 5, and one that drops out
+    "short_docs": ["apple banana", "cherry", "banana cherry durian",
+                   "durian apple"] * 2,
+    "synthetic": [compose_text(p) for p in generate_products(6, 2)],
+}
+
+
+class TestReferenceLoop:
+    @pytest.mark.parametrize("name", sorted(REFERENCE_CORPORA))
+    @pytest.mark.parametrize("window,negatives", [(5, 5), (1, 3)])
+    def test_tables_match_per_pair_choice(self, name, window, negatives,
+                                          monkeypatch):
+        corpus = REFERENCE_CORPORA[name]
+        kw = dict(d=7, window=window, epochs=2, lr=0.05, negatives=negatives,
+                  seed=3, max_terms=40)
+        ref_in, ref_out, ref_config, ref_next = _ref_train_skipgram(corpus, **kw)
+        # the stream after training: the same number of draws was taken
+        draws = []
+        real_default_rng = np.random.default_rng
+
+        def spy(seed):
+            draws.append(real_default_rng(seed))
+            return draws[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", spy)
+        table = train_skipgram(corpus, **kw)
+        assert table.input_vectors.tobytes() == ref_in.tobytes()
+        assert table.output_vectors.tobytes() == ref_out.tobytes()
+        assert table.config == ref_config
+        assert draws[-1].random() == ref_next
 
 
 class TestDocVectors:
