@@ -21,7 +21,7 @@ from pathlib import Path
 
 import requests
 
-from .corpus import INDUSTRIES, INDUSTRY_COLUMNS
+from .corpus import INDUSTRY_COLUMNS
 from .textrep.tokenizer import tokenize
 
 PROMPT_VERSION = "v1"
@@ -284,13 +284,6 @@ def annotate(request: AnnotationRequest, batch_size: int = 16):
         else:
             out.extend(parse_industry(raw, len(batch)))
     return out
-
-
-def industry_label(vector: list[float]) -> str:
-    """Single industry name for a similarity vector: argmax, lower index
-    wins ties."""
-    best = max(range(12), key=lambda i: (vector[i], -i))
-    return INDUSTRIES[best]
 
 
 # ----------------------------------------------------------- file driver ----

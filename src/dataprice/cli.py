@@ -27,9 +27,9 @@ from .annotate import AnnotationError, annotate_file
 from .corpus import (CorpusError, TargetSpec, compose_text, describe,
                      load_products, make_targets, save_products,
                      structured_matrix)
-from .evaluate import (FAMILIES, N_TIERS, REPRESENTATIONS, feature_curve,
-                       fit_family, fit_representation, merge_config,
-                       mix_seed, run_grid)
+from .evaluate import (DEFAULT_CONFIG, FAMILIES, N_TIERS, REPRESENTATIONS,
+                       feature_curve, fit_family, fit_representation,
+                       merge_config, mix_seed, run_grid)
 from .evaluate import fit_embedding_table as _fit_embedding_table
 from .explain import beeswarm_csv, embedding_keywords, global_importance, shap_values
 from .featsel import mrmr_select
@@ -68,16 +68,6 @@ DEFAULT_RUN = {
 }
 
 
-def _merge(base: dict, overrides: dict, path: str = "") -> dict:
-    out = {k: (dict(v) if isinstance(v, dict) else v) for k, v in base.items()}
-    for k, v in overrides.items():
-        if isinstance(v, dict) and isinstance(out.get(k), dict):
-            out[k] = _merge(out[k], v, path + k + ".")
-        else:
-            out[k] = v
-    return out
-
-
 def load_config(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -88,7 +78,7 @@ def load_config(path) -> dict:
         raise ConfigError("config is not valid YAML: %s" % exc)
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
-    cfg = _merge(DEFAULT_RUN, raw)
+    cfg = merge_config(raw, DEFAULT_RUN)
     errors = []
     if not isinstance(cfg["seed"], int):
         errors.append("seed: an integer master seed is required")
@@ -115,9 +105,31 @@ def load_config(path) -> dict:
             or any(not isinstance(m, int) or m < 1 for m in ms)
             or ms != sorted(ms)):
         errors.append("curve.m_values: must be an ascending list of positive integers")
+    errors += _hyperparameter_errors(cfg["hyperparameters"])
     if errors:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))
     return cfg
+
+
+def _hyperparameter_errors(hp) -> list[str]:
+    """A typo in a hyperparameter name would silently run the default, so
+    every key must be one of evaluate.DEFAULT_CONFIG, and every per-family
+    key one of that family's defaults."""
+    if not isinstance(hp, dict):
+        return ["hyperparameters: must be a mapping"]
+    errors = []
+    for key, value in hp.items():
+        default = DEFAULT_CONFIG.get(key)
+        if key not in DEFAULT_CONFIG:
+            errors.append("hyperparameters.%s: unknown key (known: %s)"
+                          % (key, ", ".join(DEFAULT_CONFIG)))
+        elif isinstance(default, dict) and not isinstance(value, dict):
+            errors.append("hyperparameters.%s: must be a mapping" % key)
+        elif isinstance(default, dict):
+            errors += ["hyperparameters.%s.%s: unknown key (known: %s)"
+                       % (key, sub, ", ".join(default))
+                       for sub in value if sub not in default]
+    return errors
 
 
 # ------------------------------------------------------------- manifests ----

@@ -69,8 +69,9 @@ class DataProduct:
     industry_scores: list[float] | None = None
 
     def __post_init__(self):
-        if not (self.price > 0):
-            raise CorpusError("price must be positive, got %r" % (self.price,))
+        if not (0 < self.price < math.inf):
+            raise CorpusError("price must be positive and finite, got %r"
+                              % (self.price,))
         if self.refund_policy not in (0, 1, 2, 3, 4):
             raise CorpusError("refund_policy outside [0,4]: %r" % (self.refund_policy,))
         if self.volume < 1:
@@ -90,6 +91,8 @@ class DataProduct:
     def _check_industry(scores):
         if len(scores) != 12:
             raise CorpusError("industry_scores must have 12 entries")
+        if not all(math.isfinite(s) for s in scores):
+            raise CorpusError("industry scores must be finite")
         if any(s < 0 or s > 1 for s in scores):
             raise CorpusError("industry scores must lie in [0,1]")
         if abs(max(scores) - 1.0) > 1e-9:

@@ -50,9 +50,12 @@ class MetricError(ValueError):
     pass
 
 
-def merge_config(overrides: dict | None) -> dict:
+def merge_config(overrides: dict | None, defaults: dict = DEFAULT_CONFIG) -> dict:
+    """A copy of defaults overlaid with overrides, one level deep: a mapping
+    given for a key whose default is a mapping updates a copy of it, any
+    other value replaces the default."""
     cfg = {k: (dict(v) if isinstance(v, dict) else v)
-           for k, v in DEFAULT_CONFIG.items()}
+           for k, v in defaults.items()}
     for k, v in (overrides or {}).items():
         if isinstance(v, dict) and isinstance(cfg.get(k), dict):
             cfg[k].update(v)

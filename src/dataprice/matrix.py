@@ -23,6 +23,8 @@ class FeatureMatrix:
             raise ValueError("feature matrix must be 2-D")
         if self.values.shape[1] != len(self.columns):
             raise ValueError("column count mismatch")
+        if not np.isfinite(self.values).all():
+            raise ValueError("feature matrix has a non-finite value (NaN or inf)")
         if not self.provenance:
             self.provenance = [""] * len(self.columns)
         if len(self.provenance) != len(self.columns):

@@ -1,8 +1,8 @@
 from .base import (Model, ModelError, Standardizer, StandardizedModel,
-                   fit_standardized, save_model, load_model, require_task)
+                   fit_standardized, save_model, load_model)
 from .linear import LinearModel, LogisticModel, fit_linear, fit_logistic
 from .mlp import MLPModel, fit_mlp
-from .tree import CARTModel, fit_cart, gini, tree_predict_row
+from .tree import CARTModel, fit_cart, tree_predict_row
 from .svm import (SVMModel, SVRModel, fit_svm, fit_svr, kernel_matrix,
                   dual_objective, epsilon_loss)
 from .forest import ForestModel, fit_forest
@@ -11,10 +11,10 @@ from .ovr import OvREnsemble, ConstantScoreModel, one_vs_rest
 
 __all__ = [
     "Model", "ModelError", "Standardizer", "StandardizedModel",
-    "fit_standardized", "save_model", "load_model", "require_task",
+    "fit_standardized", "save_model", "load_model",
     "LinearModel", "LogisticModel", "fit_linear", "fit_logistic",
     "MLPModel", "fit_mlp",
-    "CARTModel", "fit_cart", "gini", "tree_predict_row",
+    "CARTModel", "fit_cart", "tree_predict_row",
     "SVMModel", "SVRModel", "fit_svm", "fit_svr", "kernel_matrix",
     "dual_objective", "epsilon_loss",
     "ForestModel", "fit_forest",

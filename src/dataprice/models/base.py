@@ -116,12 +116,6 @@ def require_finite(X: np.ndarray, y) -> None:
         raise ModelError("non-finite value (NaN or inf) in the training data")
 
 
-def require_task(model: Model, task: str) -> None:
-    if model.task != task:
-        raise ModelError("model is a %s model, pipeline expects %s"
-                         % (model.task, task))
-
-
 class Standardizer:
     """Per-column z-scoring fitted on training data only. Constant columns
     pass through unscaled."""

@@ -65,20 +65,18 @@ class ForestModel(Model):
                    hyperparams=hyperparams, manifest=manifest, seed=seed)
 
 
-def fit_forest(X, y, n_trees: int = 100, m_samples: int | None = None,
-               k_features: int | None = None, max_depth: int = 12,
-               min_leaf: int = 1, task: str = "regression", seed: int = 0,
-               n_threads: int = 1, row_sampler=_default_row_sampler,
-               manifest=None) -> ForestModel:
+def fit_forest(X, y, n_trees: int = 100, k_features: int | None = None,
+               max_depth: int = 12, min_leaf: int = 1,
+               task: str = "regression", seed: int = 0, n_threads: int = 1,
+               row_sampler=_default_row_sampler) -> ForestModel:
     if n_trees < 1:
         raise ModelError("n_trees must be >= 1")
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     require_finite(X, y)
     n, p = X.shape
-    m = n if m_samples is None else m_samples
     k = p if k_features is None else k_features
-    if m > n or k > p:
-        raise ModelError("m_samples/k_features exceed the data dimensions")
+    if k > p:
+        raise ModelError("k_features exceeds the number of columns")
     if task == "classification":
         y = np.asarray(y, dtype=np.int64)
         n_classes = int(y.max()) + 1
@@ -88,7 +86,7 @@ def fit_forest(X, y, n_trees: int = 100, m_samples: int | None = None,
 
     def build(t):
         rng = _tree_rng(seed, t)
-        rows = row_sampler(rng, n, m)
+        rows = row_sampler(rng, n, n)
         feats = np.sort(rng.choice(p, size=k, replace=False))
         tree = fit_cart(X[np.ix_(rows, feats)], y[rows], max_depth=max_depth,
                         min_leaf=min_leaf, task=task, n_classes=n_classes)
@@ -101,8 +99,9 @@ def fit_forest(X, y, n_trees: int = 100, m_samples: int | None = None,
         results = [build(t) for t in range(n_trees)]
     trees = [r[0] for r in results]
     subsets = [r[1] for r in results]
+    # saved models record the bootstrap size, which is the row count
     return ForestModel(trees, subsets, n_classes,
-                       hyperparams={"n_trees": n_trees, "m_samples": m,
+                       hyperparams={"n_trees": n_trees, "m_samples": n,
                                     "k_features": k, "max_depth": max_depth,
                                     "min_leaf": min_leaf},
-                       manifest=manifest, seed=seed)
+                       seed=seed)

@@ -90,8 +90,7 @@ class GBTModel(Model):
 
 def fit_gbt(X, y, n_rounds: int = 50, learning_rate: float = 0.3,
             lam: float = 1.0, gamma_pen: float = 0.0, max_depth: int = 3,
-            min_leaf: int = 1, loss: str = "squared",
-            manifest=None) -> GBTModel:
+            min_leaf: int = 1, loss: str = "squared") -> GBTModel:
     """Boost n_rounds trees. Base score is the target mean for squared loss
     and the empirical log-odds for the logistic loss (y in {0,1})."""
     if n_rounds < 1:

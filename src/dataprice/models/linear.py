@@ -25,7 +25,7 @@ class LinearModel(Model):
                 "rank_deficient": self.rank_deficient}
 
 
-def fit_linear(X, y, ridge: float = 0.0, manifest=None) -> LinearModel:
+def fit_linear(X, y, ridge: float = 0.0) -> LinearModel:
     """Least squares with optional L2 penalty on the weights (never on the
     intercept). With ridge=0 a rank-deficient system falls back to the
     pseudo-inverse solution and the model is flagged."""
@@ -46,7 +46,7 @@ def fit_linear(X, y, ridge: float = 0.0, manifest=None) -> LinearModel:
         coef, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
         rank_deficient = rank < p + 1
     return LinearModel(coef[:p], coef[p], rank_deficient,
-                       hyperparams={"ridge": ridge}, manifest=manifest)
+                       hyperparams={"ridge": ridge})
 
 
 @register
@@ -74,8 +74,7 @@ class LogisticModel(Model):
         return {"w": self.w.tolist(), "b": self.b}
 
 
-def fit_logistic(X, y, lr: float = 0.5, epochs: int = 500, l2: float = 0.0,
-                 manifest=None) -> LogisticModel:
+def fit_logistic(X, y, lr: float = 0.5, epochs: int = 500) -> LogisticModel:
     """Binary logistic regression trained by full-batch gradient descent on
     the cross-entropy loss."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -90,9 +89,9 @@ def fit_logistic(X, y, lr: float = 0.5, epochs: int = 500, l2: float = 0.0,
         z = X @ w + b
         prob = 1.0 / (1.0 + np.exp(-z))
         err = prob - y
-        gw = X.T @ err / n + l2 * w
+        gw = X.T @ err / n
         gb = float(np.mean(err))
         w -= lr * gw
         b -= lr * gb
-    return LogisticModel(w, b, hyperparams={"lr": lr, "epochs": epochs, "l2": l2},
-                         manifest=manifest)
+    # saved models record the weight penalty, which is zero
+    return LogisticModel(w, b, hyperparams={"lr": lr, "epochs": epochs, "l2": 0.0})

@@ -95,8 +95,7 @@ class MLPModel(Model):
 
 def fit_mlp(X, y, hidden=(16,), activation="tanh", lr: float = 0.1,
             epochs: int = 500, batch_size: int | None = 32, seed: int = 0,
-            task: str = "regression", n_classes: int | None = None,
-            manifest=None) -> MLPModel:
+            task: str = "regression", n_classes: int | None = None) -> MLPModel:
     """Train by mini-batch gradient descent with a seeded shuffle each
     epoch (batch_size=None trains full batch). A NaN loss aborts with the
     epoch and learning rate in the message."""
@@ -123,7 +122,7 @@ def fit_mlp(X, y, hidden=(16,), activation="tanh", lr: float = 0.1,
                      hyperparams={"hidden": list(hidden), "activation": activation,
                                   "lr": lr, "epochs": epochs,
                                   "batch_size": batch_size},
-                     manifest=manifest, seed=seed)
+                     seed=seed)
 
     bs = n if batch_size is None else min(batch_size, n)
     for epoch in range(epochs):

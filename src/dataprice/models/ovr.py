@@ -62,7 +62,7 @@ class OvREnsemble(Model):
 
 
 def one_vs_rest(fit_fn, X, y, n_classes: int | None = None,
-                labels: str = "01", manifest=None) -> OvREnsemble:
+                labels: str = "01") -> OvREnsemble:
     """Fit one binary scorer per class with fit_fn(X, y_binary).
 
     labels="01" passes {0,1} targets, labels="pm1" passes {-1,+1} (for SVM
@@ -79,10 +79,10 @@ def one_vs_rest(fit_fn, X, y, n_classes: int | None = None,
         if k not in present:
             warnings.warn("class %d absent from training data; member "
                           "trained as always-negative" % k)
-            members.append(ConstantScoreModel(manifest=manifest))
+            members.append(ConstantScoreModel())
             continue
         yk = (y == k).astype(np.int64)
         if labels == "pm1":
             yk = 2 * yk - 1
         members.append(fit_fn(X, yk))
-    return OvREnsemble(members, list(range(n_classes)), manifest=manifest)
+    return OvREnsemble(members, list(range(n_classes)))

@@ -67,6 +67,10 @@ class SVRModel(_KernelModel):
         return self.decision_function(X)
 
 
+# SMO makes at most twice this many examination passes
+SMO_MAX_PASSES = 200
+
+
 def dual_objective(alpha, y, K) -> float:
     """Soft-margin SVM dual value at the given multipliers."""
     ay = alpha * y
@@ -74,8 +78,7 @@ def dual_objective(alpha, y, K) -> float:
 
 
 def fit_svm(X, y, C: float = 1.0, kernel: str = "linear", gamma: float = 1.0,
-            tol: float = 1e-3, max_passes: int = 200, seed: int = 0,
-            manifest=None) -> SVMModel:
+            tol: float = 1e-3, seed: int = 0) -> SVMModel:
     """Platt-style SMO with an error cache; labels must be in {-1, +1}.
 
     Runs alternating full/non-bound examination passes until no multiplier
@@ -169,7 +172,7 @@ def fit_svm(X, y, C: float = 1.0, kernel: str = "linear", gamma: float = 1.0,
         return False
 
     examine_all = True
-    for _ in range(max_passes * 2):
+    for _ in range(SMO_MAX_PASSES * 2):
         changed = 0
         if examine_all:
             for i in range(n):
@@ -188,7 +191,7 @@ def fit_svm(X, y, C: float = 1.0, kernel: str = "linear", gamma: float = 1.0,
     return SVMModel(X[sv], (alpha * y)[sv], b, kernel, gamma,
                     hyperparams={"C": C, "kernel": kernel, "gamma": gamma,
                                  "tol": tol},
-                    manifest=manifest, seed=seed)
+                    seed=seed)
 
 
 def epsilon_loss(z, epsilon: float):
@@ -233,8 +236,7 @@ def svr_prox(z, thr: float, C: float):
 
 
 def fit_svr(X, y, C: float = 1.0, epsilon: float = 0.1, kernel: str = "linear",
-            gamma: float = 1.0, tol: float = 1e-6, max_iter: int = 5000,
-            manifest=None) -> SVRModel:
+            gamma: float = 1.0, tol: float = 1e-6, max_iter: int = 5000) -> SVRModel:
     """Epsilon-insensitive regression solved on the paired-multiplier dual
     in the collapsed variables beta_i = alpha_i - alpha_i*:
 
@@ -281,5 +283,4 @@ def fit_svr(X, y, C: float = 1.0, epsilon: float = 0.1, kernel: str = "linear",
         sv = np.array([0])
     return SVRModel(X[sv], beta[sv], b, kernel, gamma,
                     hyperparams={"C": C, "epsilon": epsilon, "kernel": kernel,
-                                 "gamma": gamma, "tol": tol},
-                    manifest=manifest)
+                                 "gamma": gamma, "tol": tol})

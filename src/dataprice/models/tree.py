@@ -179,8 +179,7 @@ class CARTModel(Model):
 
 
 def fit_cart(X, y, max_depth: int = 10, min_leaf: int = 1,
-             task: str = "regression", n_classes: int | None = None,
-             manifest=None) -> CARTModel:
+             task: str = "regression", n_classes: int | None = None) -> CARTModel:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     require_finite(X, y)
     if task == "classification":
@@ -199,12 +198,4 @@ def fit_cart(X, y, max_depth: int = 10, min_leaf: int = 1,
                      max_depth, min_leaf,
                      pure=lambda idx: len(np.unique(y[idx])) == 1)
     return CARTModel(root, n_classes,
-                     hyperparams={"max_depth": max_depth, "min_leaf": min_leaf},
-                     manifest=manifest)
-
-
-def gini(y, n_classes=None) -> float:
-    y = np.asarray(y, dtype=np.int64)
-    counts = np.bincount(y, minlength=n_classes or 0)
-    p = counts / counts.sum()
-    return float(1.0 - np.sum(p ** 2))
+                     hyperparams={"max_depth": max_depth, "min_leaf": min_leaf})

@@ -3,8 +3,7 @@ from .vocab import Vocabulary, build_vocabulary, bow, tfidf, idf_vector
 from .word2vec import (EmbeddingTable, train_skipgram, doc_embedding,
                        embedding_features, sgns_loss_and_grad)
 from .lda import TopicModel, train_lda, topic_features
-from .clustering import (ClusterTopics, cluster_topics, ctfidf, kmeans,
-                         reduce_dimensions, PCAReducer, membership_probabilities)
+from .clustering import ctfidf, kmeans, PCAReducer, membership_probabilities
 
 __all__ = [
     "tokenize", "STOPWORDS", "STOPWORDS_VERSION",
@@ -12,6 +11,5 @@ __all__ = [
     "EmbeddingTable", "train_skipgram", "doc_embedding", "embedding_features",
     "sgns_loss_and_grad",
     "TopicModel", "train_lda", "topic_features",
-    "ClusterTopics", "cluster_topics", "ctfidf", "kmeans", "reduce_dimensions",
-    "PCAReducer", "membership_probabilities",
+    "ctfidf", "kmeans", "PCAReducer", "membership_probabilities",
 ]

@@ -1,38 +1,16 @@
-"""Topic clusters over document vectors with c-TF-IDF keyword extraction.
+"""The parts of BERTopic-style cluster topics (Grootendorst 2022).
 
-Pipeline: centered principal components for dimensionality reduction,
-k-means for clustering, and class-based TF-IDF over cluster-merged
-documents for per-topic keywords. Document vectors are pluggable (average
-pooled embeddings by default, or vectors loaded from file).
+The bertopic representation (`evaluate.fit_representation`) projects
+average-pooled skip-gram document vectors onto their top centered
+principal components (`PCAReducer`), clusters them by seeded k-means
+(`kmeans`), and gives each document the softmax of its negative centroid
+distances (`membership_probabilities`). `ctfidf` weighs terms per cluster
+by class-based TF-IDF over cluster-merged documents.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
-
-from .tokenizer import tokenize
-from .vocab import Vocabulary
-
-
-@dataclass
-class ClusterTopics:
-    labels: np.ndarray          # per-document cluster id, -1 marks outliers
-    membership: np.ndarray      # (N, n_clusters) probabilities, rows sum to 1
-    keyword_weights: np.ndarray  # (n_clusters, V) c-TF-IDF scores
-    terms: list[str]
-    centroids: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if np.max(np.abs(self.membership.sum(axis=1) - 1.0)) > 1e-8:
-            raise ValueError("membership rows must sum to 1")
-        if not np.isfinite(self.keyword_weights).all():
-            raise ValueError("keyword weights must be finite")
-
-    def top_keywords(self, cluster: int, k: int = 10) -> list[str]:
-        order = np.argsort(-self.keyword_weights[cluster], kind="stable")
-        return [self.terms[i] for i in order[:k]]
 
 
 class PCAReducer:
@@ -55,11 +33,6 @@ class PCAReducer:
     def transform(self, vectors: np.ndarray) -> np.ndarray:
         Xc = np.asarray(vectors, dtype=np.float64) - self.mean
         return Xc if self.components is None else Xc @ self.components.T
-
-
-def reduce_dimensions(vectors: np.ndarray, r: int) -> np.ndarray:
-    """Project onto the top r centered principal components."""
-    return PCAReducer.fit(vectors, r).transform(vectors)
 
 
 def membership_probabilities(reduced: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -103,44 +76,3 @@ def ctfidf(cluster_token_counts: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         factor = np.where(tf_t > 0, np.log1p(A / np.where(tf_t > 0, tf_t, 1.0)), 0.0)
     return counts * factor[None, :]
-
-
-def cluster_topics(doc_vectors: np.ndarray, corpus: list[str], vocab: Vocabulary,
-                   reduce_dims: int = 5, n_clusters: int = 8,
-                   min_cluster_size: int = 1, seed: int = 0,
-                   outlier_quantile: float | None = None) -> ClusterTopics:
-    """Cluster document vectors and extract per-cluster keywords.
-
-    Documents farther from their centroid than the given quantile of
-    within-cluster distances (when configured), or in clusters smaller than
-    min_cluster_size, are labeled -1. Membership probabilities are the
-    softmax of negative distances to the centroids and are computed for
-    every document, outliers included.
-    """
-    X = np.asarray(doc_vectors, dtype=np.float64)
-    if X.shape[0] == 0:
-        raise ValueError("no document vectors")
-    if len(corpus) != X.shape[0]:
-        raise ValueError("corpus / vector count mismatch")
-    Xr = reduce_dimensions(X, reduce_dims)
-    labels, centroids = kmeans(Xr, n_clusters, seed=seed)
-
-    dist = np.linalg.norm(Xr[:, None, :] - centroids[None, :, :], axis=2)
-    own = dist[np.arange(len(labels)), labels]
-    final = labels.copy()
-    if outlier_quantile is not None:
-        final[own > np.quantile(own, outlier_quantile)] = -1
-    for c in range(n_clusters):
-        if np.sum(final == c) < min_cluster_size:
-            final[final == c] = -1
-
-    membership = membership_probabilities(Xr, centroids)
-
-    counts = np.zeros((n_clusters, len(vocab)))
-    for text, lab in zip(corpus, labels):
-        for t in tokenize(text):
-            j = vocab.index.get(t)
-            if j is not None:
-                counts[lab, j] += 1.0
-    return ClusterTopics(final, membership, ctfidf(counts), list(vocab.terms),
-                         centroids)

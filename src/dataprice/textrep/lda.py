@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..matrix import FeatureMatrix
 from .tokenizer import tokenize
-from .vocab import Vocabulary, build_vocabulary
+from .vocab import build_vocabulary
 
 
 @dataclass
@@ -22,7 +22,6 @@ class TopicModel:
     terms: list[str]
     seed: int
     iterations: int
-    assignments: list[list[int]] = field(default_factory=list)
 
     def __post_init__(self):
         for name, m in (("phi", self.phi), ("theta", self.theta)):
@@ -70,15 +69,14 @@ def _draw(rng: random.Random, weights: list[float]) -> int:
 
 def train_lda(corpus: list[str], n_topics: int, alpha: float | None = None,
               beta: float = 0.01, iterations: int = 1000, seed: int = 0,
-              max_terms: int = 500, vocab: Vocabulary | None = None) -> TopicModel:
+              max_terms: int = 500) -> TopicModel:
     """Collapsed Gibbs sampling over token-topic assignments; phi and theta
     are estimated from the final count tables with Dirichlet smoothing."""
     if not corpus:
         raise ValueError("empty corpus")
     if n_topics < 1:
         raise ValueError("n_topics must be >= 1")
-    if vocab is None:
-        vocab = build_vocabulary(corpus, max_terms=max_terms)
+    vocab = build_vocabulary(corpus, max_terms=max_terms)
     V = len(vocab)
     if n_topics > V:
         raise ValueError("n_topics exceeds vocabulary size")
@@ -127,7 +125,7 @@ def train_lda(corpus: list[str], n_topics: int, alpha: float | None = None,
     phi = (n_kw_arr + beta) / (n_kw_arr.sum(axis=1, keepdims=True) + v_beta)
     theta = (n_dk_arr + alpha) / (n_dk_arr.sum(axis=1, keepdims=True) + K * alpha)
     return TopicModel(K, phi, theta, alpha, beta, list(vocab.terms), seed,
-                      iterations, z)
+                      iterations)
 
 
 def topic_features(theta: np.ndarray, prefix: str = "lda") -> FeatureMatrix:

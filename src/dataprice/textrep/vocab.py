@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 from collections import Counter
 from dataclasses import dataclass
 
@@ -29,37 +28,13 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["term", "doc_freq", "total_docs"])
-            for t, df in zip(self.terms, self.doc_freq):
-                w.writerow([t, df, self.total_docs])
-
-    @staticmethod
-    def from_csv(path) -> "Vocabulary":
-        terms, dfs, total = [], [], 0
-        with open(path, newline="", encoding="utf-8") as fh:
-            r = csv.reader(fh)
-            next(r)
-            for term, df, n in r:
-                terms.append(term)
-                dfs.append(int(df))
-                total = int(n)
-        return Vocabulary(terms, dfs, total)
-
-
-def tokenize_corpus(corpus: list[str]) -> list[list[str]]:
-    return [tokenize(doc) for doc in corpus]
-
 
 def build_vocabulary(corpus: list[str], max_terms: int = 500) -> Vocabulary:
     if not corpus:
         raise ValueError("empty corpus")
-    token_lists = tokenize_corpus(corpus)
     freq = Counter()
     doc_freq = Counter()
-    for tokens in token_lists:
+    for tokens in map(tokenize, corpus):
         freq.update(tokens)
         doc_freq.update(set(tokens))
     ordered = sorted(freq, key=lambda t: (-freq[t], t))[:max_terms]
@@ -69,7 +44,7 @@ def build_vocabulary(corpus: list[str], max_terms: int = 500) -> Vocabulary:
 def bow(corpus: list[str], vocab: Vocabulary) -> FeatureMatrix:
     """Integer term counts per document; out-of-vocabulary tokens ignored."""
     values = np.zeros((len(corpus), len(vocab)), dtype=np.float64)
-    for i, tokens in enumerate(tokenize_corpus(corpus)):
+    for i, tokens in enumerate(map(tokenize, corpus)):
         for t in tokens:
             j = vocab.index.get(t)
             if j is not None:

@@ -8,7 +8,7 @@ import numpy as np
 
 from ..matrix import FeatureMatrix
 from .tokenizer import tokenize
-from .vocab import Vocabulary, build_vocabulary
+from .vocab import build_vocabulary
 
 FORMAT_VERSION = "embedding-v1"
 
@@ -117,15 +117,16 @@ def _context_pairs(ids: list[int], window: int) -> tuple[list[int], list[int]]:
 
 def train_skipgram(corpus: list[str], d: int = 100, window: int = 5,
                    epochs: int = 5, lr: float = 0.025, negatives: int = 5,
-                   seed: int = 0, max_terms: int = 500,
-                   vocab: Vocabulary | None = None) -> EmbeddingTable:
+                   seed: int = 0, max_terms: int = 500) -> EmbeddingTable:
     """Train center/context vectors by SGD on the negative-sampling loss.
 
     Deterministic given the seed; per-epoch average loss is recorded in the
     table config under loss_curve.
     """
-    if vocab is None:
-        vocab = build_vocabulary(corpus, max_terms=max_terms)
+    if window < 1 or epochs < 1:
+        raise ValueError("window and epochs must be >= 1, got %r and %r"
+                         % (window, epochs))
+    vocab = build_vocabulary(corpus, max_terms=max_terms)
     if len(vocab) < 2:
         raise ValueError("need a vocabulary of at least 2 terms")
     docs = []

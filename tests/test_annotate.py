@@ -3,13 +3,14 @@ import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from dataprice.annotate import (AnnotationError, AnnotationRequest,
                                 TransportError, annotate, annotate_file,
                                 build_prompt, call_llm, fallback_industry_vector,
-                                fallback_refund_level, industry_label,
-                                parse_industry, parse_refund)
+                                fallback_refund_level, parse_industry,
+                                parse_refund)
 from dataprice.corpus import INDUSTRIES
 
 COVID_TEXT = ("Coronavirus (COVID-19) data that has been gathered and unified "
@@ -96,7 +97,7 @@ class TestParseIndustry:
         (vec,) = parse_industry(self.REFERENCE_LINE, 1)
         assert len(vec) == 12
         assert vec[3] == 1.0
-        assert industry_label(vec) == "Healthcare and Life Sciences"
+        assert INDUSTRIES[int(np.argmax(vec))] == "Healthcare and Life Sciences"
 
     def test_multiple_rows_one_line_each(self):
         text = self.REFERENCE_LINE + "\n\n" + self.REFERENCE_LINE
@@ -167,18 +168,15 @@ class TestFallbackIndustry:
         vec = fallback_industry_vector(COVID_TEXT)
         assert vec[3] == 1.0
         assert max(vec) == 1.0
-        assert industry_label(vec) == "Healthcare and Life Sciences"
+        assert INDUSTRIES[int(np.argmax(vec))] == "Healthcare and Life Sciences"
 
     def test_gaming_text(self):
         vec = fallback_industry_vector("Player statistics and esports game "
                                        "performance telemetry.")
-        assert industry_label(vec) == "Gaming"
+        assert INDUSTRIES[int(np.argmax(vec))] == "Gaming"
 
     def test_no_match_gives_uninformative_vector(self):
         assert fallback_industry_vector("zzz qqq xxx") == [1.0] * 12
-
-    def test_label_tie_breaks_low_index(self):
-        assert industry_label([1.0] * 12) == INDUSTRIES[0]
 
 
 # ------------------------------------------------------------- transport ----
@@ -333,7 +331,8 @@ class TestAnnotateFile:
         assert recs[0]["refund_policy"] == 0
         assert recs[1]["refund_policy"] == "2"  # already numeric: untouched
         assert recs[0]["industry_scores"][3] == 1.0
-        assert industry_label(recs[1]["industry_scores"]) == "Gaming"
+        scores = recs[1]["industry_scores"]
+        assert INDUSTRIES[int(np.argmax(scores))] == "Gaming"
 
     def test_csv_input(self, tmp_path):
         import csv as _csv

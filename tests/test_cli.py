@@ -82,6 +82,18 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="mapping"):
             load_config(path)
 
+    def test_unknown_hyperparameter_key(self, tmp_path):
+        path, _ = write_config(tmp_path, hyperparameters={"max_term": 30})
+        with pytest.raises(ConfigError, match=r"hyperparameters\.max_term: unknown"):
+            load_config(path)
+
+    def test_unknown_family_hyperparameter(self, tmp_path):
+        # a typo must not silently run the default n_rounds
+        path, _ = write_config(tmp_path, hyperparameters={"gbt": {"n_round": 5}})
+        with pytest.raises(ConfigError, match=r"hyperparameters\.gbt\.n_round: unknown"):
+            load_config(path)
+        assert run("evaluate", path) == 1
+
     def test_defaults_filled_in(self, tmp_path):
         path, _ = write_config(tmp_path)
         cfg = load_config(path)

@@ -10,6 +10,7 @@ from dataprice.corpus import (CorpusError, DataProduct, TargetSpec,
                               encode_structured, load_products, make_targets,
                               quantile_cutpoints, save_products,
                               structured_matrix)
+from dataprice.matrix import FeatureMatrix
 
 
 def make_product(i=0, price=100.0, scores=None, **over):
@@ -27,8 +28,9 @@ class TestInvariants:
         assert p.price == 100.0
 
     @pytest.mark.parametrize("field,value", [
-        ("price", 0.0), ("price", -5.0), ("refund_policy", 5),
-        ("refund_policy", -1), ("volume", 0), ("historical_version", 3),
+        ("price", 0.0), ("price", -5.0), ("price", math.inf),
+        ("refund_policy", 5), ("refund_policy", -1), ("volume", 0),
+        ("historical_version", 3),
         ("sensitive", 3), ("listed_provider", 2), ("future_version", -1),
         ("data_sample", 2), ("support_email", 7), ("support_url", -2),
     ])
@@ -47,6 +49,16 @@ class TestInvariants:
     def test_industry_scores_max_not_one(self):
         with pytest.raises(CorpusError):
             make_product(scores=[0.9] + [0.1] * 11)
+
+    @pytest.mark.parametrize("position", [0, 5, 11])
+    def test_nan_industry_score_rejected(self, position):
+        # NaN fails every comparison, so the range and max checks pass it
+        scores = [1.0] + [0.5] * 11
+        scores[position] = math.nan
+        if position == 0:
+            scores[1] = 1.0
+        with pytest.raises(CorpusError, match="finite"):
+            make_product(scores=scores)
 
 
 class TestLoading:
@@ -87,6 +99,16 @@ class TestLoading:
         with pytest.raises(CorpusError, match="format"):
             load_products(tmp_path / "x", format="parquet")
 
+    def test_jsonl_infinite_price_rejected(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        save_products([make_product(0)], path, format="jsonl")
+        # json.loads reads the bare token Infinity as float("inf")
+        line = path.read_text().replace('"price": 100.0', '"price": Infinity')
+        assert "Infinity" in line
+        path.write_text(line)
+        with pytest.raises(CorpusError, match="row 0.*finite"):
+            load_products(path, format="jsonl")
+
 
 class TestEncoding:
     def test_compose_text(self):
@@ -112,6 +134,21 @@ class TestEncoding:
         assert m.columns[0] == "listed_provider"
         assert m.columns[-1] == "industry_11"
         assert set(m.provenance) == {"structured"}
+
+
+class TestFeatureMatrix:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        values = np.ones((3, 2))
+        values[1, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            FeatureMatrix(values, ["a", "b"])
+
+    def test_non_finite_rejected_from_csv(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("a,b\nx,x\n1,1\n1,nan\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="non-finite"):
+            FeatureMatrix.from_csv(path)
 
 
 class TestTargets:

@@ -1,9 +1,11 @@
+import importlib
+
 import numpy as np
 import pytest
 
 from dataprice.models import (ModelError, dual_objective, epsilon_loss,
                               fit_cart, fit_forest, fit_gbt, fit_linear,
-                              fit_logistic, fit_mlp, fit_svm, fit_svr, gini,
+                              fit_logistic, fit_mlp, fit_svm, fit_svr,
                               kernel_matrix, tree_predict_row)
 from dataprice.models import svm
 from dataprice.models.gbt import _leaf_weight
@@ -147,8 +149,6 @@ class TestCART:
         probs = m.predict_scores(X)
         assert probs.shape == (5, 3)
         assert np.allclose(probs.sum(axis=1), 1.0)
-        assert gini(np.array([0, 0, 1, 1])) == pytest.approx(0.5)
-        assert gini(np.array([1, 1, 1])) == 0.0
 
     def test_min_leaf_respected(self):
         X = np.arange(10, dtype=float).reshape(-1, 1)
@@ -681,3 +681,11 @@ class TestSVRProx:
         ref = fit_svr(X, y, **kw)
         assert len(m.coef) == len(ref.coef)
         assert np.max(np.abs(m.predict(Xt) - ref.predict(Xt))) < 1e-9
+
+
+@pytest.mark.parametrize("package", ["dataprice.textrep", "dataprice.models"])
+def test_export_lists_resolve(package):
+    module = importlib.import_module(package)
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert not missing
+    assert len(set(module.__all__)) == len(module.__all__)

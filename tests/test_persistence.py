@@ -8,7 +8,7 @@ from dataprice.models import (ConstantScoreModel, ModelError, OvREnsemble,
                               fit_cart, fit_forest, fit_gbt, fit_linear,
                               fit_logistic, fit_mlp, fit_standardized,
                               fit_svm, fit_svr, load_model, one_vs_rest,
-                              require_task, save_model)
+                              save_model)
 
 
 def data(seed=0, n=40, p=3):
@@ -99,13 +99,6 @@ class TestSaveLoad:
         m.manifest = ["a", "b", "c"]
         with pytest.raises(ModelError, match="columns"):
             m.predict(np.zeros((2, 5)))
-
-    def test_require_task(self):
-        X, y = data()
-        m = fit_linear(X, y)
-        require_task(m, "regression")
-        with pytest.raises(ModelError):
-            require_task(m, "classification")
 
 
 FAMILIES = ["linear", "mlp", "cart", "svm", "forest", "gbt"]

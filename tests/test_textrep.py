@@ -5,8 +5,7 @@ import pytest
 
 from dataprice.textrep import (STOPWORDS, STOPWORDS_VERSION, Vocabulary, bow,
                                build_vocabulary, ctfidf, idf_vector, kmeans,
-                               cluster_topics, reduce_dimensions, tfidf,
-                               tokenize)
+                               tfidf, tokenize)
 from dataprice.textrep.clustering import PCAReducer, membership_probabilities
 
 
@@ -46,14 +45,6 @@ class TestVocabulary:
     def test_duplicate_terms_rejected(self):
         with pytest.raises(ValueError):
             Vocabulary(["aa", "aa"], [1, 1], 1)
-
-    def test_csv_roundtrip(self, tmp_path):
-        v = build_vocabulary(["apple banana", "banana"])
-        path = tmp_path / "v.csv"
-        v.to_csv(path)
-        v2 = Vocabulary.from_csv(path)
-        assert v2.terms == v.terms and v2.doc_freq == v.doc_freq
-        assert v2.total_docs == v.total_docs
 
 
 class TestBowTfidf:
@@ -138,7 +129,7 @@ class TestClusterTopics:
 
     def test_pca_projection_matches_full_svd(self):
         X = np.random.default_rng(2).normal(size=(40, 6))
-        r = reduce_dimensions(X, 2)
+        r = PCAReducer.fit(X, 2).transform(X)
         Xc = X - X.mean(axis=0)
         _, _, vt = np.linalg.svd(Xc, full_matrices=False)
         expect = Xc @ vt[:2].T
@@ -158,25 +149,3 @@ class TestClusterTopics:
         m = membership_probabilities(X, centroids)
         assert np.allclose(m.sum(axis=1), 1.0)
         assert np.all(m >= 0)
-
-    def test_cluster_topics_end_to_end(self):
-        corpus = (["apple banana fruit snack"] * 5
-                  + ["engine motor vehicle wheel"] * 5)
-        v = build_vocabulary(corpus)
-        vectors = bow(corpus, v).values
-        ct = cluster_topics(vectors, corpus, v, reduce_dims=2, n_clusters=2,
-                            seed=0)
-        assert ct.membership.shape == (10, 2)
-        assert len(set(ct.labels[:5])) == 1 and len(set(ct.labels[5:])) == 1
-        fruity = ct.labels[0]
-        assert "apple" in ct.top_keywords(fruity, 4)
-        assert "engine" in ct.top_keywords(1 - fruity, 4)
-
-    def test_small_clusters_marked_outliers(self):
-        corpus = ["apple banana"] * 8 + ["engine motor"]
-        v = build_vocabulary(corpus)
-        vectors = bow(corpus, v).values
-        ct = cluster_topics(vectors, corpus, v, reduce_dims=2, n_clusters=2,
-                            min_cluster_size=3, seed=0)
-        assert (ct.labels == -1).sum() >= 1
-        assert np.allclose(ct.membership.sum(axis=1), 1.0)

@@ -95,6 +95,13 @@ class TestTraining:
         with pytest.raises(ValueError):
             train_skipgram(["solo"], d=4)
 
+    @pytest.mark.parametrize("window,epochs", [(0, 1), (-1, 1), (2, 0)])
+    def test_empty_window_or_no_epochs_rejected(self, window, epochs):
+        # window 0 leaves no (center, context) pair to average the loss over
+        with pytest.raises(ValueError, match="window and epochs"):
+            train_skipgram(["apple banana cherry durian"] * 3, d=3,
+                           window=window, epochs=epochs)
+
 
 # The training loop that per-document negative draws replaced, copied as it
 # was: one rng.choice(V, size=negatives, p=...) per (center, context) pair.
