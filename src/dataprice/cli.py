@@ -7,6 +7,9 @@ writes its artifacts plus a manifest (config hash, input hashes) under the
 output directory, and short-circuits with an "up-to-date" notice when
 nothing changed. Exit codes: 0 success, 1 validation error, 2 runtime
 error. Logs go to standard error.
+
+One rule, kept by `run_stage` for every stage: an artifact's identity is
+the config hash, and a stage refuses upstream artifacts with another hash.
 """
 
 from __future__ import annotations
@@ -80,7 +83,7 @@ def load_config(path) -> dict:
         raise ConfigError("config root must be a mapping")
     cfg = merge_config(raw, DEFAULT_RUN)
     errors = []
-    if not isinstance(cfg["seed"], int):
+    if not _has_type_of(cfg["seed"], 0):
         errors.append("seed: an integer master seed is required")
     for i, r in enumerate(cfg["representations"]):
         if r not in REPRESENTATIONS:
@@ -90,7 +93,7 @@ def load_config(path) -> dict:
             errors.append("families[%d]: unknown family %r" % (i, f))
     if cfg["target"]["task"] not in ("regression", "classification"):
         errors.append("target.task: must be regression or classification")
-    if not isinstance(cfg["cv"]["k"], int) or cfg["cv"]["k"] < 2:
+    if not _has_type_of(cfg["cv"]["k"], 0) or cfg["cv"]["k"] < 2:
         errors.append("cv.k: must be an integer >= 2")
     for key in ("select", "train", "curve"):
         rep = cfg[key].get("representation")
@@ -101,9 +104,7 @@ def load_config(path) -> dict:
         if fam not in FAMILIES:
             errors.append("%s.family: unknown family %r" % (key, fam))
     ms = cfg["curve"]["m_values"]
-    if (not isinstance(ms, list) or not ms
-            or any(not isinstance(m, int) or m < 1 for m in ms)
-            or ms != sorted(ms)):
+    if not _has_type_of(ms, [1]) or ms != sorted(ms):
         errors.append("curve.m_values: must be an ascending list of positive integers")
     errors += _hyperparameter_errors(cfg["hyperparameters"])
     if errors:
@@ -111,25 +112,38 @@ def load_config(path) -> dict:
     return cfg
 
 
-def _hyperparameter_errors(hp) -> list[str]:
-    """A typo in a hyperparameter name would silently run the default, so
-    every key must be one of evaluate.DEFAULT_CONFIG, and every per-family
-    key one of that family's defaults."""
+def _hyperparameter_errors(hp, defaults=DEFAULT_CONFIG, at="hyperparameters") -> list[str]:
+    """A typo in a hyperparameter name would silently run the default, and a
+    value of the wrong type would fail late, so every key must be one of
+    evaluate.DEFAULT_CONFIG (per family, that family's) and every value must
+    have its default's type. Ranges are left to the fitters."""
     if not isinstance(hp, dict):
-        return ["hyperparameters: must be a mapping"]
+        return ["%s: must be a mapping" % at]
     errors = []
     for key, value in hp.items():
-        default = DEFAULT_CONFIG.get(key)
-        if key not in DEFAULT_CONFIG:
-            errors.append("hyperparameters.%s: unknown key (known: %s)"
-                          % (key, ", ".join(DEFAULT_CONFIG)))
-        elif isinstance(default, dict) and not isinstance(value, dict):
-            errors.append("hyperparameters.%s: must be a mapping" % key)
-        elif isinstance(default, dict):
-            errors += ["hyperparameters.%s.%s: unknown key (known: %s)"
-                       % (key, sub, ", ".join(default))
-                       for sub in value if sub not in default]
+        where = "%s.%s" % (at, key)
+        if key not in defaults:
+            errors.append("%s: unknown key (known: %s)" % (where, ", ".join(defaults)))
+        elif isinstance(defaults[key], dict):
+            errors += _hyperparameter_errors(value, defaults[key], where)
+        elif not _has_type_of(value, defaults[key]):
+            errors.append("%s: must be %s, got %r"
+                          % (where, _TYPE_NAMES[type(defaults[key])], value))
     return errors
+
+
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string",
+               list: "a non-empty list of positive integers"}
+
+
+def _has_type_of(value, default) -> bool:
+    """int takes int, float takes int or float, str takes str, never a bool; a
+    list (mlp.hidden, curve.m_values) takes a non-empty list of positive ints."""
+    if isinstance(default, list):
+        return (isinstance(value, list) and bool(value)
+                and all(_has_type_of(v, 1) and v > 0 for v in value))
+    kinds = (int, float) if isinstance(default, float) else type(default)
+    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 # ------------------------------------------------------------- manifests ----
@@ -143,36 +157,27 @@ def config_hash(cfg: dict) -> str:
 
 
 def file_hash(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _manifest_path(out_dir: Path, stage: str) -> Path:
     return out_dir / ("%s.manifest.json" % stage)
 
 
-def up_to_date(out_dir: Path, stage: str, chash: str, inputs: list[str]) -> bool:
-    path = _manifest_path(out_dir, stage)
-    if not path.exists():
-        return False
+def _read_manifest(out_dir: Path, stage: str) -> dict | None:
     try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError:
+        return json.loads(_manifest_path(out_dir, stage).read_text(encoding="utf-8"))
+    except (FileNotFoundError, json.JSONDecodeError):
+        return None
+
+
+def up_to_date(out_dir: Path, stage: str, chash: str, inputs: list[str]) -> bool:
+    manifest = _read_manifest(out_dir, stage)
+    if manifest is None or manifest.get("config_hash") != chash:
         return False
-    if manifest.get("config_hash") != chash:
-        return False
-    for f in inputs:
-        if not Path(f).exists():
-            return False
-        if manifest.get("input_hashes", {}).get(str(f)) != file_hash(f):
-            return False
-    for f in manifest.get("outputs", []):
-        if not (out_dir / f).exists():
-            return False
-    return True
+    hashes = manifest.get("input_hashes", {})
+    return (all(Path(f).exists() and hashes.get(str(f)) == file_hash(f) for f in inputs)
+            and all((out_dir / f).exists() for f in manifest.get("outputs", [])))
 
 
 def write_manifest(out_dir: Path, stage: str, chash: str, inputs: list[str],
@@ -195,11 +200,36 @@ def require_artifact(path: Path, produced_by: str) -> Path:
     return path
 
 
+def run_stage(stage: str, cfg: dict, out_dir: Path, inputs: list, body,
+              upstream: dict | None = None) -> int:
+    """Run one stage under the rule that an artifact's identity is the config
+    hash. Each upstream stage (name -> the files of it this stage reads) must
+    have a manifest with this hash; `inputs` are the files the stage reads
+    besides those. The stage is up to date when its own manifest has this
+    hash, the same digests of all the files it reads and all its outputs;
+    otherwise body() does the work and returns the output names."""
+    chash = config_hash(cfg)
+    inputs = list(inputs)
+    for up, files in (upstream or {}).items():
+        manifest = _read_manifest(out_dir, up)
+        if manifest is None:
+            raise ConfigError("missing %s outputs; run `dataprice %s` first" % (up, up))
+        if manifest.get("config_hash") != chash:
+            raise ConfigError("%s artifacts were produced with a different "
+                              "configuration; rerun `dataprice %s`" % (up, up))
+        inputs += [require_artifact(out_dir / f, up) for f in files]
+    if up_to_date(out_dir, stage, chash, inputs):
+        log.info("%s: up-to-date", stage)
+        return 0
+    write_manifest(out_dir, stage, chash, inputs, body())
+    return 0
+
+
 # ---------------------------------------------------------------- stages ----
 
-def _load_corpus(out_dir: Path):
-    path = require_artifact(out_dir / "products.jsonl", "ingest")
-    return load_products(path, format="jsonl"), path
+def _corpus(out_dir: Path) -> Path:
+    # ingest or annotate may have written it, so no upstream manifest is checked
+    return require_artifact(out_dir / "products.jsonl", "ingest")
 
 
 def _model_config(cfg: dict) -> dict:
@@ -211,270 +241,228 @@ def _model_config(cfg: dict) -> dict:
 
 
 def cmd_ingest(cfg, out_dir: Path) -> int:
-    chash = config_hash(cfg)
-    synthetic = cfg["data"].get("synthetic")
-    inputs = [] if synthetic else [cfg["data"]["path"]]
-    if synthetic is None and not cfg["data"]["path"]:
+    data = cfg["data"]
+    synthetic = data.get("synthetic")
+    if synthetic is None and not data["path"]:
         raise ConfigError("data.path: required unless data.synthetic is set")
-    if up_to_date(out_dir, "ingest", chash, inputs):
-        log.info("ingest: up-to-date")
-        return 0
-    if synthetic:
-        products = generate_products(int(synthetic), seed=mix_seed(cfg["seed"], "synth"))
-        log.info("ingest: generated %d synthetic listings", len(products))
-    else:
-        products = load_products(cfg["data"]["path"], format=cfg["data"]["format"])
-        log.info("ingest: loaded %d listings from %s", len(products), cfg["data"]["path"])
-    save_products(products, out_dir / "products.jsonl", format="jsonl")
-    describe(products).to_csv(out_dir / "descriptive_stats.csv")
-    write_manifest(out_dir, "ingest", chash, inputs,
-                   ["products.jsonl", "descriptive_stats.csv"])
-    return 0
+
+    def body():
+        if synthetic:
+            products = generate_products(int(synthetic), mix_seed(cfg["seed"], "synth"))
+            log.info("ingest: generated %d synthetic listings", len(products))
+        else:
+            products = load_products(data["path"], format=data["format"])
+            log.info("ingest: loaded %d listings from %s", len(products), data["path"])
+        save_products(products, out_dir / "products.jsonl", format="jsonl")
+        describe(products).to_csv(out_dir / "descriptive_stats.csv")
+        return ["products.jsonl", "descriptive_stats.csv"]
+    inputs = [] if synthetic else [data["path"]]
+    return run_stage("ingest", cfg, out_dir, inputs, body)
 
 
 def cmd_annotate(cfg, out_dir: Path) -> int:
     a = cfg["annotate"]
     if not a["input"]:
         raise ConfigError("annotate.input: a raw listings file is required")
-    chash = config_hash(cfg)
-    if up_to_date(out_dir, "annotate", chash, [a["input"]]):
-        log.info("annotate: up-to-date")
-        return 0
-    stats = annotate_file(a["input"], out_dir / "products.jsonl",
-                          format=a["format"], endpoint=a["endpoint"],
-                          model=a["model"], timeout=a["timeout"],
-                          retries=a["retries"], cache_dir=a["cache_dir"],
-                          batch_size=a["batch_size"])
-    log.info("annotate: %(refund_annotated)d refund levels, "
-             "%(industry_annotated)d industry vectors over %(rows)d rows", stats)
-    write_manifest(out_dir, "annotate", chash, [a["input"]], ["products.jsonl"])
-    return 0
+
+    def body():
+        stats = annotate_file(a["input"], out_dir / "products.jsonl",
+                              format=a["format"], endpoint=a["endpoint"],
+                              model=a["model"], timeout=a["timeout"],
+                              retries=a["retries"], cache_dir=a["cache_dir"],
+                              batch_size=a["batch_size"])
+        log.info("annotate: %(refund_annotated)d refund levels, "
+                 "%(industry_annotated)d industry vectors over %(rows)d rows", stats)
+        return ["products.jsonl"]
+    return run_stage("annotate", cfg, out_dir, [a["input"]], body)
 
 
 def cmd_featurize(cfg, out_dir: Path) -> int:
-    chash = config_hash(cfg)
-    products, products_path = _load_corpus(out_dir)
-    if up_to_date(out_dir, "featurize", chash, [products_path]):
-        log.info("featurize: up-to-date")
-        return 0
-    texts = [compose_text(p) for p in products]
-    mcfg = _model_config(cfg)
-    outputs = []
-    for rep in cfg["representations"]:
-        seed = mix_seed(cfg["seed"], rep, "full")
-        if rep == "word2vec":
-            # persist the embedding table for keyword back-mapping later
-            table = _fit_embedding_table(texts, mcfg, seed)
-            table.save(out_dir / "embedding_word2vec.txt")
-            outputs.append("embedding_word2vec.txt")
-            feats = embedding_features(texts, table)
-        else:
-            feats, _ = fit_representation(rep, texts, mcfg, seed)
-        fname = "features_%s.csv" % rep
-        feats.to_csv(out_dir / fname)
-        outputs.append(fname)
-        log.info("featurize: %s -> %d columns", rep, feats.n_cols)
-    structured_matrix(products).to_csv(out_dir / "features_structured.csv")
-    outputs.append("features_structured.csv")
-    write_manifest(out_dir, "featurize", chash, [products_path], outputs)
-    return 0
+    corpus = _corpus(out_dir)
+
+    def body():
+        products = load_products(corpus, format="jsonl")
+        texts = [compose_text(p) for p in products]
+        mcfg = _model_config(cfg)
+        outputs = []
+        for rep in cfg["representations"]:
+            seed = mix_seed(cfg["seed"], rep, "full")
+            if rep == "word2vec":
+                # persist the embedding table for keyword back-mapping later
+                table = _fit_embedding_table(texts, mcfg, seed)
+                table.save(out_dir / "embedding_word2vec.txt")
+                outputs.append("embedding_word2vec.txt")
+                feats = embedding_features(texts, table)
+            else:
+                feats, _ = fit_representation(rep, texts, mcfg, seed)
+            fname = "features_%s.csv" % rep
+            feats.to_csv(out_dir / fname)
+            outputs.append(fname)
+            log.info("featurize: %s -> %d columns", rep, feats.n_cols)
+        structured_matrix(products).to_csv(out_dir / "features_structured.csv")
+        return outputs + ["features_structured.csv"]
+    return run_stage("featurize", cfg, out_dir, [corpus], body)
 
 
-def _full_features(cfg, out_dir: Path, rep: str) -> FeatureMatrix:
-    text_feats = FeatureMatrix.from_csv(
-        require_artifact(out_dir / ("features_%s.csv" % rep), "featurize"))
-    struct = FeatureMatrix.from_csv(
-        require_artifact(out_dir / "features_structured.csv", "featurize"))
-    return text_feats.hstack(struct)
+def _feature_files(rep: str) -> list[str]:
+    """The featurize outputs that select, train and explain read."""
+    return ["features_%s.csv" % rep, "features_structured.csv"]
 
 
-def _targets(cfg, products):
-    return make_targets(products, TargetSpec(cfg["target"]["task"]))
+def _full_features(out_dir: Path, rep: str) -> FeatureMatrix:
+    text, struct = (FeatureMatrix.from_csv(out_dir / f) for f in _feature_files(rep))
+    return text.hstack(struct)
+
+
+def _targets(cfg, corpus: Path):
+    return make_targets(load_products(corpus, format="jsonl"),
+                        TargetSpec(cfg["target"]["task"]))
 
 
 def cmd_select(cfg, out_dir: Path) -> int:
-    chash = config_hash(cfg)
     rep = cfg["select"]["representation"]
-    products, products_path = _load_corpus(out_dir)
-    inputs = [products_path, out_dir / ("features_%s.csv" % rep),
-              out_dir / "features_structured.csv"]
-    require_artifact(inputs[1], "featurize")
-    if up_to_date(out_dir, "select", chash, inputs):
-        log.info("select: up-to-date")
-        return 0
-    feats = _full_features(cfg, out_dir, rep)
-    y = _targets(cfg, products)
-    trace = mrmr_select(feats, y, cfg["select"]["m"],
-                        n_bins=cfg["select"]["n_bins"],
-                        target_is_discrete=cfg["target"]["task"] == "classification")
-    fname = "selection_%s.csv" % rep
-    trace.to_csv(out_dir / fname)
-    log.info("select: kept %d of %d features (first: %s)", len(trace.steps),
-             feats.n_cols, feats.columns[trace.selected[0]])
-    write_manifest(out_dir, "select", chash, inputs, [fname])
-    return 0
+    corpus = _corpus(out_dir)
+
+    def body():
+        feats = _full_features(out_dir, rep)
+        trace = mrmr_select(feats, _targets(cfg, corpus), cfg["select"]["m"],
+                            n_bins=cfg["select"]["n_bins"],
+                            target_is_discrete=cfg["target"]["task"] == "classification")
+        fname = "selection_%s.csv" % rep
+        trace.to_csv(out_dir / fname)
+        log.info("select: kept %d of %d features (first: %s)", len(trace.steps),
+                 feats.n_cols, feats.columns[trace.selected[0]])
+        return [fname]
+    return run_stage("select", cfg, out_dir, [corpus], body,
+                     upstream={"featurize": _feature_files(rep)})
 
 
 def cmd_train(cfg, out_dir: Path) -> int:
-    chash = config_hash(cfg)
     rep, family = cfg["train"]["representation"], cfg["train"]["family"]
-    products, products_path = _load_corpus(out_dir)
-    inputs = [products_path, out_dir / ("features_%s.csv" % rep),
-              out_dir / "features_structured.csv"]
-    require_artifact(inputs[1], "featurize")
-    if up_to_date(out_dir, "train", chash, inputs):
-        log.info("train: up-to-date")
-        return 0
-    feats = _full_features(cfg, out_dir, rep)
-    y = _targets(cfg, products)
-    task = cfg["target"]["task"]
-    model = fit_family(family, feats.values, y, task, N_TIERS,
-                       merge_config(_model_config(cfg)),
-                       mix_seed(cfg["seed"], rep, family, "train"))
-    model.manifest = list(feats.columns)
-    fname = "model_%s_%s.json" % (rep, family)
-    save_model(model, out_dir / fname)
-    log.info("train: saved %s (%s, %s)", fname, family, task)
-    write_manifest(out_dir, "train", chash, inputs, [fname])
-    return 0
+    corpus = _corpus(out_dir)
+
+    def body():
+        feats = _full_features(out_dir, rep)
+        task = cfg["target"]["task"]
+        model = fit_family(family, feats.values, _targets(cfg, corpus), task, N_TIERS,
+                           merge_config(_model_config(cfg)),
+                           mix_seed(cfg["seed"], rep, family, "train"))
+        model.manifest = list(feats.columns)
+        fname = "model_%s_%s.json" % (rep, family)
+        save_model(model, out_dir / fname)
+        log.info("train: saved %s (%s, %s)", fname, family, task)
+        return [fname]
+    return run_stage("train", cfg, out_dir, [corpus], body,
+                     upstream={"featurize": _feature_files(rep)})
 
 
 def cmd_evaluate(cfg, out_dir: Path) -> int:
-    chash = config_hash(cfg)
-    products, products_path = _load_corpus(out_dir)
-    if up_to_date(out_dir, "evaluate", chash, [products_path]):
-        log.info("evaluate: up-to-date")
-        return 0
-    task = cfg["target"]["task"]
-    report = run_grid(products, cfg["representations"], cfg["families"],
-                      task=task, config=_model_config(cfg), seed=cfg["seed"],
-                      k=cfg["cv"]["k"])
-    report.to_csv(out_dir / ("report_%s.csv" % task))
-    (out_dir / ("report_%s.txt" % task)).write_text(report.to_text(),
-                                                    encoding="utf-8")
-    for rep, fam, fold, msg in report.errors:
-        log.warning("evaluate: cell (%s, %s) fold %s failed: %s", rep, fam, fold, msg)
-    log.info("evaluate: wrote report_%s.{csv,txt}", task)
-    write_manifest(out_dir, "evaluate", chash, [products_path],
-                   ["report_%s.csv" % task, "report_%s.txt" % task])
-    return 0
+    corpus, task = _corpus(out_dir), cfg["target"]["task"]
+
+    def body():
+        report = run_grid(load_products(corpus, format="jsonl"), cfg["representations"],
+                          cfg["families"], task=task, config=_model_config(cfg),
+                          seed=cfg["seed"], k=cfg["cv"]["k"])
+        report.to_csv(out_dir / ("report_%s.csv" % task))
+        (out_dir / ("report_%s.txt" % task)).write_text(report.to_text(),
+                                                        encoding="utf-8")
+        for rep, fam, fold, msg in report.errors:
+            log.warning("evaluate: cell (%s, %s) fold %s failed: %s", rep, fam, fold, msg)
+        log.info("evaluate: wrote report_%s.{csv,txt}", task)
+        return ["report_%s.csv" % task, "report_%s.txt" % task]
+    return run_stage("evaluate", cfg, out_dir, [corpus], body)
 
 
 def cmd_explain(cfg, out_dir: Path) -> int:
-    chash = config_hash(cfg)
     rep, family = cfg["train"]["representation"], cfg["train"]["family"]
-    model_path = require_artifact(out_dir / ("model_%s_%s.json" % (rep, family)),
-                                  "train")
-    inputs = [model_path, out_dir / ("features_%s.csv" % rep),
-              out_dir / "features_structured.csv"]
-    if up_to_date(out_dir, "explain", chash, inputs):
-        log.info("explain: up-to-date")
-        return 0
-    model = load_model(model_path)
-    feats = _full_features(cfg, out_dir, rep)
-    e = cfg["explain"]
-    rows = min(int(e["rows"]), feats.n_rows)
-    rng = np.random.default_rng(mix_seed(cfg["seed"], "explain"))
-    bg_idx = rng.choice(feats.n_rows,
-                        size=min(int(e["background_rows"]), feats.n_rows),
-                        replace=False)
-    X, background = feats.values[:rows], feats.values[bg_idx]
-    n_samples = int(e["n_samples"])
-    if model.task == "regression":
-        phi, _ = shap_values(model, X, background, n_samples=n_samples,
-                             seed=mix_seed(cfg["seed"], "explain", "kernel"))
-    else:
-        # explain each row's predicted class, the tree method's default; the
-        # kernel method needs the class named, so it runs once per class
-        phi = np.zeros(X.shape)
-        preds = model.predict(X)
-        for c in np.unique(preds).tolist():
-            sel = preds == c
-            phi[sel], _ = shap_values(
-                model, X[sel], background, n_samples=n_samples,
-                seed=mix_seed(cfg["seed"], "explain", "kernel", c), class_index=c)
-    importance = global_importance(phi, feats.columns)
-    importance.to_csv(out_dir / "importance.csv")
-    beeswarm_csv(phi, X, feats.columns, out_dir / "beeswarm.csv")
-    outputs = ["importance.csv", "beeswarm.csv"]
+    model_file = "model_%s_%s.json" % (rep, family)
 
-    table_path = out_dir / "embedding_word2vec.txt"
-    if rep == "word2vec" and table_path.exists():
-        table = EmbeddingTable.load(table_path)
-        top = [name for name, _ in importance.top(len(feats.columns))
-               if name.startswith("embedding_")][:int(e["keyword_dims"])]
-        with open(out_dir / "embedding_keywords.csv", "w", encoding="utf-8") as fh:
-            fh.write("dimension,direction,rank,term,loading\n")
-            for name in top:
-                dim = int(name.split("_")[1])
-                words = embedding_keywords(table, dim, k=int(e["top_k"]))
-                for direction in ("positive", "negative"):
-                    for r, (term, loading) in enumerate(words[direction], 1):
-                        fh.write("%d,%s,%d,%s,%.6g\n" % (dim, direction, r, term, loading))
-        outputs.append("embedding_keywords.csv")
-    log.info("explain: wrote %s", ", ".join(outputs))
-    write_manifest(out_dir, "explain", chash, inputs, outputs)
-    return 0
+    def body():
+        model = load_model(out_dir / model_file)
+        feats = _full_features(out_dir, rep)
+        e = cfg["explain"]
+        rows = min(int(e["rows"]), feats.n_rows)
+        rng = np.random.default_rng(mix_seed(cfg["seed"], "explain"))
+        bg_idx = rng.choice(feats.n_rows,
+                            size=min(int(e["background_rows"]), feats.n_rows),
+                            replace=False)
+        X, background = feats.values[:rows], feats.values[bg_idx]
+        n_samples = int(e["n_samples"])
+        if model.task == "regression":
+            phi, _ = shap_values(model, X, background, n_samples=n_samples,
+                                 seed=mix_seed(cfg["seed"], "explain", "kernel"))
+        else:
+            # explain each row's predicted class, the tree method's default; the
+            # kernel method needs the class named, so it runs once per class
+            phi = np.zeros(X.shape)
+            preds = model.predict(X)
+            for c in np.unique(preds).tolist():
+                sel = preds == c
+                phi[sel], _ = shap_values(
+                    model, X[sel], background, n_samples=n_samples,
+                    seed=mix_seed(cfg["seed"], "explain", "kernel", c), class_index=c)
+        importance = global_importance(phi, feats.columns)
+        importance.to_csv(out_dir / "importance.csv")
+        beeswarm_csv(phi, X, feats.columns, out_dir / "beeswarm.csv")
+        outputs = ["importance.csv", "beeswarm.csv"]
+
+        table_path = out_dir / "embedding_word2vec.txt"
+        if rep == "word2vec" and table_path.exists():
+            table = EmbeddingTable.load(table_path)
+            top = [name for name, _ in importance.top(len(feats.columns))
+                   if name.startswith("embedding_")][:int(e["keyword_dims"])]
+            with open(out_dir / "embedding_keywords.csv", "w", encoding="utf-8") as fh:
+                fh.write("dimension,direction,rank,term,loading\n")
+                for name in top:
+                    dim = int(name.split("_")[1])
+                    words = embedding_keywords(table, dim, k=int(e["top_k"]))
+                    for direction in ("positive", "negative"):
+                        for r, (term, loading) in enumerate(words[direction], 1):
+                            fh.write("%d,%s,%d,%s,%.6g\n"
+                                     % (dim, direction, r, term, loading))
+            outputs.append("embedding_keywords.csv")
+        log.info("explain: wrote %s", ", ".join(outputs))
+        return outputs
+    return run_stage("explain", cfg, out_dir, [], body,
+                     upstream={"train": [model_file], "featurize": _feature_files(rep)})
 
 
 def cmd_curve(cfg, out_dir: Path) -> int:
-    chash = config_hash(cfg)
-    products, products_path = _load_corpus(out_dir)
-    if up_to_date(out_dir, "curve", chash, [products_path]):
-        log.info("curve: up-to-date")
-        return 0
-    c = cfg["curve"]
-    curve = feature_curve(products, c["representation"], c["family"],
-                          c["m_values"], task=cfg["target"]["task"],
-                          config=_model_config(cfg), seed=cfg["seed"],
-                          k=cfg["cv"]["k"])
-    fname = "curve_%s_%s.csv" % (c["representation"], c["family"])
-    curve.to_csv(out_dir / fname)
-    log.info("curve: wrote %s", fname)
-    write_manifest(out_dir, "curve", chash, [products_path], [fname])
-    return 0
+    corpus, c = _corpus(out_dir), cfg["curve"]
+
+    def body():
+        curve = feature_curve(load_products(corpus, format="jsonl"),
+                              c["representation"], c["family"], c["m_values"],
+                              task=cfg["target"]["task"], config=_model_config(cfg),
+                              seed=cfg["seed"], k=cfg["cv"]["k"])
+        fname = "curve_%s_%s.csv" % (c["representation"], c["family"])
+        curve.to_csv(out_dir / fname)
+        log.info("curve: wrote %s", fname)
+        return [fname]
+    return run_stage("curve", cfg, out_dir, [corpus], body)
 
 
 def cmd_report(cfg, out_dir: Path) -> int:
-    chash = config_hash(cfg)
-    task = cfg["target"]["task"]
-    pieces = {
-        "evaluate": ["report_%s.csv" % task, "report_%s.txt" % task],
-        "curve": ["curve_%s_%s.csv" % (cfg["curve"]["representation"],
-                                       cfg["curve"]["family"])],
-    }
-    sources = []
-    for stage, files in pieces.items():
-        mpath = _manifest_path(out_dir, stage)
-        if not mpath.exists():
-            raise ConfigError("missing %s outputs; run `dataprice %s` first"
-                              % (stage, stage))
-        manifest = json.loads(mpath.read_text(encoding="utf-8"))
-        if manifest.get("config_hash") != chash:
-            raise ConfigError("%s artifacts were produced with a different "
-                              "configuration; rerun `dataprice %s`" % (stage, stage))
-        for f in files:
-            require_artifact(out_dir / f, stage)
-        sources += files
-    optional = ["importance.csv", "beeswarm.csv", "embedding_keywords.csv",
-                "descriptive_stats.csv"]
-    sources += [f for f in optional if (out_dir / f).exists()]
-    inputs = [out_dir / f for f in sources]
-    if up_to_date(out_dir, "report", chash, inputs):
-        log.info("report: up-to-date")
-        return 0
-    report_dir = out_dir / "report"
-    report_dir.mkdir(parents=True, exist_ok=True)
-    for f in sources:
-        shutil.copyfile(out_dir / f, report_dir / f)
-    summary = ["run summary", "===========",
-               "config hash: %s" % chash, "task: %s" % task,
-               "artifacts: %s" % ", ".join(sorted(sources)), ""]
-    (report_dir / "SUMMARY.txt").write_text("\n".join(summary), encoding="utf-8")
-    log.info("report: assembled %d artifacts under %s", len(sources), report_dir)
-    write_manifest(out_dir, "report", chash, inputs,
-                   ["report/" + f for f in sources] + ["report/SUMMARY.txt"])
-    return 0
+    task, c = cfg["target"]["task"], cfg["curve"]
+    pieces = {"evaluate": ["report_%s.csv" % task, "report_%s.txt" % task],
+              "curve": ["curve_%s_%s.csv" % (c["representation"], c["family"])]}
+    optional = [f for f in ["importance.csv", "beeswarm.csv", "embedding_keywords.csv",
+                            "descriptive_stats.csv"] if (out_dir / f).exists()]
+    sources = sum(pieces.values(), []) + optional
+
+    def body():
+        report_dir = out_dir / "report"
+        report_dir.mkdir(parents=True, exist_ok=True)
+        for f in sources:
+            shutil.copyfile(out_dir / f, report_dir / f)
+        summary = ["run summary", "===========",
+                   "config hash: %s" % config_hash(cfg), "task: %s" % task,
+                   "artifacts: %s" % ", ".join(sorted(sources)), ""]
+        (report_dir / "SUMMARY.txt").write_text("\n".join(summary), encoding="utf-8")
+        log.info("report: assembled %d artifacts under %s", len(sources), report_dir)
+        return ["report/" + f for f in sources] + ["report/SUMMARY.txt"]
+    return run_stage("report", cfg, out_dir, [out_dir / f for f in optional], body,
+                     upstream=pieces)
 
 
 _COMMANDS = {

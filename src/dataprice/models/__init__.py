@@ -2,9 +2,8 @@ from .base import (Model, ModelError, Standardizer, StandardizedModel,
                    fit_standardized, save_model, load_model)
 from .linear import LinearModel, LogisticModel, fit_linear, fit_logistic
 from .mlp import MLPModel, fit_mlp
-from .tree import CARTModel, fit_cart, tree_predict_row
-from .svm import (SVMModel, SVRModel, fit_svm, fit_svr, kernel_matrix,
-                  dual_objective, epsilon_loss)
+from .tree import CARTModel, fit_cart
+from .svm import SVMModel, SVRModel, fit_svm, fit_svr, kernel_matrix
 from .forest import ForestModel, fit_forest
 from .gbt import GBTModel, fit_gbt
 from .ovr import OvREnsemble, ConstantScoreModel, one_vs_rest
@@ -14,9 +13,8 @@ __all__ = [
     "fit_standardized", "save_model", "load_model",
     "LinearModel", "LogisticModel", "fit_linear", "fit_logistic",
     "MLPModel", "fit_mlp",
-    "CARTModel", "fit_cart", "tree_predict_row",
+    "CARTModel", "fit_cart",
     "SVMModel", "SVRModel", "fit_svm", "fit_svr", "kernel_matrix",
-    "dual_objective", "epsilon_loss",
     "ForestModel", "fit_forest",
     "GBTModel", "fit_gbt",
     "OvREnsemble", "ConstantScoreModel", "one_vs_rest",

@@ -71,12 +71,6 @@ class SVRModel(_KernelModel):
 SMO_MAX_PASSES = 200
 
 
-def dual_objective(alpha, y, K) -> float:
-    """Soft-margin SVM dual value at the given multipliers."""
-    ay = alpha * y
-    return float(np.sum(alpha) - 0.5 * ay @ K @ ay)
-
-
 def fit_svm(X, y, C: float = 1.0, kernel: str = "linear", gamma: float = 1.0,
             tol: float = 1e-3, seed: int = 0) -> SVMModel:
     """Platt-style SMO with an error cache; labels must be in {-1, +1}.
@@ -192,11 +186,6 @@ def fit_svm(X, y, C: float = 1.0, kernel: str = "linear", gamma: float = 1.0,
                     hyperparams={"C": C, "kernel": kernel, "gamma": gamma,
                                  "tol": tol},
                     seed=seed)
-
-
-def epsilon_loss(z, epsilon: float):
-    z = np.abs(np.asarray(z, dtype=np.float64))
-    return np.maximum(z - epsilon, 0.0)
 
 
 def _soft_box(s, thr: float, C: float):

@@ -114,12 +114,6 @@ def _leaf(y, n_classes):
             "probs": probs.tolist(), "n": len(y)}
 
 
-def tree_predict_row(node, x):
-    while not node["leaf"]:
-        node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
-    return node
-
-
 class FlatTree:
     """A dict tree laid out as arrays, so that many rows descend it together
     one level per step: nodes breadth first, each leaf its own child. The

@@ -1,5 +1,6 @@
 import json
 import logging
+import sys
 from pathlib import Path
 
 import pytest
@@ -93,6 +94,44 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=r"hyperparameters\.gbt\.n_round: unknown"):
             load_config(path)
         assert run("evaluate", path) == 1
+
+    @pytest.mark.parametrize("hp, message", [
+        ({"max_terms": "abc"}, r"hyperparameters\.max_terms: must be an integer"),
+        ({"gbt": {"n_rounds": 0.5}}, r"hyperparameters\.gbt\.n_rounds: must be an integer"),
+        ({"gbt": {"n_rounds": True}}, r"hyperparameters\.gbt\.n_rounds: must be an integer"),
+        ({"svr": {"epsilon": "0.1"}}, r"hyperparameters\.svr\.epsilon: must be a number"),
+        ({"svm": {"C": False}}, r"hyperparameters\.svm\.C: must be a number"),
+        ({"svm": {"kernel": 3}}, r"hyperparameters\.svm\.kernel: must be a string"),
+        ({"mlp": {"hidden": []}}, r"hyperparameters\.mlp\.hidden: must be a non-empty list"),
+        ({"mlp": {"hidden": [16, 0]}}, r"hyperparameters\.mlp\.hidden: must be a non-empty"),
+        ({"mlp": {"hidden": 32}}, r"hyperparameters\.mlp\.hidden: must be a non-empty"),
+        ({"gbt": 5}, r"hyperparameters\.gbt: must be a mapping"),
+    ])
+    def test_hyperparameter_value_of_wrong_type(self, tmp_path, hp, message):
+        # a wrong value must not surface later as a runtime failure (exit 2)
+        # or as grid cells that all fail while the stage exits 0
+        path, _ = write_config(tmp_path, hyperparameters=hp)
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
+        assert run("featurize", path) == 1
+        assert run("evaluate", path) == 1
+
+    def test_hyperparameter_values_of_the_default_types_load(self, tmp_path):
+        hp = {"max_terms": 50, "svm": {"C": 10, "kernel": "linear", "tol": 0.01},
+              "svr": {"epsilon": 0.2}, "mlp": {"hidden": [16, 8]},
+              "forest": {"n_threads": 2}}
+        path, _ = write_config(tmp_path, hyperparameters=hp)
+        assert load_config(path)["hyperparameters"]["svm"]["C"] == 10
+
+    def test_benchmark_hyperparameters_load(self, tmp_path):
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+        import worker
+        for hp in (worker.PIPELINE_REG["hyperparameters"],
+                   worker.GRID_TIERS["hyperparameters"],
+                   dict(worker.PIPELINE_REG["hyperparameters"],
+                        **worker.SMOKE_HYPERPARAMETERS)):
+            path, _ = write_config(tmp_path, hyperparameters=hp)
+            load_config(path)
 
     def test_defaults_filled_in(self, tmp_path):
         path, _ = write_config(tmp_path)
@@ -246,6 +285,46 @@ class TestFailureModes:
         with caplog.at_level(logging.ERROR, logger="dataprice"):
             assert run("report", config2) == 1
         assert "different configuration" in caplog.text
+
+    @pytest.mark.parametrize("stage, output", [("select", "selection_bow.csv"),
+                                               ("train", "model_bow_gbt.json")])
+    def test_refuses_features_of_another_config(self, tmp_path, caplog, stage, output):
+        config, raw = write_config(tmp_path, hyperparameters={"max_terms": 300})
+        for st in ["ingest", "featurize"]:
+            assert run(st, config) == 0
+        # the features keep their 300-term vocabulary under a 20-term config
+        config, _ = write_config(tmp_path, hyperparameters={"max_terms": 20})
+        with caplog.at_level(logging.ERROR, logger="dataprice"):
+            assert run(stage, config) == 1
+        assert ("featurize artifacts were produced with a different "
+                "configuration; rerun `dataprice featurize`") in caplog.text
+        assert not (Path(raw["out_dir"]) / output).exists()
+
+    def test_explain_refuses_model_of_another_config(self, tmp_path, caplog):
+        config, raw = write_config(tmp_path)
+        for st in ["ingest", "featurize", "train"]:
+            assert run(st, config) == 0
+        config, _ = write_config(tmp_path, explain={"rows": 3})
+        with caplog.at_level(logging.ERROR, logger="dataprice"):
+            assert run("explain", config) == 1
+        assert ("train artifacts were produced with a different "
+                "configuration; rerun `dataprice train`") in caplog.text
+        assert not (Path(raw["out_dir"]) / "importance.csv").exists()
+
+    def test_explain_refuses_features_of_another_config(self, tmp_path, caplog):
+        config, raw = write_config(tmp_path, hyperparameters={"max_terms": 300})
+        for st in ["ingest", "featurize", "train"]:
+            assert run(st, config) == 0
+        # the features are refitted under another config after training
+        (tmp_path / "other").mkdir()
+        other, _ = write_config(tmp_path / "other", out_dir=raw["out_dir"],
+                                hyperparameters={"max_terms": 20})
+        assert run("featurize", other) == 0
+        with caplog.at_level(logging.ERROR, logger="dataprice"):
+            assert run("explain", config) == 1
+        assert ("featurize artifacts were produced with a different "
+                "configuration; rerun `dataprice featurize`") in caplog.text
+        assert not (Path(raw["out_dir"]) / "importance.csv").exists()
 
     def test_report_before_evaluate(self, tmp_path, caplog):
         config, _ = write_config(tmp_path)

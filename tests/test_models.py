@@ -3,12 +3,31 @@ import importlib
 import numpy as np
 import pytest
 
-from dataprice.models import (ModelError, dual_objective, epsilon_loss,
-                              fit_cart, fit_forest, fit_gbt, fit_linear,
-                              fit_logistic, fit_mlp, fit_svm, fit_svr,
-                              kernel_matrix, tree_predict_row)
+from dataprice.models import (ModelError, fit_cart, fit_forest, fit_gbt,
+                              fit_linear, fit_logistic, fit_mlp, fit_svm,
+                              fit_svr, kernel_matrix)
 from dataprice.models import svm
 from dataprice.models.gbt import _leaf_weight
+
+
+# reference oracles: plain definitions the fitted models are checked against
+
+def tree_predict_row(node, x):
+    """The leaf of a dict tree that row x reaches."""
+    while not node["leaf"]:
+        node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
+    return node
+
+
+def dual_objective(alpha, y, K) -> float:
+    """Soft-margin SVM dual value at the given multipliers."""
+    ay = alpha * y
+    return float(np.sum(alpha) - 0.5 * ay @ K @ ay)
+
+
+def epsilon_loss(z, epsilon: float):
+    """The epsilon-insensitive loss of residuals z."""
+    return np.maximum(np.abs(np.asarray(z, dtype=np.float64)) - epsilon, 0.0)
 
 
 class TestLinear:
