@@ -82,7 +82,13 @@ def load_config(path) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
     cfg = merge_config(raw, DEFAULT_RUN)
-    errors = []
+    sections = [k for k, v in DEFAULT_RUN.items() if isinstance(v, dict)]
+    errors = ["%s: must be a mapping" % k for k in sections
+              if not isinstance(cfg[k], dict)]
+    if errors:
+        raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))
+    for key in ("data", "annotate", "select", "train", "explain"):
+        errors += _section_errors(cfg[key], DEFAULT_RUN[key], key)
     if not _has_type_of(cfg["seed"], 0):
         errors.append("seed: an integer master seed is required")
     for i, r in enumerate(cfg["representations"]):
@@ -129,6 +135,24 @@ def _hyperparameter_errors(hp, defaults=DEFAULT_CONFIG, at="hyperparameters") ->
         elif not _has_type_of(value, defaults[key]):
             errors.append("%s: must be %s, got %r"
                           % (where, _TYPE_NAMES[type(defaults[key])], value))
+    return errors
+
+
+def _section_errors(values: dict, defaults: dict, at: str) -> list[str]:
+    """Every value of a run-config section must have its default's type. A
+    None default takes None or a string, except data.synthetic, which takes
+    None or an integer."""
+    errors = []
+    for key, default in defaults.items():
+        value, nullable = values[key], default is None
+        if nullable:
+            if value is None:
+                continue
+            default = 0 if (at, key) == ("data", "synthetic") else ""
+        if not _has_type_of(value, default):
+            errors.append("%s.%s: must be %s%s, got %r"
+                          % (at, key, "null or " if nullable else "",
+                             _TYPE_NAMES[type(default)], value))
     return errors
 
 

@@ -11,6 +11,9 @@ from .tokenizer import tokenize
 from .vocab import build_vocabulary
 
 FORMAT_VERSION = "embedding-v1"
+# The most (center, context) pairs whose summed update is applied at once.
+# It bounds a step's working arrays whatever the length of the document.
+PAIRS_PER_STEP = 64
 
 
 @dataclass
@@ -77,20 +80,26 @@ class EmbeddingTable:
 
 def sgns_loss_and_grad(center: np.ndarray, positive: np.ndarray,
                        negatives: np.ndarray):
-    """Negative-sampling loss for one (center, context) pair with k negative
-    context vectors, plus analytic gradients.
+    """Negative-sampling loss of (center, context) pairs with k negative
+    context vectors each, plus analytic gradients.
 
+    center and positive are (..., d), negatives (..., k, d); one pair is the
+    1-D case. Per pair,
     loss = -log sigmoid(positive . center) - sum_k log sigmoid(-neg_k . center)
+    The products are einsums without `optimize`, which never reach BLAS, so
+    the result does not depend on the BLAS thread count.
     """
-    pos_score = positive @ center
-    neg_scores = negatives @ center
+    pos_score = np.einsum("...d,...d->...", positive, center, optimize=False)
+    neg_scores = np.einsum("...kd,...d->...k", negatives, center,
+                           optimize=False)
     sig_pos = 1.0 / (1.0 + np.exp(-pos_score))
     sig_neg = 1.0 / (1.0 + np.exp(neg_scores))
-    loss = -np.log(sig_pos) - np.sum(np.log(sig_neg))
+    loss = -np.log(sig_pos) - np.log(sig_neg).sum(axis=-1)
     # d/dx -log sigmoid(x) = sigmoid(x) - 1
-    g_pos = (sig_pos - 1.0) * center
-    g_negs = (1.0 - sig_neg)[:, None] * center[None, :]
-    g_center = (sig_pos - 1.0) * positive + (1.0 - sig_neg) @ negatives
+    g_pos = (sig_pos - 1.0)[..., None] * center
+    g_negs = (1.0 - sig_neg)[..., None] * center[..., None, :]
+    g_center = (sig_pos - 1.0)[..., None] * positive + np.einsum(
+        "...k,...kd->...d", 1.0 - sig_neg, negatives, optimize=False)
     return loss, g_center, g_pos, g_negs
 
 
@@ -103,23 +112,35 @@ def _negative_cdf(counts: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _context_pairs(ids: list[int], window: int) -> tuple[list[int], list[int]]:
+def _context_pairs(ids: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
     """The (center, context) ids of one document, centers in order and each
     center's contexts left to right."""
-    centers, contexts = [], []
-    for t in range(len(ids)):
-        for j in range(max(0, t - window), min(len(ids), t + window + 1)):
-            if j != t:
-                centers.append(ids[t])
-                contexts.append(ids[j])
-    return centers, contexts
+    offsets = np.r_[-window:0, 1:window + 1]
+    t = np.repeat(np.arange(len(ids)), len(offsets))
+    j = t + np.tile(offsets, len(ids))
+    keep = (j >= 0) & (j < len(ids))
+    return ids[t[keep]], ids[j[keep]]
+
+
+def _apply_update(vecs: np.ndarray, ids: np.ndarray, delta: np.ndarray) -> None:
+    """vecs[ids] += delta, summing the rows of a repeated id, by one
+    np.bincount over the flattened (id * d + j) cells."""
+    V, d = vecs.shape
+    cells = (ids[:, None] * d + np.arange(d)).ravel()
+    vecs += np.bincount(cells, weights=delta.ravel(),
+                        minlength=V * d).reshape(V, d)
 
 
 def train_skipgram(corpus: list[str], d: int = 100, window: int = 5,
                    epochs: int = 5, lr: float = 0.025, negatives: int = 5,
                    seed: int = 0, max_terms: int = 500) -> EmbeddingTable:
-    """Train center/context vectors by SGD on the negative-sampling loss.
+    """Train center/context vectors by mini-batch SGD on the negative-sampling
+    loss.
 
+    Each document's pairs are cut into consecutive steps of at most
+    PAIRS_PER_STEP pairs. A step computes every pair's gradients from the
+    vectors as they were at its start, then applies their sum (Ji et al.
+    2016, arXiv:1604.04661, with the objective of Mikolov et al. 2013).
     Deterministic given the seed; per-epoch average loss is recorded in the
     table config under loss_curve.
     """
@@ -132,7 +153,8 @@ def train_skipgram(corpus: list[str], d: int = 100, window: int = 5,
     docs = []
     counts = np.zeros(len(vocab), dtype=np.int64)
     for text in corpus:
-        ids = [vocab.index[t] for t in tokenize(text) if t in vocab.index]
+        ids = np.array([vocab.index[t] for t in tokenize(text)
+                        if t in vocab.index], dtype=np.int64)
         if len(ids) >= 2:
             docs.append(_context_pairs(ids, window))
             np.add.at(counts, ids, 1)
@@ -156,14 +178,16 @@ def train_skipgram(corpus: list[str], d: int = 100, window: int = 5,
             u = rng.random(len(centers) * negatives)
             neg_ids = neg_cdf.searchsorted(u, side="right").reshape(
                 len(centers), negatives)
-            for c, o, negs in zip(centers, contexts, neg_ids):
-                center = vec_in[c]
+            for s in range(0, len(centers), PAIRS_PER_STEP):
+                c = centers[s:s + PAIRS_PER_STEP]
+                o = contexts[s:s + PAIRS_PER_STEP]
+                negs = neg_ids[s:s + PAIRS_PER_STEP]
                 loss, g_c, g_p, g_n = sgns_loss_and_grad(
-                    center, vec_out[o], vec_out[negs])
-                vec_in[c] = center - lr * g_c
-                vec_out[o] -= lr * g_p
-                np.add.at(vec_out, negs, -lr * g_n)
-                total += loss
+                    vec_in[c], vec_out[o], vec_out[negs])
+                _apply_update(vec_in, c, -lr * g_c)
+                _apply_update(vec_out, np.concatenate([o, negs.ravel()]),
+                              -lr * np.concatenate([g_p, g_n.reshape(-1, d)]))
+                total += loss.sum()
             n_pairs += len(centers)
         loss_curve.append(total / n_pairs)
 

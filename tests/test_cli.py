@@ -116,6 +116,34 @@ class TestLoadConfig:
         assert run("featurize", path) == 1
         assert run("evaluate", path) == 1
 
+    @pytest.mark.parametrize("stage, section, message", [
+        # select kept 3 features and exited 0
+        ("select", {"select": {"m": 2.5}}, r"select\.m: must be an integer"),
+        # select exited 2 with a str/int TypeError
+        ("select", {"select": {"n_bins": "x"}}, r"select\.n_bins: must be an integer"),
+        # explain exited 1 with no field path
+        ("explain", {"explain": {"rows": "abc"}}, r"explain\.rows: must be an integer"),
+        ("ingest", {"data": {"synthetic": "40"}}, r"data\.synthetic: must be null or an integer"),
+        ("ingest", {"data": {"path": 3}}, r"data\.path: must be null or a string"),
+        ("train", {"train": {"family": None}}, r"train\.family: must be a string"),
+        ("annotate", {"annotate": {"timeout": "30"}}, r"annotate\.timeout: must be a number"),
+        ("select", {"select": 5}, r"select: must be a mapping"),
+    ])
+    def test_run_value_of_wrong_type(self, tmp_path, stage, section, message):
+        path, _ = write_config(tmp_path, **section)
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
+        assert run(stage, path) == 1
+
+    def test_run_values_of_the_default_types_load(self, tmp_path):
+        path, _ = write_config(
+            tmp_path, data={"synthetic": None, "path": "x.csv"},
+            annotate={"input": "raw.csv", "endpoint": None, "timeout": 5,
+                      "cache_dir": "cache"})
+        cfg = load_config(path)
+        assert cfg["annotate"]["timeout"] == 5
+        assert cfg["data"]["path"] == "x.csv"
+
     def test_hyperparameter_values_of_the_default_types_load(self, tmp_path):
         hp = {"max_terms": 50, "svm": {"C": 10, "kernel": "linear", "tol": 0.01},
               "svr": {"epsilon": 0.2}, "mlp": {"hidden": [16, 8]},

@@ -1,11 +1,17 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import dataprice
 from dataprice.corpus import compose_text
 from dataprice.synth import generate_products
 from dataprice.textrep import (EmbeddingTable, build_vocabulary,
                                doc_embedding, embedding_features,
                                sgns_loss_and_grad, tokenize, train_skipgram)
+from dataprice.textrep.word2vec import PAIRS_PER_STEP
 
 CORPUS = [
     "apple banana cherry apple banana",
@@ -103,48 +109,79 @@ class TestTraining:
                            window=window, epochs=epochs)
 
 
-# The training loop that per-document negative draws replaced, copied as it
-# was: one rng.choice(V, size=negatives, p=...) per (center, context) pair.
-# Tables must match it bit for bit.
-
-def _ref_train_skipgram(corpus, d, window, epochs, lr, negatives, seed,
-                        max_terms=500):
+def _reference_start(corpus, d, window, seed, max_terms):
+    """Each document's (center, context) pairs in order, the noise
+    distribution, and the seeded generator after the tables' initial draw."""
     vocab = build_vocabulary(corpus, max_terms=max_terms)
     docs = []
     counts = np.zeros(len(vocab), dtype=np.int64)
     for text in corpus:
         ids = [vocab.index[t] for t in tokenize(text) if t in vocab.index]
         if len(ids) >= 2:
-            docs.append(np.array(ids, dtype=np.int64))
+            docs.append([(ids[t], ids[j]) for t in range(len(ids))
+                         for j in range(max(0, t - window),
+                                        min(len(ids), t + window + 1))
+                         if j != t])
             np.add.at(counts, ids, 1)
-    counts = np.maximum(counts, 1)
-    p = counts.astype(np.float64) ** 0.75
-    neg_probs = p / p.sum()
-
+    p = np.maximum(counts, 1).astype(np.float64) ** 0.75
     rng = np.random.default_rng(seed)
-    V = len(vocab)
-    vec_in = (rng.random((V, d)) - 0.5) / d
-    vec_out = np.zeros((V, d))
+    vec_in = (rng.random((len(vocab), d)) - 0.5) / d
+    return docs, p / p.sum(), rng, vec_in, np.zeros((len(vocab), d))
+
+
+# The training loop that mini-batch steps replaced: one update per
+# (center, context) pair, with one rng.choice(V, size=negatives, p=...) per
+# pair. It draws the same negatives as the step loop.
+
+def _per_pair_train_skipgram(corpus, d, window, epochs, lr, negatives, seed,
+                             max_terms=500):
+    docs, neg_probs, rng, vec_in, vec_out = _reference_start(
+        corpus, d, window, seed, max_terms)
     loss_curve = []
     for _ in range(epochs):
         total, n_pairs = 0.0, 0
-        for ids in docs:
-            L = len(ids)
-            for t in range(L):
-                lo, hi = max(0, t - window), min(L, t + window + 1)
-                for j in range(lo, hi):
-                    if j == t:
-                        continue
-                    c, o = ids[t], ids[j]
-                    negs = rng.choice(V, size=negatives, p=neg_probs)
-                    center = vec_in[c]
+        for pairs in docs:
+            for c, o in pairs:
+                negs = rng.choice(len(vec_in), size=negatives, p=neg_probs)
+                center = vec_in[c]
+                loss, g_c, g_p, g_n = sgns_loss_and_grad(
+                    center, vec_out[o], vec_out[negs])
+                vec_in[c] = center - lr * g_c
+                vec_out[o] -= lr * g_p
+                np.add.at(vec_out, negs, -lr * g_n)
+                total += loss
+            n_pairs += len(pairs)
+        loss_curve.append(total / n_pairs)
+    return loss_curve, rng.random()
+
+
+# Plain-Python reference of one mini-batch step: every pair of the step gets
+# its 1-D gradients from a snapshot of both tables taken at the step's
+# start, and the summed updates are applied at its end.
+
+def _ref_train_skipgram(corpus, d, window, epochs, lr, negatives, seed,
+                        max_terms=500):
+    docs, neg_probs, rng, vec_in, vec_out = _reference_start(
+        corpus, d, window, seed, max_terms)
+    loss_curve = []
+    for _ in range(epochs):
+        total, n_pairs = 0.0, 0
+        for pairs in docs:
+            for s in range(0, len(pairs), PAIRS_PER_STEP):
+                snap_in, snap_out = vec_in.copy(), vec_out.copy()
+                delta_in, delta_out = np.zeros_like(vec_in), np.zeros_like(vec_out)
+                for c, o in pairs[s:s + PAIRS_PER_STEP]:
+                    negs = rng.choice(len(vec_in), size=negatives, p=neg_probs)
                     loss, g_c, g_p, g_n = sgns_loss_and_grad(
-                        center, vec_out[o], vec_out[negs])
-                    vec_in[c] = center - lr * g_c
-                    vec_out[o] -= lr * g_p
-                    np.add.at(vec_out, negs, -lr * g_n)
+                        snap_in[c], snap_out[o], snap_out[negs])
+                    delta_in[c] -= lr * g_c
+                    delta_out[o] -= lr * g_p
+                    for k, neg in enumerate(negs):
+                        delta_out[neg] -= lr * g_n[k]
                     total += loss
-                    n_pairs += 1
+                vec_in += delta_in
+                vec_out += delta_out
+            n_pairs += len(pairs)
         loss_curve.append(total / n_pairs)
     config = {"dimension": d, "window": window, "epochs": epochs, "lr": lr,
               "negatives": negatives, "seed": seed,
@@ -154,12 +191,12 @@ def _ref_train_skipgram(corpus, d, window, epochs, lr, negatives, seed,
 
 REFERENCE_CORPORA = {
     "three_docs": CORPUS,
-    # two terms: a pair's negatives repeat, so the order of np.add.at's
-    # accumulation shows in the bits
+    # two terms: a pair's negatives repeat, and so do its center and context
     "two_terms": ["apple banana apple apple banana"] * 4,
     # documents shorter than a window of 5, and one that drops out
     "short_docs": ["apple banana", "cherry", "banana cherry durian",
                    "durian apple"] * 2,
+    # documents of more than one step
     "synthetic": [compose_text(p) for p in generate_products(6, 2)],
 }
 
@@ -173,6 +210,7 @@ class TestReferenceLoop:
         kw = dict(d=7, window=window, epochs=2, lr=0.05, negatives=negatives,
                   seed=3, max_terms=40)
         ref_in, ref_out, ref_config, ref_next = _ref_train_skipgram(corpus, **kw)
+        per_pair_curve, per_pair_next = _per_pair_train_skipgram(corpus, **kw)
         # the stream after training: the same number of draws was taken
         draws = []
         real_default_rng = np.random.default_rng
@@ -183,10 +221,42 @@ class TestReferenceLoop:
 
         monkeypatch.setattr(np.random, "default_rng", spy)
         table = train_skipgram(corpus, **kw)
-        assert table.input_vectors.tobytes() == ref_in.tobytes()
-        assert table.output_vectors.tobytes() == ref_out.tobytes()
+        np.testing.assert_allclose(table.input_vectors, ref_in, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(table.output_vectors, ref_out, rtol=0, atol=1e-12)
         assert table.config == ref_config
-        assert draws[-1].random() == ref_next
+        assert draws[-1].random() == ref_next == per_pair_next
+        assert len(table.config["loss_curve"].split(",")) == len(per_pair_curve)
+
+    def test_synthetic_documents_span_several_steps(self):
+        # so that the window-5 cases above cross step boundaries
+        corpus = REFERENCE_CORPORA["synthetic"]
+        vocab = build_vocabulary(corpus, max_terms=40)
+        L = max(sum(t in vocab.index for t in tokenize(text)) for text in corpus)
+        assert sum(min(t, 5) + min(L - 1 - t, 5) for t in range(L)) > PAIRS_PER_STEP
+
+
+class TestThreadCountInvariance:
+    def test_tables_byte_identical_across_blas_threads(self):
+        code = ("import hashlib\n"
+                "from dataprice.corpus import compose_text\n"
+                "from dataprice.synth import generate_products\n"
+                "from dataprice.textrep import train_skipgram\n"
+                "texts = [compose_text(p) for p in generate_products(12, 4)]\n"
+                "t = train_skipgram(texts, d=16, epochs=2, seed=9)\n"
+                "print(hashlib.sha256(t.input_vectors.tobytes()"
+                " + t.output_vectors.tobytes()).hexdigest())\n")
+        src = os.path.dirname(os.path.dirname(dataprice.__file__))
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+            out = subprocess.run([sys.executable, "-c", code], env=env,
+                                 capture_output=True, text=True, check=True,
+                                 timeout=120)
+            digests.append(out.stdout.strip())
+        assert len(digests[0]) == 64
+        assert digests[0] == digests[1]
 
 
 class TestDocVectors:
