@@ -91,6 +91,10 @@ def load_config(path) -> dict:
         errors += _section_errors(cfg[key], DEFAULT_RUN[key], key)
     if not _has_type_of(cfg["seed"], 0):
         errors.append("seed: an integer master seed is required")
+    if not _has_type_of(cfg["threads"], 0) or cfg["threads"] < 1:
+        errors.append("threads: must be an integer >= 1, got %r" % (cfg["threads"],))
+    if not _has_type_of(cfg["out_dir"], ""):
+        errors.append("out_dir: must be a string, got %r" % (cfg["out_dir"],))
     for i, r in enumerate(cfg["representations"]):
         if r not in REPRESENTATIONS:
             errors.append("representations[%d]: unknown representation %r" % (i, r))
@@ -173,8 +177,8 @@ def _has_type_of(value, default) -> bool:
 # ------------------------------------------------------------- manifests ----
 
 def config_hash(cfg: dict) -> str:
-    # thread count caps workers without changing results, so it is not
-    # part of the identity of an artifact
+    # the worker count does not change results, so it is not part of the
+    # identity of an artifact
     trimmed = {k: v for k, v in cfg.items() if k != "threads"}
     blob = json.dumps(trimmed, sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
@@ -256,14 +260,6 @@ def _corpus(out_dir: Path) -> Path:
     return require_artifact(out_dir / "products.jsonl", "ingest")
 
 
-def _model_config(cfg: dict) -> dict:
-    hp = dict(cfg["hyperparameters"])
-    forest = dict(hp.get("forest", {}))
-    forest.setdefault("n_threads", int(cfg.get("threads", 1)))
-    hp["forest"] = forest
-    return hp
-
-
 def cmd_ingest(cfg, out_dir: Path) -> int:
     data = cfg["data"]
     synthetic = data.get("synthetic")
@@ -307,7 +303,7 @@ def cmd_featurize(cfg, out_dir: Path) -> int:
     def body():
         products = load_products(corpus, format="jsonl")
         texts = [compose_text(p) for p in products]
-        mcfg = _model_config(cfg)
+        mcfg = cfg["hyperparameters"]
         outputs = []
         for rep in cfg["representations"]:
             seed = mix_seed(cfg["seed"], rep, "full")
@@ -369,7 +365,7 @@ def cmd_train(cfg, out_dir: Path) -> int:
         feats = _full_features(out_dir, rep)
         task = cfg["target"]["task"]
         model = fit_family(family, feats.values, _targets(cfg, corpus), task, N_TIERS,
-                           merge_config(_model_config(cfg)),
+                           merge_config(cfg["hyperparameters"]),
                            mix_seed(cfg["seed"], rep, family, "train"))
         model.manifest = list(feats.columns)
         fname = "model_%s_%s.json" % (rep, family)
@@ -385,8 +381,8 @@ def cmd_evaluate(cfg, out_dir: Path) -> int:
 
     def body():
         report = run_grid(load_products(corpus, format="jsonl"), cfg["representations"],
-                          cfg["families"], task=task, config=_model_config(cfg),
-                          seed=cfg["seed"], k=cfg["cv"]["k"])
+                          cfg["families"], task=task, config=cfg["hyperparameters"],
+                          seed=cfg["seed"], k=cfg["cv"]["k"], workers=cfg["threads"])
         report.to_csv(out_dir / ("report_%s.csv" % task))
         (out_dir / ("report_%s.txt" % task)).write_text(report.to_text(),
                                                         encoding="utf-8")
@@ -457,8 +453,8 @@ def cmd_curve(cfg, out_dir: Path) -> int:
     def body():
         curve = feature_curve(load_products(corpus, format="jsonl"),
                               c["representation"], c["family"], c["m_values"],
-                              task=cfg["target"]["task"], config=_model_config(cfg),
-                              seed=cfg["seed"], k=cfg["cv"]["k"])
+                              task=cfg["target"]["task"], config=cfg["hyperparameters"],
+                              seed=cfg["seed"], k=cfg["cv"]["k"], workers=cfg["threads"])
         fname = "curve_%s_%s.csv" % (c["representation"], c["family"])
         curve.to_csv(out_dir / fname)
         log.info("curve: wrote %s", fname)
@@ -512,7 +508,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help="run the %s stage" % name)
         p.add_argument("--config", required=True, help="YAML run configuration")
         p.add_argument("--threads", type=int, default=None,
-                       help="cap worker threads (does not change results)")
+                       help="worker processes of evaluate and curve "
+                            "(does not change results)")
         p.add_argument("--verbose", action="store_true")
     return parser
 

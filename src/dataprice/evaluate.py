@@ -4,7 +4,9 @@ curves."""
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
+import os
 import warnings
 import zlib
 from dataclasses import dataclass, field
@@ -40,7 +42,7 @@ DEFAULT_CONFIG = {
     "svm": {"C": 1.0, "kernel": "rbf", "gamma": 0.01, "tol": 1e-3},
     "svr": {"C": 1.0, "epsilon": 0.1, "kernel": "rbf", "gamma": 0.01,
             "max_iter": 2000},
-    "forest": {"n_trees": 25, "max_depth": 10, "min_leaf": 2, "n_threads": 1},
+    "forest": {"n_trees": 25, "max_depth": 10, "min_leaf": 2},
     "gbt": {"n_rounds": 30, "learning_rate": 0.3, "lam": 1.0, "max_depth": 3,
             "min_leaf": 2},
 }
@@ -237,8 +239,7 @@ def fit_family(family: str, X, y, task: str, n_classes: int, cfg: dict,
         return fit_forest(X, y, n_trees=f["n_trees"],
                           k_features=max(1, int(np.sqrt(X.shape[1]))),
                           max_depth=f["max_depth"], min_leaf=f["min_leaf"],
-                          task=task, seed=seed,
-                          n_threads=f.get("n_threads", 1))
+                          task=task, seed=seed)
 
     regression = task == "regression"
     labels = "01"
@@ -329,6 +330,40 @@ def evaluate_cell(family: str, X_train, y_train, X_test, y_test, task: str,
         return cell
 
 
+# ------------------------------------------------------------------ units ----
+
+# (fn, *shared) of the pool; set by the initializer in worker processes only
+_SHARED: tuple = ()
+
+
+def _set_shared(*shared) -> None:
+    global _SHARED
+    _SHARED = shared
+
+
+def _run_unit(unit):
+    fn, *shared = _SHARED
+    return fn(*shared, unit)
+
+
+def _map_units(fn, shared: tuple, units, workers: int) -> list:
+    """[fn(*shared, unit) for unit in units], in order. With more than one
+    worker and the fork start method, the units run on a process pool of at
+    most `workers` processes, capped by the CPUs this process may use; the
+    shared arguments reach the workers through fork, not per task."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    n = min(workers, cpus, len(units))
+    if n <= 1 or not hasattr(os, "fork"):
+        return [fn(*shared, unit) for unit in units]
+    import multiprocessing  # only pooled runs pay for the import
+
+    with concurrent.futures.ProcessPoolExecutor(
+            max_workers=n, mp_context=multiprocessing.get_context("fork"),
+            initializer=_set_shared, initargs=(fn,) + shared) as pool:
+        return list(pool.map(_run_unit, units))
+
+
 # ------------------------------------------------------------------ grid ----
 
 @dataclass
@@ -393,16 +428,36 @@ def _rank(means: np.ndarray, ascending: bool) -> np.ndarray:
     return ranks
 
 
+def _grid_unit(data: CVData, cfg: dict, families: list, task: str, unit):
+    """One (representation, fold) of the grid: (errors, {family index:
+    cell}). A failed representation fit or cell is recorded, not raised."""
+    rep, fold = unit
+    try:
+        train, test, ftr, fte = data.fold_features(rep, fold, cfg)
+    except Exception as exc:  # noqa: BLE001 - recorded in the report
+        return [(rep, "*", fold, str(exc))], {}
+    errors, cells = [], {}
+    for fi, family in enumerate(families):
+        try:
+            cells[fi] = evaluate_cell(family, ftr.values, data.y[train],
+                                      fte.values, data.y[test], task, cfg,
+                                      mix_seed(data.seed, rep, fold, family))
+        except Exception as exc:  # noqa: BLE001
+            errors.append((rep, family, fold, str(exc)))
+    return errors, cells
+
+
 def run_grid(products: list[DataProduct], representations=None, families=None,
              task: str = "regression", config: dict | None = None,
-             seed: int = 0, k: int = 5) -> ExperimentReport:
+             seed: int = 0, k: int = 5, workers: int = 1) -> ExperimentReport:
     """Evaluate every representation x family cell under k-fold CV.
 
     Vocabularies, embeddings, topic models and standardization are all
     fitted on training folds only. Regression targets are log prices;
     classification targets are five equal-frequency price tiers. A failed
     fold or cell is recorded in the report's errors and left out of the
-    means.
+    means. The (representation, fold) units run on up to `workers`
+    processes; the report does not depend on how many.
     """
     representations = list(REPRESENTATIONS if representations is None
                            else representations)
@@ -420,23 +475,14 @@ def run_grid(products: list[DataProduct], representations=None, families=None,
     acc = {m: np.full((len(representations), len(families), k), np.nan)
            for m in data.metrics}
 
-    for ri, rep in enumerate(representations):
-        for fold in range(k):
-            try:
-                train, test, ftr, fte = data.fold_features(rep, fold, cfg)
-            except Exception as exc:  # noqa: BLE001 - recorded in the report
-                report.errors.append((rep, "*", fold, str(exc)))
-                continue
-            for fi, family in enumerate(families):
-                try:
-                    cell = evaluate_cell(family, ftr.values, data.y[train],
-                                         fte.values, data.y[test], task, cfg,
-                                         mix_seed(seed, rep, fold, family))
-                except Exception as exc:  # noqa: BLE001
-                    report.errors.append((rep, family, fold, str(exc)))
-                    continue
-                for m in data.metrics:
-                    acc[m][ri, fi, fold] = cell[m]
+    units = [(rep, fold) for rep in representations for fold in range(k)]
+    results = _map_units(_grid_unit, (data, cfg, families, task), units, workers)
+    for u, (errors, cells) in enumerate(results):
+        ri, fold = divmod(u, k)
+        report.errors += errors
+        for fi, cell in cells.items():
+            for m in data.metrics:
+                acc[m][ri, fi, fold] = cell[m]
 
     for m in data.metrics:
         with warnings.catch_warnings():
@@ -465,37 +511,42 @@ class FeatureCurve:
                 w.writerow([m] + [format(vals[name], ".6f") for name in metrics])
 
 
+def _curve_unit(data: CVData, cfg: dict, representation: str, family: str,
+                m_values: list, task: str, fold: int):
+    """One fold of the curve: (whether an m was clamped, [cell per m])."""
+    train, test, ftr, fte = data.fold_features(representation, fold, cfg)
+    trace = mrmr_select(ftr, data.y[train], min(max(m_values), ftr.n_cols),
+                        target_is_discrete=task == "classification")
+    cells = []
+    for m in m_values:
+        sel = trace.selected[:min(m, ftr.n_cols)]
+        cells.append(evaluate_cell(family, ftr.values[:, sel], data.y[train],
+                                   fte.values[:, sel], data.y[test], task, cfg,
+                                   mix_seed(data.seed, representation, fold,
+                                            family, m)))
+    return max(m_values) > ftr.n_cols, cells
+
+
 def feature_curve(products: list[DataProduct], representation: str,
                   family: str, m_values, task: str = "regression",
                   config: dict | None = None, seed: int = 0,
-                  k: int = 5) -> FeatureCurve:
+                  k: int = 5, workers: int = 1) -> FeatureCurve:
     """Metric vs number of mRMR-selected features, averaged over CV folds.
     m values beyond the feature count are clamped with a warning. Any
-    failed fold raises."""
+    failed fold raises. The folds run on up to `workers` processes; the
+    curve does not depend on how many."""
     m_values = list(m_values)
     if m_values != sorted(m_values):
         raise ValueError("m_values must be ascending")
     cfg = merge_config(config)
     data = CVData.build(products, task, seed, k)
 
-    per_m = {m: {name: [] for name in data.metrics} for m in m_values}
-    clamped = False
-    for fold in range(k):
-        train, test, ftr, fte = data.fold_features(representation, fold, cfg)
-        trace = mrmr_select(ftr, data.y[train], min(max(m_values), ftr.n_cols),
-                            target_is_discrete=task == "classification")
-        for m in m_values:
-            mm = min(m, ftr.n_cols)
-            if mm < m:
-                clamped = True
-            sel = trace.selected[:mm]
-            cell = evaluate_cell(family, ftr.values[:, sel], data.y[train],
-                                 fte.values[:, sel], data.y[test], task, cfg,
-                                 mix_seed(seed, representation, fold, family, m))
-            for name in data.metrics:
-                per_m[m][name].append(cell[name])
-    if clamped:
+    folds = _map_units(_curve_unit,
+                       (data, cfg, representation, family, m_values, task),
+                       range(k), workers)
+    if any(clamped for clamped, _ in folds):
         warnings.warn("some m values exceeded the feature count and were clamped")
-    rows = [(m, {name: float(np.mean(per_m[m][name])) for name in data.metrics})
-            for m in m_values]
+    rows = [(m, {name: float(np.mean([cells[i][name] for _, cells in folds]))
+                 for name in data.metrics})
+            for i, m in enumerate(m_values)]
     return FeatureCurve(representation, family, task, rows)

@@ -1,10 +1,7 @@
 """Random forest: per-tree bootstrap sample and per-tree random feature
-subset, with per-tree RNGs derived from (seed, tree index) so results do
-not depend on scheduling."""
+subset, with per-tree RNGs derived from (seed, tree index)."""
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -67,7 +64,7 @@ class ForestModel(Model):
 
 def fit_forest(X, y, n_trees: int = 100, k_features: int | None = None,
                max_depth: int = 12, min_leaf: int = 1,
-               task: str = "regression", seed: int = 0, n_threads: int = 1,
+               task: str = "regression", seed: int = 0,
                row_sampler=_default_row_sampler) -> ForestModel:
     if n_trees < 1:
         raise ModelError("n_trees must be >= 1")
@@ -84,21 +81,15 @@ def fit_forest(X, y, n_trees: int = 100, k_features: int | None = None,
         y = np.asarray(y, dtype=np.float64)
         n_classes = None
 
-    def build(t):
+    trees, subsets = [], []
+    for t in range(n_trees):
         rng = _tree_rng(seed, t)
         rows = row_sampler(rng, n, n)
         feats = np.sort(rng.choice(p, size=k, replace=False))
-        tree = fit_cart(X[np.ix_(rows, feats)], y[rows], max_depth=max_depth,
-                        min_leaf=min_leaf, task=task, n_classes=n_classes)
-        return tree, feats
-
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(build, range(n_trees)))
-    else:
-        results = [build(t) for t in range(n_trees)]
-    trees = [r[0] for r in results]
-    subsets = [r[1] for r in results]
+        trees.append(fit_cart(X[np.ix_(rows, feats)], y[rows],
+                              max_depth=max_depth, min_leaf=min_leaf,
+                              task=task, n_classes=n_classes))
+        subsets.append(feats)
     # saved models record the bootstrap size, which is the row count
     return ForestModel(trees, subsets, n_classes,
                        hyperparams={"n_trees": n_trees, "m_samples": n,

@@ -274,13 +274,6 @@ def test_criterion_6_model_sanity_suite():
         # second-order leaf weight -G/(H + lam) on the G=-4, H=2, lam=1 fixture
         assert abs(_leaf_weight(-4.0, 2.0, 1.0) - 4.0 / 3.0) < 1e-12
 
-        # thread cap never changes forest output
-        Xf = rng.normal(size=(80, 5))
-        yf = Xf[:, 0] + rng.normal(size=80)
-        one = fit_forest(Xf, yf, n_trees=9, max_depth=5, seed=3, n_threads=1)
-        four = fit_forest(Xf, yf, n_trees=9, max_depth=5, seed=3, n_threads=4)
-        assert np.array_equal(one.predict(Xf), four.predict(Xf))
-
         assert time.monotonic() - start < 60.0
 
 

@@ -106,6 +106,8 @@ class TestLoadConfig:
         ({"mlp": {"hidden": [16, 0]}}, r"hyperparameters\.mlp\.hidden: must be a non-empty"),
         ({"mlp": {"hidden": 32}}, r"hyperparameters\.mlp\.hidden: must be a non-empty"),
         ({"gbt": 5}, r"hyperparameters\.gbt: must be a mapping"),
+        # forests no longer take a thread count; the CV grid runs on processes
+        ({"forest": {"n_threads": 2}}, r"hyperparameters\.forest\.n_threads: unknown key"),
     ])
     def test_hyperparameter_value_of_wrong_type(self, tmp_path, hp, message):
         # a wrong value must not surface later as a runtime failure (exit 2)
@@ -128,6 +130,13 @@ class TestLoadConfig:
         ("train", {"train": {"family": None}}, r"train\.family: must be a string"),
         ("annotate", {"annotate": {"timeout": "30"}}, r"annotate\.timeout: must be a number"),
         ("select", {"select": 5}, r"select: must be a mapping"),
+        # featurize and evaluate exited 1 with no field path; threads now
+        # sizes a process pool
+        ("evaluate", {"threads": "x"}, r"threads: must be an integer >= 1"),
+        ("evaluate", {"threads": 0}, r"threads: must be an integer >= 1"),
+        ("evaluate", {"threads": True}, r"threads: must be an integer >= 1"),
+        # ingest exited 2 with a path TypeError
+        ("ingest", {"out_dir": 5}, r"out_dir: must be a string"),
     ])
     def test_run_value_of_wrong_type(self, tmp_path, stage, section, message):
         path, _ = write_config(tmp_path, **section)
@@ -147,7 +156,7 @@ class TestLoadConfig:
     def test_hyperparameter_values_of_the_default_types_load(self, tmp_path):
         hp = {"max_terms": 50, "svm": {"C": 10, "kernel": "linear", "tol": 0.01},
               "svr": {"epsilon": 0.2}, "mlp": {"hidden": [16, 8]},
-              "forest": {"n_threads": 2}}
+              "forest": {"n_trees": 10}}
         path, _ = write_config(tmp_path, hyperparameters=hp)
         assert load_config(path)["hyperparameters"]["svm"]["C"] == 10
 

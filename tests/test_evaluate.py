@@ -1,13 +1,24 @@
+import faulthandler
+import multiprocessing
+import os
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 
+from dataprice import evaluate
 from dataprice.evaluate import (ERROR_METRICS, FAMILIES, SCORE_METRICS,
-                                ExperimentReport, MetricError, _rank,
-                                binary_auc, classification_metrics,
+                                ExperimentReport, MetricError, _map_units,
+                                _rank, binary_auc, classification_metrics,
                                 evaluate_cell, feature_curve, kfold_split,
                                 merge_config, mix_seed, regression_metrics,
                                 run_grid)
+from dataprice.models import ModelError
 from dataprice.synth import generate_products
+
+# the pooled path needs fork and a second CPU; elsewhere it runs serially
+POOLED = (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+          and len(os.sched_getaffinity(0)) >= 2)
 
 
 def brute_force_auc(y, s):
@@ -213,6 +224,63 @@ class TestCurve:
     def test_m_values_must_ascend(self):
         with pytest.raises(ValueError):
             feature_curve(generate_products(20, seed=0), "bow", "gbt", [5, 2])
+
+
+def _pid(unit):
+    return os.getpid()
+
+
+class TestPool:
+    @pytest.mark.skipif(not POOLED, reason="needs fork and two CPUs")
+    def test_units_run_in_worker_processes_in_order(self):
+        assert _map_units(_pid, (), [0, 1, 2, 3], 2)[0] != os.getpid()
+        assert _map_units(divmod, (7,), [2, 3, 4], 2) == [(3, 1), (2, 1), (1, 3)]
+        assert _map_units(_pid, (), [0, 1], 1) == [os.getpid()] * 2
+
+    def test_grid_same_at_one_and_two_workers(self, products, monkeypatch):
+        real, planted = evaluate.fit_family, mix_seed(0, "tfidf", 2, "linear")
+
+        def fit_family(family, X, y, task, n_classes, cfg, seed):
+            if seed == planted:
+                raise ModelError("planted failure")
+            return real(family, X, y, task, n_classes, cfg, seed)
+
+        monkeypatch.setattr(evaluate, "fit_family", fit_family)
+        one, two = (run_grid(products, ["bow", "tfidf"], ["linear", "cart"],
+                             task="regression", config=TestGrid.CFG, seed=0,
+                             k=3, workers=w) for w in (1, 2))
+        assert not multiprocessing.active_children()  # the pool is gone
+        assert one.errors == two.errors == [("tfidf", "linear", 2, "planted failure")]
+        for m in one.metrics:
+            assert one.values[m].tobytes() == two.values[m].tobytes()
+            assert one.mean[m].tobytes() == two.mean[m].tobytes()
+            assert one.rank[m].tolist() == two.rank[m].tolist()
+
+    def test_curve_same_at_one_and_two_workers(self, products):
+        one, two = (feature_curve(products, "tfidf", "cart", [1, 3, 6],
+                                  task="classification", config=TestGrid.CFG,
+                                  seed=0, k=3, workers=w) for w in (1, 2))
+        assert one.rows == two.rows
+
+    @pytest.mark.skipif(not POOLED, reason="needs fork and two CPUs")
+    def test_dead_worker_raises_instead_of_hanging(self, products, monkeypatch):
+        real = evaluate.fit_representation
+
+        def fit_representation(name, *args):
+            if name == "tfidf":
+                os._exit(3)
+            return real(name, *args)
+
+        # the forked workers inherit the patch
+        monkeypatch.setattr(evaluate, "fit_representation", fit_representation)
+        # a hang ends the test run with a traceback instead of blocking it
+        faulthandler.dump_traceback_later(120, exit=True)
+        try:
+            with pytest.raises(BrokenProcessPool):
+                run_grid(products, ["bow", "tfidf"], ["linear"], task="regression",
+                         config=TestGrid.CFG, seed=0, k=3, workers=2)
+        finally:
+            faulthandler.cancel_dump_traceback_later()
 
 
 class TestMixSeed:

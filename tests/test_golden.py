@@ -61,29 +61,36 @@ def digests(out_dir: Path) -> dict:
             for p in sorted(out_dir.rglob("*")) if p.is_file()}
 
 
-def pipeline_digests(task: str) -> dict:
+def pipeline_digests(task: str, threads: int = 1) -> dict:
     """Run every stage in the current directory; the digests of its output."""
     cfg = golden_config(task)
     config = Path("run_%s.yaml" % task)
     config.write_text(yaml.safe_dump(cfg), encoding="utf-8")
     for stage in STAGES:
-        code = main([stage, "--config", str(config)])
+        code = main([stage, "--config", str(config), "--threads", str(threads)])
         if code != 0:
             raise RuntimeError("stage %s exited %d" % (stage, code))
     return digests(Path(cfg["out_dir"]))
 
 
-@pytest.mark.parametrize("task", ["regression", "classification"])
-def test_pipeline_artifacts_match_golden_digests(task, tmp_path, monkeypatch):
+# --threads 2 runs evaluate and curve on a process pool; the digests are the
+# same file, so the pool must not move a byte
+@pytest.mark.parametrize("task, threads", [
+    pytest.param("regression", 1, id="regression"),
+    pytest.param("classification", 1, id="classification"),
+    pytest.param("regression", 2, id="regression-threads2"),
+    pytest.param("classification", 2, id="classification-threads2"),
+])
+def test_pipeline_artifacts_match_golden_digests(task, threads, tmp_path, monkeypatch):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     if golden["key"] != golden_key():
         pytest.skip("golden digests are for %s; this is %s"
                     % (golden["key"], golden_key()))
     monkeypatch.chdir(tmp_path)
-    got = pipeline_digests(task)
+    got = pipeline_digests(task, threads)
     want = golden["digests"][task]
     assert sorted(got) == sorted(want)
     changed = [f for f in want if got[f] != want[f]]
     assert not changed, "artifacts differ from the golden digests: %s" % changed
     # a rerun finds every stage up to date and rewrites nothing
-    assert pipeline_digests(task) == got
+    assert pipeline_digests(task, threads) == got

@@ -304,13 +304,6 @@ class TestForest:
         y = X[:, 0] + 2 * (X[:, 1] > 0) + 0.1 * rng.normal(size=80)
         return X, y
 
-    def test_thread_count_does_not_change_model(self):
-        X, y = self.make_data()
-        m1 = fit_forest(X, y, n_trees=12, max_depth=4, seed=0, n_threads=1)
-        m4 = fit_forest(X, y, n_trees=12, max_depth=4, seed=0, n_threads=4)
-        assert np.array_equal(m1.predict(X), m4.predict(X))
-        assert m1.feature_subsets == m4.feature_subsets
-
     def test_identity_sampler_reduces_to_bagged_trees(self):
         # full-data rows and all features: every tree equals a plain CART
         X, y = self.make_data()
