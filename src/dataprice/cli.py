@@ -122,11 +122,19 @@ def load_config(path) -> dict:
     return cfg
 
 
+# the least value of a hyperparameter, where a smaller one would make every
+# fit of its family raise ModelError: a grid of cell failures that exits 0
+_LOWER_BOUNDS = {"hyperparameters.gbt.n_rounds": 1,
+                 "hyperparameters.forest.n_trees": 1,
+                 "hyperparameters.gbt.lam": 0}
+
+
 def _hyperparameter_errors(hp, defaults=DEFAULT_CONFIG, at="hyperparameters") -> list[str]:
     """A typo in a hyperparameter name would silently run the default, and a
     value of the wrong type would fail late, so every key must be one of
     evaluate.DEFAULT_CONFIG (per family, that family's) and every value must
-    have its default's type. Ranges are left to the fitters."""
+    have its default's type. Values below their _LOWER_BOUNDS entry are
+    rejected too; other ranges are left to the fitters."""
     if not isinstance(hp, dict):
         return ["%s: must be a mapping" % at]
     errors = []
@@ -139,6 +147,9 @@ def _hyperparameter_errors(hp, defaults=DEFAULT_CONFIG, at="hyperparameters") ->
         elif not _has_type_of(value, defaults[key]):
             errors.append("%s: must be %s, got %r"
                           % (where, _TYPE_NAMES[type(defaults[key])], value))
+        elif where in _LOWER_BOUNDS and value < _LOWER_BOUNDS[where]:
+            errors.append("%s: must be >= %s, got %r"
+                          % (where, _LOWER_BOUNDS[where], value))
     return errors
 
 

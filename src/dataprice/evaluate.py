@@ -18,8 +18,9 @@ from .corpus import (DataProduct, TargetSpec, compose_text, make_targets,
                      structured_matrix)
 from .featsel import mrmr_select
 from .matrix import FeatureMatrix
-from .models import (fit_cart, fit_forest, fit_gbt, fit_linear, fit_logistic,
-                     fit_mlp, fit_standardized, fit_svm, fit_svr, one_vs_rest)
+from .models import (fit_cart, fit_forest, fit_gbt, fit_gbts, fit_linear,
+                     fit_logistic, fit_mlp, fit_standardized, fit_svm, fit_svr,
+                     one_vs_rest)
 from .textrep import (PCAReducer, build_vocabulary, bow, embedding_features,
                       kmeans, membership_probabilities, tfidf, topic_features,
                       train_lda, train_skipgram)
@@ -261,10 +262,14 @@ def fit_family(family: str, X, y, task: str, n_classes: int, cfg: dict,
         labels = "pm1"
     elif family == "gbt":
         g = cfg["gbt"]
-        fit = partial(fit_gbt, n_rounds=g["n_rounds"],
-                      learning_rate=g["learning_rate"], lam=g["lam"],
-                      max_depth=g["max_depth"], min_leaf=g["min_leaf"],
-                      loss="squared" if regression else "logistic")
+        params = dict(n_rounds=g["n_rounds"], learning_rate=g["learning_rate"],
+                      lam=g["lam"], max_depth=g["max_depth"],
+                      min_leaf=g["min_leaf"])
+        if regression:
+            return fit_gbt(X, y, loss="squared", **params)
+        # the boosters of all classes grow their trees together
+        return one_vs_rest(partial(fit_gbts, loss="logistic", **params), X, y,
+                           n_classes=n_classes, joint=True)
     else:
         raise ValueError("unknown family %r" % family)
     if regression:

@@ -5,7 +5,7 @@ from .mlp import MLPModel, fit_mlp
 from .tree import CARTModel, fit_cart
 from .svm import SVMModel, SVRModel, fit_svm, fit_svr, kernel_matrix
 from .forest import ForestModel, fit_forest
-from .gbt import GBTModel, fit_gbt
+from .gbt import GBTModel, fit_gbt, fit_gbts
 from .ovr import OvREnsemble, ConstantScoreModel, one_vs_rest
 
 __all__ = [
@@ -16,6 +16,6 @@ __all__ = [
     "CARTModel", "fit_cart",
     "SVMModel", "SVRModel", "fit_svm", "fit_svr", "kernel_matrix",
     "ForestModel", "fit_forest",
-    "GBTModel", "fit_gbt",
+    "GBTModel", "fit_gbt", "fit_gbts",
     "OvREnsemble", "ConstantScoreModel", "one_vs_rest",
 ]

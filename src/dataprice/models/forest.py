@@ -1,12 +1,17 @@
 """Random forest: per-tree bootstrap sample and per-tree random feature
-subset, with per-tree RNGs derived from (seed, tree index)."""
+subset, with per-tree RNGs derived from (seed, tree index). A fit draws
+every tree's sample and subset first, then grows all trees in one batch."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .base import Model, ModelError, register, require_finite
-from .tree import CARTModel, fit_cart
+from .tree import (CARTModel, Stack, cart_criterion, cart_targets, grow,
+                   presort)
+
+
+_STACK_ROWS = 1 << 12  # rows of the trees grown together: bounds memory
 
 
 def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
@@ -62,6 +67,18 @@ class ForestModel(Model):
                    hyperparams=hyperparams, manifest=manifest, seed=seed)
 
 
+def _grow_batch(batch, n_classes, max_depth, min_leaf):
+    """The roots of CART trees grown together, one per (X, y) of batch."""
+    sizes = [len(y) for _, y in batch]
+    offsets = np.cumsum(sizes) - sizes
+    order = np.hstack([presort(Xt) + off
+                       for (Xt, _), off in zip(batch, offsets)])
+    return grow(Stack(np.vstack([Xt for Xt, _ in batch]), order, sizes),
+                cart_criterion(np.concatenate([y for _, y in batch]),
+                               n_classes),
+                max_depth, min_leaf)
+
+
 def fit_forest(X, y, n_trees: int = 100, k_features: int | None = None,
                max_depth: int = 12, min_leaf: int = 1,
                task: str = "regression", seed: int = 0,
@@ -74,22 +91,27 @@ def fit_forest(X, y, n_trees: int = 100, k_features: int | None = None,
     k = p if k_features is None else k_features
     if k > p:
         raise ModelError("k_features exceeds the number of columns")
-    if task == "classification":
-        y = np.asarray(y, dtype=np.int64)
-        n_classes = int(y.max()) + 1
-    else:
-        y = np.asarray(y, dtype=np.float64)
-        n_classes = None
+    y, n_classes = cart_targets(y, task)
 
-    trees, subsets = [], []
+    draws = []
     for t in range(n_trees):
         rng = _tree_rng(seed, t)
         rows = row_sampler(rng, n, n)
-        feats = np.sort(rng.choice(p, size=k, replace=False))
-        trees.append(fit_cart(X[np.ix_(rows, feats)], y[rows],
-                              max_depth=max_depth, min_leaf=min_leaf,
-                              task=task, n_classes=n_classes))
-        subsets.append(feats)
+        draws.append((rows, np.sort(rng.choice(p, size=k, replace=False))))
+    if min(len(rows) for rows, _ in draws) < min_leaf:
+        raise ModelError("fewer rows than min_leaf")
+    roots, batch = [], []
+    for t, (rows, feats) in enumerate(draws):
+        batch.append((X[np.ix_(rows, feats)], y[rows]))
+        if (t + 1 == n_trees or sum(len(b) for b, _ in batch)
+                + len(draws[t + 1][0]) > _STACK_ROWS):
+            roots += _grow_batch(batch, n_classes, max_depth, min_leaf)
+            batch = []
+    trees = [CARTModel(root, n_classes,
+                       hyperparams={"max_depth": max_depth,
+                                    "min_leaf": min_leaf})
+             for root in roots]
+    subsets = [feats for _, feats in draws]
     # saved models record the bootstrap size, which is the row count
     return ForestModel(trees, subsets, n_classes,
                        hyperparams={"n_trees": n_trees, "m_samples": n,

@@ -6,9 +6,10 @@ gain 1/2 [G_L^2/(H_L+lambda) + G_R^2/(H_R+lambda) - G^2/(H+lambda)] - gamma
 (Chen & Guestrin 2016). Squared error uses g = yhat - y, h = 1; binary
 classification uses the logistic loss with g = p - y, h = p(1-p).
 
-Trees grow by the presorted search of tree.py, which sorts the columns once
-per fit for all rounds and breaks ties as CART does. Each round updates the
-training predictions with the leaf values written while growing.
+Trees grow level by level in tree.py. fit_gbts boosts several targets on
+one X together, as one-vs-rest classification does: each round grows one
+tree per target in one batch, on the one presort of X. Each round updates
+the training predictions with the leaf values written while growing.
 """
 
 from __future__ import annotations
@@ -16,37 +17,63 @@ from __future__ import annotations
 import numpy as np
 
 from .base import Model, ModelError, register, require_finite
-from .tree import FlatTree, grow_tree, presort
+from .tree import FlatTree, Stack, grow, node_sums, presort
 
 
 def _leaf_weight(G, H, lam):
     return -G / (H + lam)
 
 
-def _grow(X, order, g, h, max_depth, min_leaf, lam, gamma_pen):
-    """One round's tree, plus the leaf value of every training row."""
-    step = np.empty(len(g))
+class _Booster:
+    """The criterion of one round: second-order gain and leaf weights from
+    the derivatives g and h of the stacked rows; h None stands for h = 1,
+    whose sums are exact counts. leaves() writes each row's leaf weight to
+    step."""
 
-    def sums(idx):
-        G, H = float(np.sum(g[idx])), float(np.sum(h[idx]))
-        if H + lam == 0:  # logistic probabilities saturated at 0 or 1, lam 0
-            raise ModelError("a node's hessian sum plus lam is 0; use lam > 0")
-        return G, H
+    def __init__(self, g, h, lam, gamma_pen):
+        self.g = np.append(g, 0.0)
+        self.h = None if h is None else np.append(h, 0.0)
+        self.lam, self.gamma_pen = lam, gamma_pen
+        self.step = np.empty(len(g))
 
-    def leaf(idx):
-        value = _leaf_weight(*sums(idx), lam)
-        step[idx] = value
-        return {"leaf": True, "value": value, "n": len(idx)}
+    def level(self, asc, start, size):
+        self.asc, self.start, self.size = asc, start, size
+        if self.h is None:
+            self.G = node_sums([self.g], asc, start, size)[0]
+            self.H = size.astype(np.float64)
+        else:
+            self.G, self.H = node_sums([self.g, self.h], asc, start, size)
+            if (self.H + self.lam == 0).any():
+                # logistic probabilities saturated at 0 or 1, lam 0
+                raise ModelError(
+                    "a node's hessian sum plus lam is 0; use lam > 0")
 
-    def gain(block, idx):
-        G, H = sums(idx)
-        gl = np.cumsum(g[block], axis=1)[:, :-1]
-        hl = np.cumsum(h[block], axis=1)[:, :-1]
+    def pure(self):
+        return None
+
+    def gain(self, rows, nodes, node, flat, pos):
+        gl = np.add.accumulate(self.g[rows], axis=1).ravel()[flat]
+        hl = (pos if self.h is None
+              else np.add.accumulate(self.h[rows], axis=1).ravel()[flat])
+        G, H = self.G[nodes], self.H[nodes]
+        lam = self.lam
         # G ** 2 squares a Python float (libm pow); the trees depend on it
-        return 0.5 * (gl ** 2 / (hl + lam) + (G - gl) ** 2 / (H - hl + lam)
-                      - G ** 2 / (H + lam)) - gamma_pen
+        G2 = np.array([g ** 2 / (h + lam)
+                       for g, h in zip(G.tolist(), H.tolist())])
+        return 0.5 * (gl ** 2 / (hl + lam)
+                      + (G[node] - gl) ** 2 / (H[node] - hl + lam)
+                      - G2[node]) - self.gamma_pen
 
-    return grow_tree(X, order, gain, leaf, max_depth, min_leaf), step
+    def leaves(self, which):
+        values = [_leaf_weight(G, H, self.lam) for G, H
+                  in zip(self.G[which].tolist(), self.H[which].tolist())]
+        size = self.size[which]
+        leaf = np.zeros(len(self.size), dtype=bool)
+        leaf[which] = True
+        self.step[self.asc[:-1][leaf.repeat(self.size)]] = np.repeat(
+            values, size)
+        return [{"leaf": True, "value": v, "n": n}
+                for v, n in zip(values, size.tolist())]
 
 
 @register
@@ -93,37 +120,52 @@ def fit_gbt(X, y, n_rounds: int = 50, learning_rate: float = 0.3,
             min_leaf: int = 1, loss: str = "squared") -> GBTModel:
     """Boost n_rounds trees. Base score is the target mean for squared loss
     and the empirical log-odds for the logistic loss (y in {0,1})."""
+    return fit_gbts(X, [y], n_rounds, learning_rate, lam, gamma_pen,
+                    max_depth, min_leaf, loss)[0]
+
+
+def fit_gbts(X, targets, n_rounds: int = 50, learning_rate: float = 0.3,
+             lam: float = 1.0, gamma_pen: float = 0.0, max_depth: int = 3,
+             min_leaf: int = 1, loss: str = "squared") -> list[GBTModel]:
+    """One fit_gbt model per target, boosted together round by round: each
+    model equals fit_gbt on its own target."""
     if n_rounds < 1:
         raise ModelError("n_rounds must be >= 1")
     if lam < 0:
         raise ModelError("lam must be >= 0")
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    require_finite(X, y)
-    y = np.asarray(y, dtype=np.float64)
+    for y in targets:
+        require_finite(X, y)
+    y = np.array(targets, dtype=np.float64)  # (targets, rows)
+    T, n = y.shape
     if loss == "squared":
-        base = float(np.mean(y))
+        base = [float(np.mean(t)) for t in y]
     elif loss == "logistic":
-        p = float(np.clip(np.mean(y), 1e-6, 1.0 - 1e-6))
-        base = float(np.log(p / (1.0 - p)))
+        p = [float(np.clip(np.mean(t), 1e-6, 1.0 - 1e-6)) for t in y]
+        base = [float(np.log(b / (1.0 - b))) for b in p]
     else:
         raise ModelError("unknown loss %r" % loss)
 
-    raw = np.full(len(y), base)
-    trees = []
-    order = presort(X)
+    raw = np.repeat(base, n).reshape(T, n)
+    trees = [[] for _ in range(T)]
+    one = presort(X)
+    stack = Stack(np.tile(X, (T, 1)),
+                  np.hstack([one + t * n for t in range(T)]), [n] * T)
     for _ in range(n_rounds):
         if loss == "squared":
-            g = raw - y
-            h = np.ones_like(y)
+            booster = _Booster((raw - y).ravel(), None, lam, gamma_pen)
         else:
             prob = 1.0 / (1.0 + np.exp(-raw))
-            g = prob - y
-            h = prob * (1.0 - prob)
-        root, step = _grow(X, order, g, h, max_depth, min_leaf, lam, gamma_pen)
-        trees.append(root)
-        raw += learning_rate * step
-    return GBTModel(trees, base, learning_rate, loss,
-                    hyperparams={"n_rounds": n_rounds,
-                                 "learning_rate": learning_rate, "lam": lam,
-                                 "gamma_pen": gamma_pen, "max_depth": max_depth,
-                                 "min_leaf": min_leaf})
+            booster = _Booster((prob - y).ravel(),
+                               (prob * (1.0 - prob)).ravel(), lam, gamma_pen)
+        roots = grow(stack, booster, max_depth, min_leaf)
+        for tree, root in zip(trees, roots):
+            tree.append(root)
+        raw += learning_rate * booster.step.reshape(T, n)
+    return [GBTModel(tr, b, learning_rate, loss,
+                     hyperparams={"n_rounds": n_rounds,
+                                  "learning_rate": learning_rate, "lam": lam,
+                                  "gamma_pen": gamma_pen,
+                                  "max_depth": max_depth,
+                                  "min_leaf": min_leaf})
+            for tr, b in zip(trees, base)]

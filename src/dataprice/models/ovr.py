@@ -62,11 +62,13 @@ class OvREnsemble(Model):
 
 
 def one_vs_rest(fit_fn, X, y, n_classes: int | None = None,
-                labels: str = "01") -> OvREnsemble:
+                labels: str = "01", joint: bool = False) -> OvREnsemble:
     """Fit one binary scorer per class with fit_fn(X, y_binary).
 
     labels="01" passes {0,1} targets, labels="pm1" passes {-1,+1} (for SVM
-    members). A class absent from y gets a constant always-negative member.
+    members). With joint=True, fit_fn(X, targets) fits the targets of all
+    present classes in one call and returns their members in class order.
+    A class absent from y gets a constant always-negative member.
     """
     y = np.asarray(y, dtype=np.int64)
     if n_classes is None:
@@ -74,15 +76,16 @@ def one_vs_rest(fit_fn, X, y, n_classes: int | None = None,
     present = set(np.unique(y).tolist())
     if len(present) < 2:
         raise ModelError("one-vs-rest needs at least 2 classes present")
-    members = []
+    targets = []
     for k in range(n_classes):
         if k not in present:
             warnings.warn("class %d absent from training data; member "
                           "trained as always-negative" % k)
-            members.append(ConstantScoreModel())
             continue
         yk = (y == k).astype(np.int64)
-        if labels == "pm1":
-            yk = 2 * yk - 1
-        members.append(fit_fn(X, yk))
+        targets.append(2 * yk - 1 if labels == "pm1" else yk)
+    fitted = iter(fit_fn(X, targets) if joint
+                  else [fit_fn(X, t) for t in targets])
+    members = [next(fitted) if k in present else ConstantScoreModel()
+               for k in range(n_classes)]
     return OvREnsemble(members, list(range(n_classes)))

@@ -1,14 +1,28 @@
-"""CART decision trees (squared error or gini) and the split search that
-also grows the trees of gradient boosting (gbt.py).
+"""Decision trees grown level by level, many at once: CART (squared error or
+gini), the trees of a random forest (forest.py) and the rounds of gradient
+boosting (gbt.py) all grow in `grow`.
 
-The search is presorted: a fit sorts each column once, stably. A node keeps
-its rows in ascending order and, per column, in that column's sorted order,
-which a split filters down to each child; so a node's order is exactly a
-stable sort of its own rows and no node sorts again. A node scores every
-boundary of a block of columns in one (columns x rows) array. Candidates
-are midpoints between consecutive distinct values with at least min_leaf
-rows on each side and a gain above 1e-12; ties go to the lower feature,
-then the lower threshold. Rows with value <= threshold go left."""
+The trees of one batch stack their rows in one matrix, tree after tree. A
+fit sorts each tree's columns once, stably (the presort). One step grows
+every tree of the batch by one depth: it searches all open nodes of that
+depth, then partitions them all. Per column, a step keeps each node's rows
+as one segment in that column's sorted order, plus one more row of
+segments with the rows ascending. A split partitions each segment stably
+into its two children, so a node's order is always exactly a stable sort
+of its own rows, and no node sorts again.
+
+The search scores blocks of nodes of similar size together: padded to the
+size of the block's largest node, as one (nodes x rows x columns) array of
+at most _BLOCK elements. Gains are computed only at candidate boundaries:
+between consecutive distinct values, with at least min_leaf rows on each
+side. A split needs a gain above 1e-12, a NaN gain rules its column out,
+and ties go to the lower feature, then the lower threshold. Rows with value
+<= threshold go left.
+
+The trees are bit-identical to growing one node at a time by the same
+arithmetic: cumulative sums run along each node's own rows from its first,
+and every total that NumPy takes by pairwise summation is taken in NumPy's
+order over exactly the node's rows (node_sums, _row_sums)."""
 
 from __future__ import annotations
 
@@ -16,102 +30,333 @@ import numpy as np
 
 from .base import Model, ModelError, register, require_finite
 
-_BLOCK = 1 << 15  # elements per block: bounds the temporaries of big nodes
+_BLOCK = 1 << 14  # elements per search block: bounds the temporaries
+_MIN_BLOCK = 1 << 12  # below this, a block takes smaller nodes padded
+_PAIRWISE = 128  # NumPy's pairwise sum adds runs up to this long in order
 
 
 def presort(X) -> np.ndarray:
-    """The root order of the search: (features x rows), each row stable."""
+    """The root order of one tree: (features x rows), each row stable."""
     return np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
 
 
-def best_split(X, rows, idx, score, min_leaf):
-    """Return (feature, threshold) of the best split of one node, or None.
+class Stack:
+    """The rows of a batch of trees, tree after tree, and their presort,
+    laid out for growth; every boosting round on the same rows shares it.
 
-    rows is the node's (features x n) per-column sort order and idx its rows
-    in ascending order. score(block, idx) maps a (columns x n) block of rows
-    to the (columns x n-1) gain of sending the first 1 .. n-1 rows left."""
-    p, n = rows.shape
-    if p == 0 or n < 2:
-        return None
-    pos = np.arange(1, n)
-    sizes_ok = (pos >= min_leaf) & ((n - pos) >= min_leaf)
-    top = np.empty(p)
-    at = np.empty(p, dtype=np.int64)
-    width = max(1, _BLOCK // n)
-    for lo in range(0, p, width):
-        block = rows[lo:lo + width]
-        b = len(block)
-        xs = X[block, np.arange(lo, lo + b)[:, None]]
-        gain = np.where((xs[:, :-1] < xs[:, 1:]) & sizes_ok,
-                        score(block, idx), -np.inf)
-        k = np.argmax(gain, axis=1)
-        at[lo:lo + b] = k
-        top[lo:lo + b] = gain[np.arange(b), k]
-    top[np.isnan(top)] = -np.inf  # a NaN gain rules its column out
-    j = int(np.argmax(top))
-    if not top[j] > 1e-12:
-        return None
-    k = at[j]
-    return j, float((X[rows[j, k], j] + X[rows[j, k + 1], j]) / 2)
+    X (rows x p) stacks the trees' rows and order (p x rows) is their
+    presort as rows of X: per column, each tree's segment sorted. The
+    stack adds a last row to the order that lists the rows ascending, and
+    a padding row R (its last column) for nodes shorter than their block.
+    xs holds the values of order's rows, 0 for the padding row, and Xt is X
+    by column with the padding row: X[r, j] is Xt[j * (R + 1) + r]."""
+
+    def __init__(self, X, order, tree_sizes):
+        R, self.p = X.shape
+        self.rows = R
+        self.size = np.asarray(tree_sizes, dtype=np.int64)
+        self.start = np.cumsum(self.size) - self.size
+        self.order = np.hstack([np.vstack([order, np.arange(R)]),
+                                np.full((self.p + 1, 1), R)])
+        self.Xt = np.hstack([X.T, np.zeros((self.p, 1))]).ravel()
+        self.xs = self.Xt[self.order[:-1]
+                          + (np.arange(self.p) * (R + 1))[:, None]]
 
 
-def grow_tree(X, order, score, leaf, max_depth, min_leaf, pure=None):
-    """Grow one tree on X by presorted search from order = presort(X).
+def grow(stack, crit, max_depth, min_leaf) -> list[dict]:
+    """Grow one tree per tree of stack; return their roots.
 
-    leaf(idx) returns the leaf dict of a node's rows (ascending), score is
-    passed to best_split, and pure(idx), when given, makes a node a leaf
-    before any search."""
+    crit is the criterion (_Variance, _Gini or gbt's booster): level()
+    takes the statistics of a depth's nodes, pure() marks those that stop
+    before any search (or is None), gain() scores candidate splits and
+    leaves() returns leaf dicts."""
+    lo = max(1, min_leaf)
+    order, xs, start, size = stack.order, stack.xs, stack.start, stack.size
+    nodes = [{} for _ in size]
+    roots = list(nodes)
+    depth = 0
+    while nodes:
+        crit.level(order[-1], start, size)
+        if depth >= max_depth or not stack.p:
+            for node, leaf in zip(nodes, crit.leaves(np.arange(len(size)))):
+                node.update(leaf)
+            break
+        feature = np.full(len(size), -1)
+        threshold = np.zeros(len(size))
+        open_ = size >= 2 * lo
+        pure = crit.pure()
+        if pure is not None:
+            open_ &= ~pure
+        _search(order, xs, start, size, open_.nonzero()[0], crit, lo,
+                feature, threshold)
+        split = (feature >= 0).nonzero()[0]
+        leaves = (feature < 0).nonzero()[0]
+        for i, leaf in zip(leaves.tolist(), crit.leaves(leaves)):
+            nodes[i].update(leaf)
+        lefts, rights = [{} for _ in split], [{} for _ in split]
+        for i, j, thr, n, left, right in zip(
+                split.tolist(), feature[split].tolist(),
+                threshold[split].tolist(), size[split].tolist(), lefts, rights):
+            nodes[i].update({"leaf": False, "feature": j, "threshold": thr,
+                             "n": n, "left": left, "right": right})
+        depth += 1
+        if split.size:
+            if depth == max_depth:  # leaves next, which need only the rows
+                order, xs = order[-1:], xs[:0]
+            order, xs, start, size = _partition(stack, order, xs, size,
+                                                feature, threshold)
+        nodes = lefts + rights
+    return roots
 
-    def grow(idx, rows, depth):
-        n = len(idx)
-        if (depth >= max_depth or n < 2 * min_leaf
-                or (pure is not None and pure(idx))):
-            return leaf(idx)
-        split = best_split(X, rows, idx, score, min_leaf)
-        if split is None:
-            return leaf(idx)
-        j, thr = split
-        left = X[:, j] <= thr
-        right = ~left
-        return {
-            "leaf": False, "feature": j, "threshold": thr, "n": n,
-            "left": grow(idx[left[idx]],
-                         rows[left[rows]].reshape(len(rows), -1), depth + 1),
-            "right": grow(idx[right[idx]],
-                          rows[right[rows]].reshape(len(rows), -1), depth + 1),
-        }
 
-    return grow(np.arange(X.shape[0]), order, 0)
+def node_sums(values, asc, start, size) -> np.ndarray:
+    """np.sum of each of values over each node's rows, ascending, bit for
+    bit: (k x nodes) for a sequence of k arrays over the rows, each 0 at
+    the padding row. asc lists the rows of each node (start, size) in
+    order, the padding row last."""
+    if len(size) <= 8:  # few nodes: one NumPy sum each
+        rows = asc[:-1]
+        return np.array([[np.add.reduce(v[rows[s:s + n]]) for s, n
+                          in zip(start.tolist(), size.tolist())]
+                         for v in values]).reshape(len(values), -1)
+    # the short nodes padded together, each longer size on its own
+    out = np.empty((len(values), len(size)))
+    long = size > _PAIRWISE
+    short = (~long).nonzero()[0]
+    for sel in [(size == s).nonzero()[0]
+                for s in sorted(set(size[long].tolist()))] + [short]:
+        if not sel.size:
+            continue
+        n = size[sel]
+        width = int(n.max())
+        at = start[sel][:, None] + np.arange(width)
+        at[np.arange(width) >= n[:, None]] = len(asc) - 1
+        rows = asc[at]
+        out[:, sel] = _row_sums(np.concatenate([v[rows] for v in values]),
+                                np.tile(n, len(values))).reshape(len(values),
+                                                                 -1)
+    return out
 
 
-def _impurity_decrease(Y):
-    """Score of CART splits: the sum over the columns of Y of s_L^2/n_L +
-    s_R^2/n_R - S^2/n, with s and S sums of Y. Y is the targets as one
-    column (squared error) or one-hot classes (gini)."""
+def _row_sums(a, n) -> np.ndarray:
+    """np.sum(a[i, :n[i]]) of each row of a, bit for bit, where a is 0 past
+    each row's n[i] values.
 
-    def score(block, idx):
-        ys = Y[block]  # (columns, rows, columns of Y)
-        n = ys.shape[1]
-        pos = np.arange(1, n)
-        cum = np.cumsum(ys, axis=1)[:, :-1]
-        total = np.sum(ys, axis=1)
+    Up to _PAIRWISE values, NumPy adds in eight running sums over the full
+    blocks of eight, adds those as a tree, then the rest one by one, and
+    adds the result to 0. Rows that short are summed that way together; the
+    zeros past their values leave every sum as it is. Longer rows are
+    stacked by length and summed along rows, which NumPy does row by row as
+    it sums one."""
+    out = np.empty(len(n))
+    long = n > _PAIRWISE
+    for s in sorted(set(n[long].tolist())):
+        sel = (n == s).nonzero()[0]
+        out[sel] = np.add.reduce(a[sel, :s], axis=1)
+    short = (~long).nonzero()[0]
+    if not short.size:
+        return out
+    n = n[short]
+    blocks = n // 8
+    # blocks of eight, with at least one block of zeros after each row
+    chunks = np.zeros((len(n), int(blocks.max()) + 2, 8))
+    width = min(a.shape[1], 8 * int(blocks.max()) + 8)
+    chunks.reshape(len(n), -1)[:, :width] = a[short, :width]
+    every = np.arange(len(n))
+    rest = chunks[every, blocks]  # the last, partial block
+    chunks[every, blocks] = 0.0
+    # eight running sums over the full blocks, in order (accumulate adds
+    # in order), then a tree of them, then the rest one by one
+    r = np.add.accumulate(chunks, axis=1)[:, -1]
+    r = r[:, 0::2] + r[:, 1::2]
+    r = r[:, 0::2] + r[:, 1::2]
+    r = r[:, 0] + r[:, 1]
+    out[short] = 0.0 + np.add.accumulate(np.hstack([r[:, None], rest]),
+                                         axis=1)[:, -1]
+    return out
+
+
+def _blocks(nodes, size, p):
+    """(nodes, first column, end column) of each search block. nodes are
+    sorted by size, descending, and a block pads them to the size of its
+    first. It holds at most _BLOCK elements, and once it holds _MIN_BLOCK,
+    no node of half that size or less. A node too big for one block is
+    searched in blocks of columns."""
+    s = size[nodes].tolist()
+    i = 0
+    while i < len(s):
+        width = s[i]
+        if width * p > _BLOCK:
+            step = max(1, _BLOCK // width)
+            for c in range(0, p, step):
+                yield nodes[i:i + 1], c, min(p, c + step)
+            i += 1
+            continue
+        j = i + 1
+        while (j < len(s) and (j - i + 1) * width * p <= _BLOCK
+               and (2 * s[j] > width or (j - i) * width * p < _MIN_BLOCK)):
+            j += 1
+        yield nodes[i:j], 0, p
+        i = j
+
+
+def _search(order, xs, start, size, which, crit, lo, feature, threshold):
+    """Write the best split of each node in which to feature and threshold;
+    a node without one keeps feature -1."""
+    best = np.full(len(size), -np.inf)
+    pad = order.shape[1] - 1
+    if len(which) > 1:
+        which = which[(-size[which]).argsort(kind="stable")]
+    for nodes, c0, c1 in _blocks(which, size, len(order) - 1):
+        n = size[nodes]
+        b, pc, width = len(nodes), c1 - c0, int(n[0])
+        span = np.arange(width)
+        at = start[nodes][:, None] + span
+        at[span >= n[:, None]] = pad
+        # (nodes, rows, columns) of rows and of their values; NumPy lays
+        # these gathers out in that order already
+        rows = np.ascontiguousarray(order[c0:c1][:, at].transpose(1, 2, 0))
+        v = np.ascontiguousarray(xs[c0:c1][:, at].transpose(1, 2, 0))
+        pos = span[1:]
+        sizes_ok = (pos >= lo) & (pos <= n[:, None] - lo)
+        cand = ((v[:, :-1] < v[:, 1:]) & sizes_ok[:, :, None]).ravel().nonzero()[0]
+        if not cand.size:
+            continue
+        # candidates run by node, then threshold, then column
+        node = cand // ((width - 1) * pc)
+        k = cand // pc - node * (width - 1)
+        gain = crit.gain(rows, nodes, node, cand + node * pc, k + 1)
+        # the first best gain of each (node, column), then of each node, so
+        # that ties go to the lower feature, then the lower threshold
+        dense = np.full((b, width - 1, pc), -np.inf)
+        dense.ravel()[cand] = gain
+        top = dense.max(axis=1)
+        top[np.isnan(top)] = -np.inf  # a NaN gain rules its column out
+        j = top.argmax(axis=1)
+        better = (top[np.arange(b), j] > best[nodes]).nonzero()[0]
+        if not better.size:
+            continue
+        j = j[better]
+        k = dense[better, :, j].argmax(axis=1)
+        won = nodes[better]
+        best[won] = top[better, j]
+        feature[won] = c0 + j
+        threshold[won] = (v[better, k, j] + v[better, k + 1, j]) / 2
+    feature[~(best > 1e-12)] = -1
+
+
+def _partition(stack, order, xs, size, feature, threshold):
+    """order, xs, starts and sizes of the children of the split nodes: the
+    left children in the order of their parents, then the right ones. An
+    order of the ascending rows alone partitions that alone."""
+    split = feature >= 0
+    at = split.repeat(size)  # the positions of the split nodes' rows
+    rows = order[-1, :-1][at]
+    right = (stack.Xt[feature.repeat(size)[at] * (stack.rows + 1) + rows]
+             > threshold.repeat(size)[at])
+    side = np.zeros(stack.rows + 1, dtype=np.int8)  # 0: a leaf's or padding
+    side[rows] = 1 + right
+    # each column holds the same rows, so each side keeps as many of them
+    # per column, in their order
+    code = side[order].ravel()
+    q, width = order.shape
+    at = np.concatenate([(code == 1).nonzero()[0].reshape(q, -1),
+                         (code == 2).nonzero()[0].reshape(q, -1),
+                         np.arange(width - 1, q * width, width)[:, None]],
+                        axis=1)
+    order = order.ravel()[at]
+    if len(xs):  # xs's rows are the first of order's
+        xs = xs.ravel()[at[:len(xs)]]
+    lens = size[split]
+    n_right = np.add.reduceat(right.astype(np.int64), lens.cumsum() - lens)
+    size = np.concatenate([lens - n_right, n_right])
+    return order, xs, size.cumsum() - size, size
+
+
+class _Variance:
+    """Squared error: the gain is s_L^2/n_L + s_R^2/n_R - S^2/n, with s and
+    S sums of the targets y of the stacked rows."""
+
+    def __init__(self, y):
+        self.y = np.append(y, 0.0)
+
+    def level(self, asc, start, size):
+        self.asc, self.start, self.size = asc, start, size
+        ys = self.y[asc[:-1]]
+        self.same = (np.minimum.reduceat(ys, start)
+                     == np.maximum.reduceat(ys, start))
+
+    def pure(self):
+        return self.same
+
+    def gain(self, rows, nodes, node, flat, pos):
+        ys = self.y[rows]
+        b, width, pc = ys.shape
+        n = self.size[nodes]
+        # each (node, column) total is summed over the node's rows in that
+        # column's order, as the one-node search took it
+        total = _row_sums(ys.transpose(0, 2, 1).reshape(-1, width),
+                          np.repeat(n, pc))
         # S^2 squares Python floats (libm pow), whose last bit can differ
         # from NumPy's x*x; the trees depend on it
-        const = np.array([sum(t ** 2 for t in row) for row in total.tolist()])
-        return (np.sum(cum ** 2, axis=2) / pos
-                + np.sum((total[:, None] - cum) ** 2, axis=2) / (n - pos)
-                - const[:, None] / n)
+        const = np.array([t ** 2 for t in total.tolist()])
+        cum = np.add.accumulate(ys, axis=1).ravel()[flat]
+        at = node * pc + flat % pc
+        m = n[node]
+        return (cum ** 2 / pos + (total[at] - cum) ** 2 / (m - pos)
+                - const[at] / m)
 
-    return score
+    def leaves(self, which):
+        size = self.size[which]
+        means = node_sums([self.y], self.asc, self.start[which], size)[0] / size
+        return [{"leaf": True, "value": v, "n": n}
+                for v, n in zip(means.tolist(), size.tolist())]
 
 
-def _leaf(y, n_classes):
-    if n_classes is None:
-        return {"leaf": True, "value": float(np.mean(y)), "n": len(y)}
-    counts = np.bincount(y.astype(np.int64), minlength=n_classes)
-    probs = counts / counts.sum()
-    return {"leaf": True, "value": int(np.argmax(counts)),
-            "probs": probs.tolist(), "n": len(y)}
+class _Gini:
+    """Gini impurity decrease: the sum over the classes of the squared
+    class counts, left over n_L plus right over n_R, minus the node's over
+    n. The counts are integers, so every sum is exact."""
+
+    def __init__(self, y, n_classes):
+        self.y = y
+        # class counts are exact in any type; small ones keep blocks small
+        self.onehot = np.vstack([np.eye(n_classes, dtype=np.uint8)[y],
+                                 np.zeros(n_classes, dtype=np.uint8)])
+
+    def level(self, asc, start, size):
+        c = self.onehot.shape[1]
+        seg = np.arange(len(size)).repeat(size)
+        self.counts = np.bincount(seg * c + self.y[asc[:-1]],
+                                  minlength=len(size) * c).reshape(-1, c)
+        self.size = size
+
+    def pure(self):
+        return self.counts.max(axis=1) == self.size
+
+    def gain(self, rows, nodes, node, flat, pos):
+        c = self.onehot.shape[1]
+        cum = np.add.accumulate(self.onehot[rows], axis=1, dtype=np.int32)
+        cum = cum.reshape(-1, c)[flat].astype(np.float64)
+        at = nodes[node]
+        total = self.counts[at]
+        m = self.size[at]
+        return (np.add.reduce(cum ** 2, axis=1) / pos
+                + np.add.reduce((total - cum) ** 2, axis=1) / (m - pos)
+                - np.add.reduce(total ** 2, axis=1) / m)
+
+    def leaves(self, which):
+        counts = self.counts[which]
+        probs = counts / counts.sum(axis=1, keepdims=True)
+        return [{"leaf": True, "value": v, "probs": pr, "n": n}
+                for v, pr, n in zip(np.argmax(counts, axis=1).tolist(),
+                                    probs.tolist(), self.size[which].tolist())]
+
+
+def cart_criterion(y, n_classes):
+    """The criterion of CART trees on targets y: squared error when
+    n_classes is None, else gini over n_classes classes."""
+    return _Variance(y) if n_classes is None else _Gini(y, n_classes)
 
 
 class FlatTree:
@@ -172,24 +417,25 @@ class CARTModel(Model):
         return {"root": self.root, "n_classes": self.n_classes}
 
 
-def fit_cart(X, y, max_depth: int = 10, min_leaf: int = 1,
-             task: str = "regression", n_classes: int | None = None) -> CARTModel:
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    require_finite(X, y)
+def cart_targets(y, task, n_classes=None):
+    """(targets, n_classes) of a CART fit: integer classes and their count
+    for classification, float targets and None for regression."""
     if task == "classification":
         y = np.asarray(y, dtype=np.int64)
         if n_classes is None:
             n_classes = int(y.max()) + 1
-        Y = np.eye(n_classes)[y]
-    else:
-        y = np.asarray(y, dtype=np.float64)
-        n_classes = None
-        Y = y[:, None]
+        return y, n_classes
+    return np.asarray(y, dtype=np.float64), None
+
+
+def fit_cart(X, y, max_depth: int = 10, min_leaf: int = 1,
+             task: str = "regression", n_classes: int | None = None) -> CARTModel:
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    require_finite(X, y)
+    y, n_classes = cart_targets(y, task, n_classes)
     if len(y) < min_leaf:
         raise ModelError("fewer rows than min_leaf")
-    root = grow_tree(X, presort(X), _impurity_decrease(Y),
-                     lambda idx: _leaf(y[idx], n_classes),
-                     max_depth, min_leaf,
-                     pure=lambda idx: len(np.unique(y[idx])) == 1)
+    root, = grow(Stack(X, presort(X), [len(y)]), cart_criterion(y, n_classes),
+                 max_depth, min_leaf)
     return CARTModel(root, n_classes,
                      hyperparams={"max_depth": max_depth, "min_leaf": min_leaf})

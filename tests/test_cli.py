@@ -118,6 +118,26 @@ class TestLoadConfig:
         assert run("featurize", path) == 1
         assert run("evaluate", path) == 1
 
+    @pytest.mark.parametrize("hp, message", [
+        # evaluate logged every gbt cell as a cell failure and exited 0
+        ({"gbt": {"n_rounds": 0}}, r"hyperparameters\.gbt\.n_rounds: must be >= 1, got 0"),
+        ({"gbt": {"n_rounds": -3}}, r"hyperparameters\.gbt\.n_rounds: must be >= 1"),
+        ({"forest": {"n_trees": 0}}, r"hyperparameters\.forest\.n_trees: must be >= 1, got 0"),
+        ({"gbt": {"lam": -0.5}}, r"hyperparameters\.gbt\.lam: must be >= 0, got -0\.5"),
+    ])
+    def test_hyperparameter_below_its_lower_bound(self, tmp_path, hp, message):
+        path, _ = write_config(tmp_path, hyperparameters=hp)
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
+        assert run("evaluate", path) == 1
+
+    def test_hyperparameters_at_their_lower_bounds_load(self, tmp_path):
+        path, _ = write_config(tmp_path, hyperparameters={
+            "gbt": {"n_rounds": 1, "lam": 0}, "forest": {"n_trees": 1}})
+        hp = load_config(path)["hyperparameters"]
+        assert (hp["gbt"]["n_rounds"], hp["gbt"]["lam"],
+                hp["forest"]["n_trees"]) == (1, 0, 1)
+
     @pytest.mark.parametrize("stage, section, message", [
         # select kept 3 features and exited 0
         ("select", {"select": {"m": 2.5}}, r"select\.m: must be an integer"),

@@ -1,13 +1,20 @@
 import importlib
+import warnings
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dataprice.models import (ModelError, fit_cart, fit_forest, fit_gbt,
-                              fit_linear, fit_logistic, fit_mlp, fit_svm,
-                              fit_svr, kernel_matrix)
+from dataprice.evaluate import fit_family, merge_config
+from dataprice.models import (ConstantScoreModel, ModelError, fit_cart,
+                              fit_forest, fit_gbt, fit_linear, fit_logistic,
+                              fit_mlp, fit_svm, fit_svr, kernel_matrix,
+                              one_vs_rest)
 from dataprice.models import svm
 from dataprice.models.gbt import _leaf_weight
+from dataprice.models.tree import _row_sums
 
 
 # reference oracles: plain definitions the fitted models are checked against
@@ -622,6 +629,106 @@ class TestPresortedSplitFinder:
             assert tree.root == ref
             assert _same_bits(tree.predict(Xt[:, feats]).astype(np.float64),
                               _ref_values(ref, Xt[:, feats]).astype(np.float64))
+
+
+class TestLevelwiseGrower:
+    """The grower at the grid's own sizes and on generated matrices, against
+    the one-node-at-a-time references above."""
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_grid_sized_forest_matches_reference(self, task):
+        # a grid fold: 120 rows x 51 columns of small counts, so that most
+        # columns tie; the forest of the grid's defaults
+        rng = np.random.default_rng(21)
+        X = rng.poisson(0.6, size=(120, 51)).astype(float)
+        X[:, 7] = 2.0
+        y = X[:, 0] - X[:, 3] + rng.normal(size=120) * 10.0 ** rng.integers(
+            -3, 3, size=120)
+        target = y if task == "regression" else rng.integers(0, 5, size=120)
+        drawn = []
+
+        def sampler(rng, n, m):
+            drawn.append(rng.integers(0, n, size=m))
+            return drawn[-1]
+
+        m = fit_forest(X, target, n_trees=25, k_features=7, max_depth=10,
+                       min_leaf=2, task=task, seed=3, row_sampler=sampler)
+        n_classes = None if task == "regression" else 5
+        assert all(len(np.unique(rows)) < len(rows) for rows in drawn)
+        for tree, rows, feats in zip(m.trees, drawn, m.feature_subsets):
+            ref = _ref_cart_grow(X[np.ix_(rows, feats)], target[rows], 0, 10,
+                                 2, n_classes)
+            assert tree.root == ref
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+           st.integers(min_value=2, max_value=40),
+           st.integers(min_value=1, max_value=5),
+           st.integers(min_value=1, max_value=4))
+    def test_generated_matrices_match_reference(self, seed, n, p, min_leaf):
+        rng = np.random.default_rng(seed)
+        min_leaf = min(min_leaf, n)  # fewer rows than min_leaf is an error
+        X = rng.integers(0, 3, size=(n, p)) * 0.5  # tied values
+        X[:, rng.integers(0, p)] = 1.5  # a constant column
+        y = rng.normal(size=n) * 10.0 ** rng.integers(-2, 3, size=n)
+        labels = rng.integers(0, 3, size=n)
+        m = fit_cart(X, y, max_depth=4, min_leaf=min_leaf)
+        assert m.root == _ref_cart_grow(X, y, 0, 4, min_leaf, None)
+        m = fit_cart(X, labels, max_depth=4, min_leaf=min_leaf,
+                     task="classification", n_classes=3)
+        assert m.root == _ref_cart_grow(X, labels, 0, 4, min_leaf, 3)
+        m = fit_gbt(X, y, n_rounds=3, max_depth=3, min_leaf=min_leaf)
+        assert m.trees == _ref_gbt_trees(X, y, 3, 0.3, 1.0, 0.0, 3, min_leaf,
+                                         "squared", m.base_score)
+        binary = (labels == 1).astype(float)
+        m = fit_gbt(X, binary, n_rounds=3, max_depth=3, min_leaf=min_leaf,
+                    loss="logistic")
+        assert m.trees == _ref_gbt_trees(X, binary, 3, 0.3, 1.0, 0.0, 3,
+                                         min_leaf, "logistic", m.base_score)
+
+    def test_row_sums_equal_numpy_sums(self):
+        # lengths across the eight-wide blocks and past NumPy's pairwise
+        # block of 128, values over many orders of magnitude
+        rng = np.random.default_rng(5)
+        n = np.concatenate([np.arange(1, 300), rng.integers(1, 300, size=40)])
+        a = rng.normal(size=(len(n), 300)) * 10.0 ** rng.integers(
+            -8, 9, size=(len(n), 300))
+        a[np.arange(300) >= n[:, None]] = 0.0
+        want = np.array([np.sum(row[:k]) for row, k in zip(a, n)])
+        assert _same_bits(_row_sums(a, n), want)
+        few = n[:3]  # few lengths are summed as stacks of one length
+        assert _same_bits(_row_sums(a[:3], few), want[:3])
+
+
+class TestJointBoosting:
+    PARAMS = {"n_rounds": 8, "learning_rate": 0.3, "lam": 1.0,
+              "max_depth": 3, "min_leaf": 2}
+
+    @pytest.mark.parametrize("absent", [None, 3])
+    def test_joint_fit_equals_separate_fits(self, absent):
+        rng = np.random.default_rng(8)
+        X = rng.poisson(0.8, size=(90, 12)).astype(float)
+        y = rng.integers(0, 5, size=90)
+        if absent is not None:
+            y[y == absent] = 0
+        Xt = rng.poisson(0.8, size=(30, 12)).astype(float)
+        cfg = merge_config({"gbt": self.PARAMS})
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            joint = fit_family("gbt", X, y, "classification", 5, cfg, 0)
+            separate = one_vs_rest(
+                partial(fit_gbt, loss="logistic", **self.PARAMS), X, y,
+                n_classes=5)
+        assert joint.params_dict() == separate.params_dict()
+        assert _same_bits(joint.predict_scores(Xt),
+                          separate.predict_scores(Xt))
+        messages = [str(w.message) for w in seen]
+        if absent is None:
+            assert not messages
+        else:
+            assert isinstance(joint.members[absent], ConstantScoreModel)
+            absent_warning = "class %d absent from training data" % absent
+            assert sum(absent_warning in msg for msg in messages) == 2
 
 
 # ------------------------------------------------------------ SVR prox ----
