@@ -122,11 +122,21 @@ def load_config(path) -> dict:
     return cfg
 
 
-# the least value of a hyperparameter, where a smaller one would make every
-# fit of its family raise ModelError: a grid of cell failures that exits 0
+# the least value of a key, where a smaller one would make every fit of a
+# family raise ModelError (a grid of cell failures that exits 0), or would
+# make explain write attributions of the wrong rows, all on one column or NaN
 _LOWER_BOUNDS = {"hyperparameters.gbt.n_rounds": 1,
                  "hyperparameters.forest.n_trees": 1,
-                 "hyperparameters.gbt.lam": 0}
+                 "hyperparameters.gbt.lam": 0,
+                 "explain.rows": 1,
+                 "explain.background_rows": 1,
+                 "explain.n_samples": 2}
+
+
+def _bound_errors(where: str, value) -> list[str]:
+    if where in _LOWER_BOUNDS and value < _LOWER_BOUNDS[where]:
+        return ["%s: must be >= %s, got %r" % (where, _LOWER_BOUNDS[where], value)]
+    return []
 
 
 def _hyperparameter_errors(hp, defaults=DEFAULT_CONFIG, at="hyperparameters") -> list[str]:
@@ -147,16 +157,16 @@ def _hyperparameter_errors(hp, defaults=DEFAULT_CONFIG, at="hyperparameters") ->
         elif not _has_type_of(value, defaults[key]):
             errors.append("%s: must be %s, got %r"
                           % (where, _TYPE_NAMES[type(defaults[key])], value))
-        elif where in _LOWER_BOUNDS and value < _LOWER_BOUNDS[where]:
-            errors.append("%s: must be >= %s, got %r"
-                          % (where, _LOWER_BOUNDS[where], value))
+        else:
+            errors += _bound_errors(where, value)
     return errors
 
 
 def _section_errors(values: dict, defaults: dict, at: str) -> list[str]:
     """Every value of a run-config section must have its default's type. A
     None default takes None or a string, except data.synthetic, which takes
-    None or an integer."""
+    None or an integer. Values below their _LOWER_BOUNDS entry are rejected
+    too."""
     errors = []
     for key, default in defaults.items():
         value, nullable = values[key], default is None
@@ -168,6 +178,8 @@ def _section_errors(values: dict, defaults: dict, at: str) -> list[str]:
             errors.append("%s.%s: must be %s%s, got %r"
                           % (at, key, "null or " if nullable else "",
                              _TYPE_NAMES[type(default)], value))
+        else:
+            errors += _bound_errors("%s.%s" % (at, key), value)
     return errors
 
 

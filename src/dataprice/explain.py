@@ -5,21 +5,27 @@ path-dependent attributions computed from the node cover counts recorded at
 fit time, all by one method that reads each model as a weighted sum of
 trees. Every other model, a standardized tree model included (its trees
 split on scaled columns), gets a sampling kernel-weighted least-squares
-approximation against a background dataset. Both satisfy local accuracy:
-the attributions plus the expected value sum to the model output for the
-explained row.
+approximation against a background dataset. For an SVR, or the SVM
+member of a one-vs-rest ensemble, that method scores its coalitions from
+each background row's kernel terms, updated by the columns where the row
+differs from the explained one, instead of predicting the imputed rows.
+Both methods satisfy local accuracy: the attributions plus the expected
+value sum to the model output for the explained row.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import partial
 from math import comb
 
 import numpy as np
 
 from .evaluate import mix_seed
-from .models import CARTModel, ForestModel, GBTModel, OvREnsemble
+from .models import (CARTModel, ForestModel, GBTModel, OvREnsemble,
+                     StandardizedModel, SVMModel, SVRModel)
+from .models.svm import rbf_in_place, sq_distances
 from .textrep.word2vec import EmbeddingTable
 
 
@@ -166,19 +172,23 @@ def shapley_kernel_weight(n_features: int, subset_size: int) -> float:
 
 
 def kernel_shap(predict_fn, x, background, n_samples: int = 2048,
-                seed: int = 0):
+                seed: int = 0, *, coalition_values=None):
     """Sampling approximation of per-feature attributions for an arbitrary
     scalar-output model.
 
     Coalitions are scored by evaluating the model with absent features
-    replaced by each background row in turn and averaging. Attributions
-    solve the kernel-weighted least squares with the local-accuracy
-    constraint enforced exactly. Returns (phi, expected_value)."""
+    replaced by each background row in turn and averaging, or by
+    coalition_values(x, background, Z) when given, which must return the
+    same averages for the 0/1 coalition matrix Z. Attributions solve the
+    kernel-weighted least squares with the local-accuracy constraint
+    enforced exactly. Returns (phi, expected_value)."""
     x = np.asarray(x, dtype=np.float64).ravel()
     background = np.atleast_2d(np.asarray(background, dtype=np.float64))
     M = len(x)
     if background.shape[1] != M:
         raise ExplainError("background column count mismatch")
+    if len(background) == 0:
+        raise ExplainError("the background dataset has no rows")
     f0 = float(np.mean(predict_fn(background)))
     fx = float(np.asarray(predict_fn(x.reshape(1, -1)))[0])
     if M == 1:
@@ -196,6 +206,9 @@ def kernel_shap(predict_fn, x, background, n_samples: int = 2048,
         Z = np.array(subsets)
         w = np.array(weights)
     else:
+        if n_samples < 2:
+            raise ExplainError("n_samples must be >= 2 to sample coalitions, "
+                               "got %d" % n_samples)
         sizes = np.arange(1, M)
         size_p = np.array([(M - 1) / (s * (M - s)) for s in sizes])
         size_p /= size_p.sum()
@@ -210,11 +223,13 @@ def kernel_shap(predict_fn, x, background, n_samples: int = 2048,
 
     # model value of each coalition: present features from x, absent ones
     # imputed from every background row, averaged
-    nb = background.shape[0]
-    fz = np.empty(len(Z))
-    for i, z in enumerate(Z):
-        rows = np.where(z[None, :] > 0, x[None, :], background)
-        fz[i] = float(np.mean(predict_fn(rows)))
+    if coalition_values is not None:
+        fz = coalition_values(x, background, Z)
+    else:
+        fz = np.empty(len(Z))
+        for i, z in enumerate(Z):
+            rows = np.where(z[None, :] > 0, x[None, :], background)
+            fz[i] = float(np.mean(predict_fn(rows)))
 
     # eliminate the last attribution with the constraint sum(phi) = fx - f0
     y = fz - f0 - Z[:, -1] * (fx - f0)
@@ -227,6 +242,47 @@ def kernel_shap(predict_fn, x, background, n_samples: int = 2048,
     return phi, f0
 
 
+def _kernel_machine(model, class_index):
+    """(standardizer or None, SVM or SVR) when the explained output is a
+    kernel machine's decision value: an SVR's prediction, or the score of
+    the one-vs-rest member for the class. None for every other model."""
+    if isinstance(model, OvREnsemble):
+        model = model.members[class_index]
+    std = None
+    if isinstance(model, StandardizedModel):
+        std, model = model.standardizer, model.inner
+    return (std, model) if isinstance(model, (SVMModel, SVRModel)) else None
+
+
+def _kernel_machine_values(std, svm, x, background, Z):
+    """kernel_shap's coalition values for a kernel machine, computed without
+    the imputed rows. Such a row differs from its background row b only in
+    the columns J where x and b differ, so its squared distance to a
+    support vector s is |b - s|^2 + Z[:, J] @ ((x - b)(x + b - 2s))_J, and
+    its dot product with s is b.s + Z[:, J] @ ((x - b) s)_J. One background
+    row at a time keeps each temporary at coalitions x support vectors."""
+    if std is not None:  # elementwise, so it commutes with the imputation
+        x, background = std.transform(x), std.transform(background)
+    rbf = svm.kernel == "rbf"
+    S_cols = np.ascontiguousarray(svm.support_vectors.T)
+    base = (sq_distances(background, svm.support_vectors, svm.sv_sq) if rbf
+            else background @ S_cols)
+    total = np.zeros(len(Z))
+    for b, base_b in zip(background, base):
+        J = np.flatnonzero(x != b)
+        update = S_cols[J]
+        if rbf:
+            update *= -2.0
+            update += (x + b)[J, None]
+        update *= (x - b)[J, None]
+        K = Z[:, J] @ update
+        K += base_b
+        if rbf:
+            rbf_in_place(K, svm.gamma)
+        total += K @ svm.coef
+    return total / len(background) + svm.b
+
+
 # ---------------------------------------------------------- dispatching ----
 
 def shap_values(model, X, background=None, n_samples: int = 2048,
@@ -235,6 +291,9 @@ def shap_values(model, X, background=None, n_samples: int = 2048,
     value. CART, forest and GBT models, and one-vs-rest ensembles of them,
     use the exact tree method; everything else, standardized models
     included, uses the kernel method and requires a background dataset.
+    The kernel method scores an SVR's or a one-vs-rest SVM member's
+    coalitions by _kernel_machine_values, and any other model's by
+    predicting the imputed rows.
 
     For classifiers, class_index picks the score column to explain; it
     defaults to each row's predicted class for the tree method and must be
@@ -280,7 +339,11 @@ def shap_values(model, X, background=None, n_samples: int = 2048,
         fn = lambda rows: np.asarray(model.predict_scores(rows))[:, class_index]
     else:
         fn = lambda rows: np.asarray(model.predict(rows), dtype=np.float64)
-    rows = [kernel_shap(fn, X[i], background, n_samples, mix_seed(seed, i))
+    machine = _kernel_machine(model, class_index)
+    values = (None if machine is None
+              else partial(_kernel_machine_values, *machine))
+    rows = [kernel_shap(fn, X[i], background, n_samples, mix_seed(seed, i),
+                        coalition_values=values)
             for i in range(n)]
     return np.stack([r[0] for r in rows]), np.array([r[1] for r in rows])
 

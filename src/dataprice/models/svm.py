@@ -8,15 +8,32 @@ import numpy as np
 from .base import Model, ModelError, register, require_finite
 
 
-def kernel_matrix(A, B, kernel: str, gamma: float = 1.0) -> np.ndarray:
+def sq_distances(A, B, B_sq=None) -> np.ndarray:
+    """Squared Euclidean distance from every row of A to every row of B, as
+    |a|^2 + |b|^2 - 2 a.b; B_sq holds the squared row norms of B when the
+    caller keeps them. Rounding can leave it slightly below 0."""
+    if B_sq is None:
+        B_sq = np.sum(B ** 2, axis=1)
+    D = A @ B.T
+    D *= -2.0
+    D += np.sum(A ** 2, axis=1)[:, None] + B_sq[None, :]
+    return D
+
+
+def rbf_in_place(D, gamma: float) -> np.ndarray:
+    """The rbf kernel of squared distances D, computed in place."""
+    np.maximum(D, 0.0, out=D)
+    D *= -gamma
+    return np.exp(D, out=D)
+
+
+def kernel_matrix(A, B, kernel: str, gamma: float = 1.0, B_sq=None) -> np.ndarray:
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
     B = np.atleast_2d(np.asarray(B, dtype=np.float64))
     if kernel == "linear":
         return A @ B.T
     if kernel == "rbf":
-        sq = (np.sum(A ** 2, axis=1)[:, None] + np.sum(B ** 2, axis=1)[None, :]
-              - 2.0 * (A @ B.T))
-        return np.exp(-gamma * np.maximum(sq, 0.0))
+        return rbf_in_place(sq_distances(A, B, B_sq), gamma)
     raise ModelError("unknown kernel %r (supported: linear, rbf)" % kernel)
 
 
@@ -28,10 +45,12 @@ class _KernelModel(Model):
         self.b = float(b)
         self.kernel = kernel
         self.gamma = float(gamma)
+        self.sv_sq = np.sum(self.support_vectors ** 2, axis=1)
 
     def decision_function(self, X):
         X = self._check_input(X)
-        K = kernel_matrix(X, self.support_vectors, self.kernel, self.gamma)
+        K = kernel_matrix(X, self.support_vectors, self.kernel, self.gamma,
+                          self.sv_sq)
         return K @ self.coef + self.b
 
     def params_dict(self):

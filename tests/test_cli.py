@@ -131,6 +131,30 @@ class TestLoadConfig:
             load_config(path)
         assert run("evaluate", path) == 1
 
+    @pytest.mark.parametrize("explain, message", [
+        # explained every row but the last and exited 0
+        ({"rows": -1}, r"explain\.rows: must be >= 1, got -1"),
+        ({"rows": 0}, r"explain\.rows: must be >= 1, got 0"),
+        # wrote NaN importances and exited 0
+        ({"background_rows": 0}, r"explain\.background_rows: must be >= 1, got 0"),
+        ({"background_rows": -2}, r"explain\.background_rows: must be >= 1"),
+        # put all the attribution on the last column and exited 0
+        ({"n_samples": 0}, r"explain\.n_samples: must be >= 2, got 0"),
+        ({"n_samples": 1}, r"explain\.n_samples: must be >= 2, got 1"),
+        ({"n_samples": -8}, r"explain\.n_samples: must be >= 2"),
+    ])
+    def test_explain_value_below_its_lower_bound(self, tmp_path, explain, message):
+        path, _ = write_config(tmp_path, explain=explain)
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
+        assert run("explain", path) == 1
+
+    def test_explain_values_at_their_lower_bounds_load(self, tmp_path):
+        path, _ = write_config(tmp_path, explain={
+            "rows": 1, "background_rows": 1, "n_samples": 2})
+        e = load_config(path)["explain"]
+        assert (e["rows"], e["background_rows"], e["n_samples"]) == (1, 1, 2)
+
     def test_hyperparameters_at_their_lower_bounds_load(self, tmp_path):
         path, _ = write_config(tmp_path, hyperparameters={
             "gbt": {"n_rounds": 1, "lam": 0}, "forest": {"n_trees": 1}})

@@ -5,12 +5,16 @@ from functools import partial
 import numpy as np
 import pytest
 
-from dataprice.explain import (ExplainError, beeswarm_csv, embedding_keywords,
-                               global_importance, kernel_shap, shap_values,
-                               shapley_kernel_weight, tree_expected, tree_shap)
+from dataprice.explain import (ExplainError, _kernel_machine,
+                               _kernel_machine_values, beeswarm_csv,
+                               embedding_keywords, global_importance,
+                               kernel_shap, shap_values, shapley_kernel_weight,
+                               tree_expected, tree_shap)
+from dataprice.evaluate import mix_seed
 from dataprice.models import (CARTModel, ForestModel, GBTModel, OvREnsemble,
                               fit_cart, fit_forest, fit_gbt, fit_linear,
-                              fit_mlp, fit_standardized, one_vs_rest)
+                              fit_mlp, fit_standardized, fit_svm, fit_svr,
+                              one_vs_rest)
 from dataprice.textrep.word2vec import EmbeddingTable
 
 
@@ -311,6 +315,110 @@ class TestKernelShap:
         a, _ = kernel_shap(fn, x, bg, n_samples=400, seed=9)
         b, _ = kernel_shap(fn, x, bg, n_samples=400, seed=9)
         assert np.array_equal(a, b)
+
+    def test_background_without_rows(self):
+        # the coalition values were means of nothing: NaN attributions
+        with pytest.raises(ExplainError, match="no rows"):
+            kernel_shap(lambda r: np.zeros(len(np.atleast_2d(r))),
+                        np.zeros(3), np.zeros((0, 3)))
+
+    @pytest.mark.parametrize("n_samples", [-4, 0, 1])
+    def test_too_few_samples_to_sample(self, n_samples):
+        # with no coalitions all attribution went to the last column
+        fn = lambda rows: np.atleast_2d(rows) @ np.arange(12.0)
+        with pytest.raises(ExplainError, match="n_samples must be >= 2"):
+            kernel_shap(fn, np.ones(12), np.zeros((4, 12)), n_samples=n_samples)
+
+
+# -------------------------------------------- kernel machine coalitions -----
+# shap_values scores an SVM's or SVR's coalitions from per-background-row
+# distance updates; kernel_shap's predict loop over the imputed rows is the
+# reference.
+
+def _kernel_machines(p, kernel):
+    """A standardized SVR and a one-vs-rest ensemble of standardized SVMs on
+    p columns. Column 1 holds one value in every row; the background's
+    first row is the first explained row."""
+    rng = np.random.default_rng(p)
+    X = rng.normal(size=(80, p)) * 3.0 + 1.0
+    X[:, 1] = 2.5
+    X[:, 2] = np.round(X[:, 2])  # ties between x and background rows
+    y = X[:, 0] + np.sin(X[:, 3]) + 0.5 * X[:, 2]
+    yc = np.digitize(y, np.quantile(y, [1 / 3, 2 / 3]))
+    svr = fit_standardized(fit_svr, X, y, kernel=kernel, gamma=0.2)
+    svm = one_vs_rest(partial(fit_standardized, fit_svm, kernel=kernel,
+                              gamma=0.2), X, yc, labels="pm1")
+    return X, X[[0] + list(range(40, 52))], svr, svm
+
+
+def _predict_loop(model, X, background, n_samples, seed, class_index=None):
+    if class_index is None:
+        fn = lambda rows: np.asarray(model.predict(rows), dtype=np.float64)
+    else:
+        fn = lambda rows: model.predict_scores(rows)[:, class_index]
+    rows = [kernel_shap(fn, X[i], background, n_samples, mix_seed(seed, i))
+            for i in range(len(X))]
+    return np.stack([r[0] for r in rows]), np.array([r[1] for r in rows])
+
+
+class TestKernelMachineValues:
+    @pytest.mark.parametrize("kernel", ["rbf", "linear"])
+    @pytest.mark.parametrize("p, n_samples", [(6, 512), (12, 96)])
+    def test_matches_predict_loop(self, kernel, p, n_samples):
+        # p = 6 enumerates all 62 coalitions; p = 12 samples 96 of 4094
+        X, background, svr, svm = _kernel_machines(p, kernel)
+        for model, class_index in ((svr, None), (svm, 0), (svm, 2)):
+            phi, expected = shap_values(model, X[:3], background,
+                                        n_samples=n_samples, seed=4,
+                                        class_index=class_index)
+            ref_phi, ref_expected = _predict_loop(model, X[:3], background,
+                                                  n_samples, 4, class_index)
+            assert np.max(np.abs(phi - ref_phi)) < 1e-9
+            assert np.max(np.abs(expected - ref_expected)) < 1e-9
+            if n_samples >= 2 ** p - 2:  # exact: x equals every background
+                assert np.max(np.abs(phi[:, 1])) < 1e-9  # row in column 1
+
+    @pytest.mark.parametrize("kernel", ["rbf", "linear"])
+    def test_coalition_values_are_mean_predictions_of_imputed_rows(self, kernel):
+        # phi cannot see an offset shared by every coalition value (the
+        # Shapley weights of the empty and the full-but-one coalitions
+        # cancel it), so the values themselves are checked
+        X, background, svr, svm = _kernel_machines(6, kernel)
+        Z = (np.random.default_rng(0).random((40, 6)) < 0.5).astype(float)
+        for model, fn in ((svr, svr.predict),
+                          (svm, lambda rows: svm.predict_scores(rows)[:, 1])):
+            values = _kernel_machine_values(*_kernel_machine(model, 1), X[0],
+                                            background, Z)
+            ref = [np.mean(fn(np.where(z > 0, X[0], background))) for z in Z]
+            assert np.max(np.abs(values - ref)) < 1e-9
+
+    @pytest.mark.parametrize("method, class_index",
+                             [("predict", None), ("predict_scores", 1)])
+    def test_a_row_evaluates_only_the_background_and_the_row(self, method,
+                                                             class_index):
+        # f0 and f(x); the predict loop made one more call per coalition
+        X, background, svr, svm = _kernel_machines(6, "rbf")
+        model = svr if class_index is None else svm
+        calls, evaluate = [], getattr(model, method)
+        setattr(model, method,
+                lambda rows: calls.append(len(rows)) or evaluate(rows))
+        shap_values(model, X[:1], background, n_samples=64,
+                    class_index=class_index)
+        assert calls == [len(background), 1]
+
+    @pytest.mark.parametrize("family", ["linear", "mlp"])
+    def test_other_models_keep_the_predict_loop(self, family):
+        X, background, _, _ = _kernel_machines(12, "rbf")
+        y = X[:, 0] - X[:, 3]
+        if family == "linear":
+            model = fit_standardized(fit_linear, X, y)
+        else:
+            model = fit_mlp(X, y, hidden=(4,), epochs=20, seed=0)
+        phi, expected = shap_values(model, X[:2], background, n_samples=64,
+                                    seed=5)
+        ref_phi, ref_expected = _predict_loop(model, X[:2], background, 64, 5)
+        assert phi.tobytes() == ref_phi.tobytes()
+        assert expected.tobytes() == ref_expected.tobytes()
 
 
 # ------------------------------------------------------------ dispatch -------
