@@ -3,14 +3,18 @@
 CART, forest and GBT models, and one-vs-rest ensembles of them, get exact
 path-dependent attributions computed from the node cover counts recorded at
 fit time, all by one method that reads each model as a weighted sum of
-trees. Every other model, a standardized tree model included (its trees
-split on scaled columns), gets a sampling kernel-weighted least-squares
-approximation against a background dataset. For an SVR, or the SVM
-member of a one-vs-rest ensemble, that method scores its coalitions from
-each background row's kernel terms, updated by the columns where the row
-differs from the explained one, instead of predicting the imputed rows.
-Both methods satisfy local accuracy: the attributions plus the expected
-value sum to the model output for the explained row.
+trees. The method splits the trees into their root-to-leaf paths once per
+model, on its first explain, and keeps them on the model; a row then runs
+TreeSHAP's sums over all paths of the model in array operations, one pass
+per group of paths of equal length. Every other model, a standardized tree
+model included (its trees split on scaled columns), gets a sampling
+kernel-weighted least-squares approximation against a background dataset.
+For an SVR, or the SVM member of a one-vs-rest ensemble, that method scores
+its coalitions from each background row's kernel terms, updated by the
+columns where the row differs from the explained one, instead of
+predicting the imputed rows. Both methods satisfy local accuracy: the
+attributions plus the expected value sum to the model output for the
+explained row. Explained and background rows must be finite.
 """
 
 from __future__ import annotations
@@ -35,90 +39,116 @@ class ExplainError(ValueError):
 
 # ----------------------------------------------------- tree attributions ----
 
-def _extend(path, pz, po, pi):
-    """Grow the subset-weight path by one split. Each element is
-    [feature, zero_fraction, one_fraction, weight]."""
-    path = [p[:] for p in path]
-    path.append([pi, pz, po, 1.0 if not path else 0.0])
-    l = len(path) - 1
-    for i in range(l - 1, -1, -1):
-        path[i + 1][3] += po * path[i][3] * (i + 1) / (l + 1)
-        path[i][3] = pz * path[i][3] * (l - i) / (l + 1)
-    return path
-
-
-def _unwind(path, i):
-    """Undo the extension that added element i."""
-    path = [p[:] for p in path]
-    l = len(path) - 1
-    n = path[l][3]
-    z, o = path[i][1], path[i][2]
-    for j in range(l - 1, -1, -1):
-        if o != 0:
-            t = path[j][3]
-            path[j][3] = n * (l + 1) / ((j + 1) * o)
-            n = t - path[j][3] * z * (l - j) / (l + 1)
-        else:
-            path[j][3] = path[j][3] * (l + 1) / (z * (l - j))
-    for j in range(i, l):
-        path[j] = [path[j + 1][0], path[j + 1][1], path[j + 1][2], path[j][3]]
-    return path[:-1]
-
-
-def _unwound_sum(path, i):
-    """Total weight the path would carry if element i were removed."""
-    l = len(path) - 1
-    z, o = path[i][1], path[i][2]
-    n = path[l][3]
-    total = 0.0
-    for j in range(l - 1, -1, -1):
-        if o != 0:
-            t = n * (l + 1) / ((j + 1) * o)
-            total += t
-            n = path[j][3] - t * z * (l - j) / (l + 1)
-        else:
-            total += path[j][3] * (l + 1) / (z * (l - j))
-    return total
-
-
 def _default_leaf_value(node):
     return float(node["value"])
+
+
+class TreePaths:
+    """The root-to-leaf paths of a list of trees, grouped by their number
+    of distinct split features L, ascending. Within a group the paths run
+    tree by tree, each tree's leaves depth first, left before right.
+
+    A path holds each feature it splits on once, at its first split: the
+    feature's zero fraction is the product of the cover fractions of its
+    splits, and its splits bound an interval (lo, hi] that a row must fall
+    in to follow them all. A group is (tree, feature, column, zero, lo, hi,
+    value). tree and value have one row per path; the element arrays
+    feature, column, zero, lo and hi (L x paths) have one row per element
+    and one column per path, feature indexing the tree's own columns and
+    column the model's. Tree t reads the columns subsets[t] of the model's
+    row, or all of them when subsets is None. value (paths x C) and
+    expected (trees x C) hold leaf_value(leaf), an array of C values, and
+    its cover-weighted mean."""
+
+    def __init__(self, roots, leaf_value, subsets=None):
+        self.subsets = subsets
+        self.expected = np.array([tree_expected(root, leaf_value)
+                                  for root in roots])
+        groups = {}
+        for t, root in enumerate(roots):
+            stack = [(root, {})]  # path: feature -> (zero, lo, hi)
+            while stack:
+                node, path = stack.pop()
+                if node["leaf"]:
+                    if path:  # a lone leaf attributes nothing
+                        groups.setdefault(len(path), []).append(
+                            (t, np.array([list(path), *zip(*path.values())]),
+                             leaf_value(node)))
+                    continue
+                j, thr = node["feature"], node["threshold"]
+                z, lo, hi = path.get(j, (1.0, -np.inf, np.inf))
+                for child, bounds in ((node["right"], (max(lo, thr), hi)),
+                                      (node["left"], (lo, min(hi, thr)))):
+                    stack.append((child, {**path, j: (
+                        z * child["n"] / node["n"], *bounds)}))
+        self.groups = []
+        for L in sorted(groups):
+            tree, elements, value = zip(*groups[L])
+            tree = np.array(tree)
+            feature, zero, lo, hi = np.stack(elements, axis=2)
+            feature = feature.astype(np.int64)
+            column = (feature if subsets is None
+                      else np.asarray(subsets)[tree, feature])
+            self.groups.append((tree, feature, column, zero, lo, hi,
+                                np.array(value)))
+
+
+def _path_terms(zero, one, value):
+    """Each path element's share of its path's leaf value, by Lundberg et
+    al.'s TreeSHAP (arXiv:1905.04610) over the elements of paths of one
+    length L (GPUTreeShap's decomposition, arXiv:2010.13972): EXTEND
+    builds each path's subset weights element by element, vectorized over
+    paths, then UNWOUND sums them without each element, vectorized over
+    (elements x paths). one is the row's one fraction, 0 or 1. An element
+    with one 0 unwinds to sum_j w_j (L + 1) / (zero (L - j)), so its
+    path's cold elements share one sum."""
+    L, P = zero.shape
+    w = np.zeros((L + 1, P))
+    w[0] = 1.0
+    for l in range(1, L + 1):
+        head = w[:l]
+        up = one[l - 1] * head
+        up *= (np.arange(1, l + 1) / (l + 1))[:, None]
+        head *= zero[l - 1]
+        head *= (np.arange(l, 0, -1) / (l + 1))[:, None]
+        w[1:l] += up[:-1]
+        w[l] = up[-1]
+    hot = np.zeros((L, P))
+    cold = np.zeros(P)
+    n = np.broadcast_to(w[L], (L, P))
+    for j in range(L - 1, -1, -1):
+        t = n * ((L + 1) / (j + 1))
+        hot += t
+        t *= zero
+        t *= (L - j) / (L + 1)
+        n = w[j] - t
+        cold += w[j] * ((L + 1) / (L - j))
+    return np.where(one > 0, hot, cold / zero) * (one - zero) * value
+
+
+def _path_phi(paths, x, width, c=0):
+    """(trees x width) attributions of each tree of paths for the row x
+    and the leaf values' column c."""
+    out = np.zeros((len(paths.expected), width))
+    for tree, feature, column, zero, lo, hi, value in paths.groups:
+        v = x[column]
+        one = ((lo < v) & (v <= hi)).astype(np.float64)
+        np.add.at(out, (tree, feature), _path_terms(zero, one, value[:, c]))
+    return out
 
 
 def tree_shap(root, x, n_features: int, leaf_value=_default_leaf_value) -> np.ndarray:
     """Exact per-feature attributions for one tree and one row, following
     split cover fractions down unvisited branches. Returns phi with
     sum(phi) == tree(x) - tree_expected(root)."""
-    x = np.asarray(x, dtype=np.float64)
-    phi = np.zeros(n_features)
-
-    def recurse(node, path, pz, po, pi):
-        path = _extend(path, pz, po, pi)
-        if node["leaf"]:
-            v = leaf_value(node)
-            for i in range(1, len(path)):
-                w = _unwound_sum(path, i)
-                phi[path[i][0]] += w * (path[i][2] - path[i][1]) * v
-            return
-        j, thr = node["feature"], node["threshold"]
-        hot, cold = ((node["left"], node["right"]) if x[j] <= thr
-                     else (node["right"], node["left"]))
-        iz, io = 1.0, 1.0
-        for k in range(1, len(path)):
-            if path[k][0] == j:
-                iz, io = path[k][1], path[k][2]
-                path = _unwind(path, k)
-                break
-        recurse(hot, path, iz * hot["n"] / node["n"], io, j)
-        recurse(cold, path, iz * cold["n"] / node["n"], 0.0, j)
-
-    recurse(root, [], 1.0, 1.0, -1)
-    return phi
+    paths = TreePaths([root], lambda node: np.array([leaf_value(node)]))
+    return _path_phi(paths, np.asarray(x, dtype=np.float64), n_features)[0]
 
 
 def tree_expected(root, leaf_value=_default_leaf_value) -> float:
     """Cover-weighted mean leaf value: the model output for a row about
-    which nothing is known."""
+    which nothing is known. leaf_value may return an array, one value per
+    class, and so does the mean."""
     if root["leaf"]:
         return leaf_value(root)
     wl = root["left"]["n"] / root["n"]
@@ -126,36 +156,37 @@ def tree_expected(root, leaf_value=_default_leaf_value) -> float:
             + (1 - wl) * tree_expected(root["right"], leaf_value))
 
 
-def _vote(class_index):
-    """A leaf's hard prediction as a 1-or-0 vote for the class."""
-    return lambda node: 1.0 if int(node["value"]) == class_index else 0.0
-
-
-def _class_leaf_value(class_index):
-    vote = _vote(class_index)
-    return lambda node: (float(node["probs"][class_index]) if "probs" in node
-                         else vote(node))
-
-
-def _tree_sum(model, class_index):
+def _tree_sum(model):
     """A tree model's output as (offset + weight * sum of trees) / divisor:
-    returns ([(root, columns)], leaf_value, weight, offset, divisor), where
-    a tree reads the given columns of the row.
+    returns (paths, weight, offset, divisor). The paths are built on the
+    model's first explain and kept on it as shap_paths.
 
-    CART explains the leaf probability of the class, a forest its vote
-    fraction (a tree votes its hard prediction), and GBT the raw boosted
-    score (log-odds under the logistic loss) whatever the class."""
+    Leaf values are per class: CART explains the leaf probability of the
+    class, a forest its vote fraction (a tree votes its hard prediction),
+    and GBT the raw boosted score (log-odds under the logistic loss)
+    whatever the class; a regression leaf holds its one value."""
     if isinstance(model, GBTModel):
-        return ([(root, slice(None)) for root in model.trees],
-                _default_leaf_value, model.learning_rate, model.base_score, 1)
-    regression = model.task == "regression"
-    if isinstance(model, ForestModel):
-        return (list(zip((t.root for t in model.trees), model.feature_subsets)),
-                _default_leaf_value if regression else _vote(class_index),
-                1.0, 0.0, len(model.trees))
-    return ([(model.root, slice(None))],
-            _default_leaf_value if regression else _class_leaf_value(class_index),
-            1.0, 0.0, 1)
+        roots, subsets = model.trees, None
+        weight, offset, divisor = model.learning_rate, model.base_score, 1
+    elif isinstance(model, ForestModel):
+        roots, subsets = [t.root for t in model.trees], model.feature_subsets
+        weight, offset, divisor = 1.0, 0.0, len(model.trees)
+    else:
+        roots, subsets = [model.root], None
+        weight, offset, divisor = 1.0, 0.0, 1
+    paths = vars(model).get("shap_paths")
+    if paths is None:
+        votes = (None if model.task == "regression"
+                 or isinstance(model, GBTModel) else np.eye(model.n_classes))
+        if votes is None:
+            leaf = lambda node: np.array([float(node["value"])])
+        elif isinstance(model, ForestModel):
+            leaf = lambda node: votes[int(node["value"])]
+        else:
+            leaf = lambda node: (np.array(node["probs"]) if "probs" in node
+                                 else votes[int(node["value"])])
+        paths = model.shap_paths = TreePaths(roots, leaf, subsets)
+    return paths, weight, offset, divisor
 
 
 def _is_tree(model) -> bool:
@@ -299,6 +330,12 @@ def shap_values(model, X, background=None, n_samples: int = 2048,
     defaults to each row's predicted class for the tree method and must be
     given explicitly for the kernel method."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if not np.isfinite(X).all():
+        raise ExplainError("the explained rows hold a non-finite value")
+    if background is not None:
+        background = np.atleast_2d(np.asarray(background, dtype=np.float64))
+        if not np.isfinite(background).all():
+            raise ExplainError("the background rows hold a non-finite value")
     n, p = X.shape
     ovr = isinstance(model, OvREnsemble) and all(
         _is_tree(m) or m.family == "constant_score" for m in model.members)
@@ -312,20 +349,25 @@ def shap_values(model, X, background=None, n_samples: int = 2048,
             classes = [None] * n
         phi = np.zeros((n, p))
         expected = np.zeros(n)
-        for i, c in enumerate(classes):
-            if ovr:
+        if ovr:
+            for i, c in enumerate(classes):
                 member = model.members[int(c)]
                 if member.family == "constant_score":
                     expected[i] = member.SCORE
                     continue
                 phi[i:i + 1], expected[i:i + 1] = shap_values(member, X[i:i + 1])
-                continue
-            trees, leaf_value, w, offset, divisor = _tree_sum(model, c)
+            return phi, expected
+        paths, w, offset, divisor = _tree_sum(model)
+        subsets = paths.subsets
+        trees = list(enumerate(subsets or [slice(None)] * len(paths.expected)))
+        width = p if subsets is None else len(subsets[0])
+        for i, c in enumerate(classes):
+            k = 0 if paths.expected.shape[1] == 1 else int(c)
+            per_tree = _path_phi(paths, X[i], width, k)
             total = offset
-            for root, cols in trees:
-                x = X[i, cols]
-                phi[i, cols] += w * tree_shap(root, x, len(x), leaf_value)
-                total += w * tree_expected(root, leaf_value)
+            for t, cols in trees:
+                phi[i, cols] += w * per_tree[t]
+                total += w * paths.expected[t, k]
             phi[i] /= divisor
             expected[i] = total / divisor
         return phi, expected

@@ -69,9 +69,7 @@ def discretize(column, n_bins: int = 10) -> DiscretizedColumn:
     # searchsorted with 'right' puts values equal to an edge in the lower bin
     labels = np.searchsorted(inner, x, side="left")
     # relabel to a dense 0..B-1 range in value order
-    uniq = np.unique(labels)
-    remap = {int(v): i for i, v in enumerate(uniq)}
-    labels = np.array([remap[int(v)] for v in labels], dtype=np.int64)
+    uniq, labels = np.unique(labels, return_inverse=True)
     edges = np.concatenate([[x.min()], inner, [x.max()]])
     return DiscretizedColumn(labels, len(uniq), edges)
 

@@ -4,6 +4,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dataprice.explain import (ExplainError, _kernel_machine,
                                _kernel_machine_values, beeswarm_csv,
@@ -262,6 +264,214 @@ class TestTreeReference:
                                     class_index=1)
         target = model.predict_scores(X[:4])[:, 1]
         assert np.allclose(phi.sum(axis=1) + expected, target, atol=1e-8)
+
+
+# ------------------------------------------------ recursive tree walk -------
+# The per-row recursion that tree_shap replaced (Lundberg et al.'s
+# Algorithm 2, arXiv:1905.04610), kept as the reference. The path arrays
+# compute the same sums in another order, so the two agree within 1e-12.
+
+def _ref_extend(path, pz, po, pi):
+    path = [p[:] for p in path]
+    path.append([pi, pz, po, 1.0 if not path else 0.0])
+    l = len(path) - 1
+    for i in range(l - 1, -1, -1):
+        path[i + 1][3] += po * path[i][3] * (i + 1) / (l + 1)
+        path[i][3] = pz * path[i][3] * (l - i) / (l + 1)
+    return path
+
+
+def _ref_unwind(path, i):
+    path = [p[:] for p in path]
+    l = len(path) - 1
+    n = path[l][3]
+    z, o = path[i][1], path[i][2]
+    for j in range(l - 1, -1, -1):
+        if o != 0:
+            t = path[j][3]
+            path[j][3] = n * (l + 1) / ((j + 1) * o)
+            n = t - path[j][3] * z * (l - j) / (l + 1)
+        else:
+            path[j][3] = path[j][3] * (l + 1) / (z * (l - j))
+    for j in range(i, l):
+        path[j] = [path[j + 1][0], path[j + 1][1], path[j + 1][2], path[j][3]]
+    return path[:-1]
+
+
+def _ref_unwound_sum(path, i):
+    l = len(path) - 1
+    z, o = path[i][1], path[i][2]
+    n = path[l][3]
+    total = 0.0
+    for j in range(l - 1, -1, -1):
+        if o != 0:
+            t = n * (l + 1) / ((j + 1) * o)
+            total += t
+            n = path[j][3] - t * z * (l - j) / (l + 1)
+        else:
+            total += path[j][3] * (l + 1) / (z * (l - j))
+    return total
+
+
+def _ref_tree_shap(root, x, n_features, leaf_value=leaf_mean):
+    phi = np.zeros(n_features)
+
+    def recurse(node, path, pz, po, pi):
+        path = _ref_extend(path, pz, po, pi)
+        if node["leaf"]:
+            v = leaf_value(node)
+            for i in range(1, len(path)):
+                w = _ref_unwound_sum(path, i)
+                phi[path[i][0]] += w * (path[i][2] - path[i][1]) * v
+            return
+        j, thr = node["feature"], node["threshold"]
+        hot, cold = ((node["left"], node["right"]) if x[j] <= thr
+                     else (node["right"], node["left"]))
+        iz, io = 1.0, 1.0
+        for k in range(1, len(path)):
+            if path[k][0] == j:
+                iz, io = path[k][1], path[k][2]
+                path = _ref_unwind(path, k)
+                break
+        recurse(hot, path, iz * hot["n"] / node["n"], io, j)
+        recurse(cold, path, iz * cold["n"] / node["n"], 0.0, j)
+
+    recurse(root, [], 1.0, 1.0, -1)
+    return phi
+
+
+# thresholds and row values share a grid, so rows sit on thresholds
+_GRID = [-1.0, -0.5, 0.0, 0.5, 1.0]
+_row_values = st.sampled_from(_GRID + [-2.0, 0.25, 2.0])
+
+
+@st.composite
+def dict_trees(draw, n_features, n_classes=None, max_depth=6):
+    """A dict tree over few features, so that features repeat on a path;
+    classification leaves carry probs and their argmax as value."""
+    def node(depth, n):
+        if depth == max_depth or n < 2 or draw(st.integers(0, 3)) == 0:
+            if n_classes is None:
+                return {"leaf": True, "n": n,
+                        "value": draw(st.floats(-5.0, 5.0))}
+            counts = np.array(draw(st.lists(st.integers(0, 4),
+                                            min_size=n_classes,
+                                            max_size=n_classes))) + 0.5
+            return {"leaf": True, "n": n, "value": int(np.argmax(counts)),
+                    "probs": (counts / counts.sum()).tolist()}
+        n_left = draw(st.integers(1, n - 1))
+        return {"leaf": False, "n": n,
+                "feature": draw(st.integers(0, n_features - 1)),
+                "threshold": draw(st.sampled_from(_GRID)),
+                "left": node(depth + 1, n_left),
+                "right": node(depth + 1, n - n_left)}
+    return node(0, draw(st.integers(1, 300)))
+
+
+class TestTreeShapAgainstRecursion:
+    @settings(max_examples=60, deadline=None)
+    @given(dict_trees(3), st.lists(_row_values, min_size=3, max_size=3))
+    def test_regression_trees(self, root, x):
+        phi = tree_shap(root, x, 3)
+        ref = _ref_tree_shap(root, x, 3)
+        assert np.max(np.abs(phi - ref)) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(dict_trees(4, n_classes=3),
+           st.lists(_row_values, min_size=4, max_size=4),
+           st.integers(0, 2))
+    def test_classification_leaf_values(self, root, x, c):
+        for lv in (lambda node: float(node["probs"][c]),
+                   lambda node: 1.0 if node["value"] == c else 0.0):
+            phi = tree_shap(root, x, 4, lv)
+            ref = _ref_tree_shap(root, x, 4, lv)
+            assert np.max(np.abs(phi - ref)) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.booleans())
+    def test_forests_with_column_subsets(self, data, classify):
+        n_classes = 3 if classify else None
+        roots = data.draw(st.lists(dict_trees(3, n_classes, max_depth=4),
+                                   min_size=1, max_size=5))
+        subsets = [sorted(data.draw(st.permutations(range(6)))[:3])
+                   for _ in roots]
+        model = ForestModel([CARTModel(r, n_classes) for r in roots], subsets,
+                            n_classes)
+        x = np.array(data.draw(st.lists(_row_values, min_size=6,
+                                        max_size=6)))
+        c = data.draw(st.integers(0, 2)) if classify else None
+        lv = leaf_mean if c is None else (
+            lambda node: 1.0 if node["value"] == c else 0.0)
+        ref = np.zeros(6)
+        for root, subset in zip(roots, subsets):
+            ref[subset] += _ref_tree_shap(root, x[subset], 3, lv)
+        phi, _ = shap_values(model, x[None], class_index=c)
+        assert np.max(np.abs(phi[0] - ref / len(roots))) <= 1e-12
+
+    def test_fitted_models_match_recursion(self, tree_models):
+        X, models = tree_models
+        for name in ("cart_reg", "gbt_reg"):
+            model = models[name]
+            roots = [model.root] if name == "cart_reg" else model.trees
+            w = 1.0 if name == "cart_reg" else model.learning_rate
+            for x in X[:5]:
+                ref = sum(w * _ref_tree_shap(r, x, 4) for r in roots)
+                phi, _ = shap_values(model, x[None])
+                assert np.max(np.abs(phi[0] - ref)) <= 1e-12
+
+
+class TestTreePathCache:
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.integers(0, 89), min_size=1, max_size=6, unique=True),
+           st.data())
+    def test_row_alone_equals_row_in_batch(self, tree_models, rows, data):
+        X, models = tree_models
+        i = data.draw(st.integers(0, len(rows) - 1))
+        for name in ("cart_reg", "cart_cls", "forest_reg", "forest_cls",
+                     "gbt_reg", "gbt_binary", "ovr_gbt"):
+            phi, expected = shap_values(models[name], X[rows])
+            one, e = shap_values(models[name], X[[rows[i]]])
+            assert phi[i].tobytes() == one[0].tobytes(), name
+            assert expected[i].tobytes() == e[0].tobytes(), name
+
+    def test_built_on_first_explain_not_at_fit(self):
+        X, y = make_data(22, n=60)
+        yc = (y > 0).astype(int)
+        models = [fit_cart(X, y, max_depth=3),
+                  fit_forest(X, yc, n_trees=3, k_features=2, max_depth=3,
+                             task="classification"),
+                  fit_gbt(X, y, n_rounds=3)]
+        ovr = one_vs_rest(lambda Xb, yb: fit_gbt(Xb, yb, n_rounds=2,
+                                                 loss="logistic"), X, yc)
+        for model in models + ovr.members + models[1].trees:
+            assert "shap_paths" not in vars(model)
+        for model in models:
+            shap_values(model, X[:2])
+        for c in (0, 1):
+            shap_values(ovr, X[:2], class_index=c)
+        for model in models + ovr.members:
+            assert "shap_paths" in vars(model)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("family", ["cart", "linear"])
+    def test_explained_row(self, family, bad):
+        X, y = make_data(23, n=60)
+        model = (fit_cart if family == "cart" else fit_linear)(X, y)
+        rows = X[:3].copy()
+        rows[1, 2] = bad
+        with pytest.raises(ExplainError, match="explained rows"):
+            shap_values(model, rows, background=X[:10])
+
+    @pytest.mark.parametrize("family", ["cart", "linear"])
+    def test_background_row(self, family):
+        X, y = make_data(24, n=60)
+        model = (fit_cart if family == "cart" else fit_linear)(X, y)
+        background = X[:10].copy()
+        background[4, 0] = np.nan
+        with pytest.raises(ExplainError, match="background rows"):
+            shap_values(model, X[:2], background=background)
 
 
 # ---------------------------------------------------- kernel attribution -----
