@@ -71,7 +71,54 @@ DEFAULT_RUN = {
 }
 
 
-def load_config(path) -> dict:
+# By dotted key path, what a value must be beyond its default's type: a bound
+# at the least value the code accepts (a fitter's guard, else the least that
+# still trains, bins or steps), or the choices. A list's entry covers its items.
+_RULES = {
+    "seed": ">= 0", "threads": ">= 1", "cv.k": ">= 2",
+    "data.format": ("csv", "jsonl"), "data.synthetic": ">= 2",  # describe needs 2
+    "target.task": ("regression", "classification"),
+    "representations": REPRESENTATIONS, "families": FAMILIES,
+    "select.representation": REPRESENTATIONS, "select.m": ">= 1",
+    "select.n_bins": ">= 2",
+    "train.representation": REPRESENTATIONS, "train.family": FAMILIES,
+    "explain.rows": ">= 1", "explain.n_samples": ">= 2",
+    "explain.background_rows": ">= 1", "explain.keyword_dims": ">= 0",
+    "explain.top_k": ">= 1",
+    "curve.representation": REPRESENTATIONS, "curve.family": FAMILIES,
+    "curve.m_values": ">= 1",
+    "annotate.format": ("csv", "jsonl"), "annotate.timeout": "> 0",
+    "annotate.retries": ">= 0", "annotate.batch_size": ">= 1",
+    "hyperparameters.max_terms": ">= 2",  # word2vec needs 2 terms
+    "hyperparameters.word2vec.d": ">= 1", "hyperparameters.word2vec.window": ">= 1",
+    "hyperparameters.word2vec.epochs": ">= 1", "hyperparameters.word2vec.lr": "> 0",
+    "hyperparameters.word2vec.negatives": ">= 0",
+    "hyperparameters.lda.n_topics": ">= 1", "hyperparameters.lda.iterations": ">= 1",
+    "hyperparameters.lda.beta": "> 0",
+    "hyperparameters.bertopic.reduce_dims": ">= 1",
+    "hyperparameters.bertopic.n_clusters": ">= 1",
+    "hyperparameters.linear.ridge": ">= 0",
+    "hyperparameters.logistic.lr": "> 0", "hyperparameters.logistic.epochs": ">= 1",
+    "hyperparameters.mlp.hidden": ">= 1", "hyperparameters.mlp.epochs": ">= 1",
+    "hyperparameters.mlp.lr": "> 0", "hyperparameters.mlp.batch_size": ">= 1",
+    "hyperparameters.cart.max_depth": ">= 0", "hyperparameters.cart.min_leaf": ">= 1",
+    "hyperparameters.svm.C": "> 0", "hyperparameters.svm.kernel": ("linear", "rbf"),
+    "hyperparameters.svm.gamma": ">= 0", "hyperparameters.svm.tol": ">= 0",
+    "hyperparameters.svr.C": "> 0", "hyperparameters.svr.epsilon": ">= 0",
+    "hyperparameters.svr.kernel": ("linear", "rbf"), "hyperparameters.svr.gamma": ">= 0",
+    "hyperparameters.svr.max_iter": ">= 1",
+    "hyperparameters.forest.n_trees": ">= 1", "hyperparameters.forest.max_depth": ">= 0",
+    "hyperparameters.forest.min_leaf": ">= 1",
+    "hyperparameters.gbt.n_rounds": ">= 1", "hyperparameters.gbt.learning_rate": "> 0",
+    "hyperparameters.gbt.lam": ">= 0", "hyperparameters.gbt.max_depth": ">= 0",
+    "hyperparameters.gbt.min_leaf": ">= 1",
+}
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
+
+
+def load_config(path, threads: int | None = None) -> dict:
+    """The YAML file's run configuration over DEFAULT_RUN, with `threads`, if
+    given, in place of the file's. An invalid value raises ConfigError."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = yaml.safe_load(fh) or {}
@@ -81,120 +128,70 @@ def load_config(path) -> dict:
         raise ConfigError("config is not valid YAML: %s" % exc)
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
+    if threads is not None:
+        raw = dict(raw, threads=threads)
     cfg = merge_config(raw, DEFAULT_RUN)
-    sections = [k for k, v in DEFAULT_RUN.items() if isinstance(v, dict)]
-    errors = ["%s: must be a mapping" % k for k in sections
-              if not isinstance(cfg[k], dict)]
-    if errors:
-        raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))
-    for key in ("data", "annotate", "select", "train", "explain"):
-        errors += _section_errors(cfg[key], DEFAULT_RUN[key], key)
-    if not _has_type_of(cfg["seed"], 0):
-        errors.append("seed: an integer master seed is required")
-    if not _has_type_of(cfg["threads"], 0) or cfg["threads"] < 1:
-        errors.append("threads: must be an integer >= 1, got %r" % (cfg["threads"],))
-    if not _has_type_of(cfg["out_dir"], ""):
-        errors.append("out_dir: must be a string, got %r" % (cfg["out_dir"],))
-    for i, r in enumerate(cfg["representations"]):
-        if r not in REPRESENTATIONS:
-            errors.append("representations[%d]: unknown representation %r" % (i, r))
-    for i, f in enumerate(cfg["families"]):
-        if f not in FAMILIES:
-            errors.append("families[%d]: unknown family %r" % (i, f))
-    if cfg["target"]["task"] not in ("regression", "classification"):
-        errors.append("target.task: must be regression or classification")
-    if not _has_type_of(cfg["cv"]["k"], 0) or cfg["cv"]["k"] < 2:
-        errors.append("cv.k: must be an integer >= 2")
-    for key in ("select", "train", "curve"):
-        rep = cfg[key].get("representation")
-        if rep not in REPRESENTATIONS:
-            errors.append("%s.representation: unknown representation %r" % (key, rep))
-    for key in ("train", "curve"):
-        fam = cfg[key].get("family")
-        if fam not in FAMILIES:
-            errors.append("%s.family: unknown family %r" % (key, fam))
-    ms = cfg["curve"]["m_values"]
-    if not _has_type_of(ms, [1]) or ms != sorted(ms):
-        errors.append("curve.m_values: must be an ascending list of positive integers")
-    errors += _hyperparameter_errors(cfg["hyperparameters"])
+    errors = _errors(cfg, dict(DEFAULT_RUN, hyperparameters=DEFAULT_CONFIG))
+    ms = [] if errors else cfg["curve"]["m_values"]
+    if ms != sorted(ms):
+        errors.append("curve.m_values: must be ascending, got %r" % (ms,))
     if errors:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))
     return cfg
 
 
-# the least value of a key, where a smaller one would make every fit of a
-# family raise ModelError (a grid of cell failures that exits 0), or would
-# make explain write attributions of the wrong rows, all on one column or NaN
-_LOWER_BOUNDS = {"hyperparameters.gbt.n_rounds": 1,
-                 "hyperparameters.forest.n_trees": 1,
-                 "hyperparameters.gbt.lam": 0,
-                 "explain.rows": 1,
-                 "explain.background_rows": 1,
-                 "explain.n_samples": 2}
+def _errors(value, default, path: str = "") -> list[str]:
+    """What is wrong with a config value, under each key's path: an unknown
+    key, else a type other than its default's, else a value outside its
+    _RULES entry. int takes an int, float an int or a finite float, str a
+    str, never a bool; a list a non-empty list of its first element's type.
+    A null default takes null or a string (an integer where a bound
+    applies); at the top level, where only seed has one, null is missing."""
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
+            return ["%s: must be a mapping" % path]
+        errors = []
+        for key, item in value.items():
+            where = "%s.%s" % (path, key) if path else str(key)
+            if key in default:
+                errors += _errors(item, default[key], where)
+            else:
+                errors.append("%s: unknown key (known: %s)" % (where, ", ".join(default)))
+        return errors
+    rule, in_section = _RULES.get(path), "." in path
+    bound = rule if isinstance(rule, str) else ""
+    nullable = default is None and in_section
+    if value is None and nullable:
+        return []
+    if default is None:
+        default = 0 if bound else ""
+    many = isinstance(default, list)
+    kind = type(default[0] if many else default)
+    kinds = (int, float) if kind is float else kind
+    items = value if many and isinstance(value, list) else [value]
+    expected = " ".join(filter(None, ["null or" if nullable else "",
+                                      "a non-empty list, each" if many else "",
+                                      _TYPE_NAMES[kind], bound]))
+    typed = all(isinstance(v, kinds) and not isinstance(v, bool)
+                and (not isinstance(v, float) or np.isfinite(v)) for v in items)
+    if not typed or many and not (isinstance(value, list) and value):
+        return ["%s: must be %s, got %r" % (path, expected, value)]
+    if bound and not all(_within(v, bound) for v in items):
+        # only a scalar in a section, whose type is right, names just its bound
+        return ["%s: must be %s, got %r"
+                % (path, bound if in_section and not many else expected, value)]
+    if bound or rule is None:
+        return []
+    name = path.rsplit(".", 1)[-1]
+    noun = {"families": "family", "representations": "representation"}.get(name, name)
+    return ["%s: unknown %s %r (known: %s)"
+            % ("%s[%d]" % (path, i) if many else path, noun, v, ", ".join(rule))
+            for i, v in enumerate(items) if v not in rule]
 
 
-def _bound_errors(where: str, value) -> list[str]:
-    if where in _LOWER_BOUNDS and value < _LOWER_BOUNDS[where]:
-        return ["%s: must be >= %s, got %r" % (where, _LOWER_BOUNDS[where], value)]
-    return []
-
-
-def _hyperparameter_errors(hp, defaults=DEFAULT_CONFIG, at="hyperparameters") -> list[str]:
-    """A typo in a hyperparameter name would silently run the default, and a
-    value of the wrong type would fail late, so every key must be one of
-    evaluate.DEFAULT_CONFIG (per family, that family's) and every value must
-    have its default's type. Values below their _LOWER_BOUNDS entry are
-    rejected too; other ranges are left to the fitters."""
-    if not isinstance(hp, dict):
-        return ["%s: must be a mapping" % at]
-    errors = []
-    for key, value in hp.items():
-        where = "%s.%s" % (at, key)
-        if key not in defaults:
-            errors.append("%s: unknown key (known: %s)" % (where, ", ".join(defaults)))
-        elif isinstance(defaults[key], dict):
-            errors += _hyperparameter_errors(value, defaults[key], where)
-        elif not _has_type_of(value, defaults[key]):
-            errors.append("%s: must be %s, got %r"
-                          % (where, _TYPE_NAMES[type(defaults[key])], value))
-        else:
-            errors += _bound_errors(where, value)
-    return errors
-
-
-def _section_errors(values: dict, defaults: dict, at: str) -> list[str]:
-    """Every value of a run-config section must have its default's type. A
-    None default takes None or a string, except data.synthetic, which takes
-    None or an integer. Values below their _LOWER_BOUNDS entry are rejected
-    too."""
-    errors = []
-    for key, default in defaults.items():
-        value, nullable = values[key], default is None
-        if nullable:
-            if value is None:
-                continue
-            default = 0 if (at, key) == ("data", "synthetic") else ""
-        if not _has_type_of(value, default):
-            errors.append("%s.%s: must be %s%s, got %r"
-                          % (at, key, "null or " if nullable else "",
-                             _TYPE_NAMES[type(default)], value))
-        else:
-            errors += _bound_errors("%s.%s" % (at, key), value)
-    return errors
-
-
-_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string",
-               list: "a non-empty list of positive integers"}
-
-
-def _has_type_of(value, default) -> bool:
-    """int takes int, float takes int or float, str takes str, never a bool; a
-    list (mlp.hidden, curve.m_values) takes a non-empty list of positive ints."""
-    if isinstance(default, list):
-        return (isinstance(value, list) and bool(value)
-                and all(_has_type_of(v, 1) and v > 0 for v in value))
-    kinds = (int, float) if isinstance(default, float) else type(default)
-    return isinstance(value, kinds) and not isinstance(value, bool)
+def _within(value, bound: str) -> bool:
+    op, limit = bound.split()
+    return value >= float(limit) if op == ">=" else value > float(limit)
 
 
 # ------------------------------------------------------------- manifests ----
@@ -291,7 +288,7 @@ def cmd_ingest(cfg, out_dir: Path) -> int:
 
     def body():
         if synthetic:
-            products = generate_products(int(synthetic), mix_seed(cfg["seed"], "synth"))
+            products = generate_products(synthetic, mix_seed(cfg["seed"], "synth"))
             log.info("ingest: generated %d synthetic listings", len(products))
         else:
             products = load_products(data["path"], format=data["format"])
@@ -357,6 +354,15 @@ def _full_features(out_dir: Path, rep: str) -> FeatureMatrix:
     return text.hstack(struct)
 
 
+def _listings(cfg, corpus: Path) -> list:
+    """The corpus's listings for CV, where each fold tests on one at least."""
+    products = load_products(corpus, format="jsonl")
+    if len(products) < cfg["cv"]["k"]:
+        raise ConfigError("cv.k: must be at most the number of listings, %d, got %d"
+                          % (len(products), cfg["cv"]["k"]))
+    return products
+
+
 def _targets(cfg, corpus: Path):
     return make_targets(load_products(corpus, format="jsonl"),
                         TargetSpec(cfg["target"]["task"]))
@@ -403,7 +409,7 @@ def cmd_evaluate(cfg, out_dir: Path) -> int:
     corpus, task = _corpus(out_dir), cfg["target"]["task"]
 
     def body():
-        report = run_grid(load_products(corpus, format="jsonl"), cfg["representations"],
+        report = run_grid(_listings(cfg, corpus), cfg["representations"],
                           cfg["families"], task=task, config=cfg["hyperparameters"],
                           seed=cfg["seed"], k=cfg["cv"]["k"], workers=cfg["threads"])
         report.to_csv(out_dir / ("report_%s.csv" % task))
@@ -424,15 +430,13 @@ def cmd_explain(cfg, out_dir: Path) -> int:
         model = load_model(out_dir / model_file)
         feats = _full_features(out_dir, rep)
         e = cfg["explain"]
-        rows = min(int(e["rows"]), feats.n_rows)
+        rows = min(e["rows"], feats.n_rows)
         rng = np.random.default_rng(mix_seed(cfg["seed"], "explain"))
-        bg_idx = rng.choice(feats.n_rows,
-                            size=min(int(e["background_rows"]), feats.n_rows),
+        bg_idx = rng.choice(feats.n_rows, size=min(e["background_rows"], feats.n_rows),
                             replace=False)
         X, background = feats.values[:rows], feats.values[bg_idx]
-        n_samples = int(e["n_samples"])
         if model.task == "regression":
-            phi, _ = shap_values(model, X, background, n_samples=n_samples,
+            phi, _ = shap_values(model, X, background, n_samples=e["n_samples"],
                                  seed=mix_seed(cfg["seed"], "explain", "kernel"))
         else:
             # explain each row's predicted class, the tree method's default; the
@@ -442,7 +446,7 @@ def cmd_explain(cfg, out_dir: Path) -> int:
             for c in np.unique(preds).tolist():
                 sel = preds == c
                 phi[sel], _ = shap_values(
-                    model, X[sel], background, n_samples=n_samples,
+                    model, X[sel], background, n_samples=e["n_samples"],
                     seed=mix_seed(cfg["seed"], "explain", "kernel", c), class_index=c)
         importance = global_importance(phi, feats.columns)
         importance.to_csv(out_dir / "importance.csv")
@@ -453,12 +457,12 @@ def cmd_explain(cfg, out_dir: Path) -> int:
         if rep == "word2vec" and table_path.exists():
             table = EmbeddingTable.load(table_path)
             top = [name for name, _ in importance.top(len(feats.columns))
-                   if name.startswith("embedding_")][:int(e["keyword_dims"])]
+                   if name.startswith("embedding_")][:e["keyword_dims"]]
             with open(out_dir / "embedding_keywords.csv", "w", encoding="utf-8") as fh:
                 fh.write("dimension,direction,rank,term,loading\n")
                 for name in top:
                     dim = int(name.split("_")[1])
-                    words = embedding_keywords(table, dim, k=int(e["top_k"]))
+                    words = embedding_keywords(table, dim, k=e["top_k"])
                     for direction in ("positive", "negative"):
                         for r, (term, loading) in enumerate(words[direction], 1):
                             fh.write("%d,%s,%d,%s,%.6g\n"
@@ -474,7 +478,7 @@ def cmd_curve(cfg, out_dir: Path) -> int:
     corpus, c = _corpus(out_dir), cfg["curve"]
 
     def body():
-        curve = feature_curve(load_products(corpus, format="jsonl"),
+        curve = feature_curve(_listings(cfg, corpus),
                               c["representation"], c["family"], c["m_values"],
                               task=cfg["target"]["task"], config=cfg["hyperparameters"],
                               seed=cfg["seed"], k=cfg["cv"]["k"], workers=cfg["threads"])
@@ -543,11 +547,7 @@ def main(argv=None) -> int:
                         level=logging.DEBUG if args.verbose else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     try:
-        cfg = load_config(args.config)
-        if args.threads is not None:
-            if args.threads < 1:
-                raise ConfigError("--threads must be >= 1")
-            cfg["threads"] = args.threads
+        cfg = load_config(args.config, threads=args.threads)
         out_dir = Path(cfg["out_dir"])
         out_dir.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, out_dir)

@@ -1,13 +1,18 @@
+import copy
 import json
 import logging
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dataprice.cli import (ConfigError, config_hash, load_config, main,
-                           up_to_date)
+from dataprice.cli import (_RULES, DEFAULT_RUN, ConfigError, config_hash,
+                           load_config, main, up_to_date)
+from dataprice.evaluate import DEFAULT_CONFIG, FAMILIES, REPRESENTATIONS
 
 STAGES = ["ingest", "featurize", "select", "train", "evaluate", "explain",
           "curve", "report"]
@@ -108,6 +113,9 @@ class TestLoadConfig:
         ({"gbt": 5}, r"hyperparameters\.gbt: must be a mapping"),
         # forests no longer take a thread count; the CV grid runs on processes
         ({"forest": {"n_threads": 2}}, r"hyperparameters\.forest\.n_threads: unknown key"),
+        ({"svm": {"kernel": "poly"}}, r"hyperparameters\.svm\.kernel: unknown kernel 'poly'"),
+        # evaluate logged every mlp cell as a cell failure and exited 0
+        ({"mlp": {"lr": float("inf")}}, r"hyperparameters\.mlp\.lr: must be a number > 0, got inf"),
     ])
     def test_hyperparameter_value_of_wrong_type(self, tmp_path, hp, message):
         # a wrong value must not surface later as a runtime failure (exit 2)
@@ -124,6 +132,16 @@ class TestLoadConfig:
         ({"gbt": {"n_rounds": -3}}, r"hyperparameters\.gbt\.n_rounds: must be >= 1"),
         ({"forest": {"n_trees": 0}}, r"hyperparameters\.forest\.n_trees: must be >= 1, got 0"),
         ({"gbt": {"lam": -0.5}}, r"hyperparameters\.gbt\.lam: must be >= 0, got -0\.5"),
+        # evaluate logged every svm cell as a cell failure and exited 0
+        ({"svr": {"C": 0}}, r"hyperparameters\.svr\.C: must be > 0, got 0"),
+        # these loaded and every stage exited 0
+        ({"mlp": {"lr": -1}}, r"hyperparameters\.mlp\.lr: must be > 0, got -1"),
+        ({"gbt": {"learning_rate": -1}},
+         r"hyperparameters\.gbt\.learning_rate: must be > 0, got -1"),
+        ({"cart": {"max_depth": -1}}, r"hyperparameters\.cart\.max_depth: must be >= 0, got -1"),
+        ({"svr": {"max_iter": 0}}, r"hyperparameters\.svr\.max_iter: must be >= 1, got 0"),
+        # featurize exited 1 with the fitter's message, naming no key
+        ({"lda": {"n_topics": 0}}, r"hyperparameters\.lda\.n_topics: must be >= 1, got 0"),
     ])
     def test_hyperparameter_below_its_lower_bound(self, tmp_path, hp, message):
         path, _ = write_config(tmp_path, hyperparameters=hp)
@@ -150,17 +168,29 @@ class TestLoadConfig:
         assert run("explain", path) == 1
 
     def test_explain_values_at_their_lower_bounds_load(self, tmp_path):
-        path, _ = write_config(tmp_path, explain={
-            "rows": 1, "background_rows": 1, "n_samples": 2})
-        e = load_config(path)["explain"]
-        assert (e["rows"], e["background_rows"], e["n_samples"]) == (1, 1, 2)
+        bounds = {"rows": 1, "background_rows": 1, "n_samples": 2,
+                  "keyword_dims": 0, "top_k": 1}
+        path, _ = write_config(tmp_path, explain=bounds)
+        assert load_config(path)["explain"] == bounds
 
     def test_hyperparameters_at_their_lower_bounds_load(self, tmp_path):
-        path, _ = write_config(tmp_path, hyperparameters={
-            "gbt": {"n_rounds": 1, "lam": 0}, "forest": {"n_trees": 1}})
-        hp = load_config(path)["hyperparameters"]
-        assert (hp["gbt"]["n_rounds"], hp["gbt"]["lam"],
-                hp["forest"]["n_trees"]) == (1, 0, 1)
+        # a bound "> 0" is met by the least positive float
+        least = 5e-324
+        hp = {"max_terms": 2,
+              "word2vec": {"d": 1, "window": 1, "epochs": 1, "lr": least,
+                           "negatives": 0},
+              "lda": {"n_topics": 1, "iterations": 1, "beta": least},
+              "bertopic": {"reduce_dims": 1, "n_clusters": 1},
+              "linear": {"ridge": 0}, "logistic": {"lr": least, "epochs": 1},
+              "mlp": {"hidden": [1], "epochs": 1, "lr": least, "batch_size": 1},
+              "cart": {"max_depth": 0, "min_leaf": 1},
+              "svm": {"C": least, "gamma": 0, "tol": 0},
+              "svr": {"C": least, "epsilon": 0, "gamma": 0, "max_iter": 1},
+              "forest": {"n_trees": 1, "max_depth": 0, "min_leaf": 1},
+              "gbt": {"n_rounds": 1, "learning_rate": least, "lam": 0,
+                      "max_depth": 0, "min_leaf": 1}}
+        path, _ = write_config(tmp_path, hyperparameters=hp)
+        assert load_config(path)["hyperparameters"] == hp
 
     @pytest.mark.parametrize("stage, section, message", [
         # select kept 3 features and exited 0
@@ -181,6 +211,13 @@ class TestLoadConfig:
         ("evaluate", {"threads": True}, r"threads: must be an integer >= 1"),
         # ingest exited 2 with a path TypeError
         ("ingest", {"out_dir": 5}, r"out_dir: must be a string"),
+        ("ingest", {"data": {"synthetic": 0}}, r"data\.synthetic: must be >= 2, got 0"),
+        ("ingest", {"data": {"format": "xml"}}, r"data\.format: unknown format 'xml'"),
+        # select exited 1 with the fitter's message, naming no key
+        ("select", {"select": {"m": 0}}, r"select\.m: must be >= 1, got 0"),
+        # a misspelt key silently ran its default
+        ("select", {"select": {"mm": 5}}, r"select\.mm: unknown key"),
+        ("ingest", {"representation": ["bow"]}, r"representation: unknown key"),
     ])
     def test_run_value_of_wrong_type(self, tmp_path, stage, section, message):
         path, _ = write_config(tmp_path, **section)
@@ -219,6 +256,120 @@ class TestLoadConfig:
         cfg = load_config(path)
         assert cfg["cv"]["k"] == 5
         assert cfg["threads"] == 1
+
+
+# ------------------------------------------------------------ config rules ---
+
+SCHEMA = dict(DEFAULT_RUN, hyperparameters=DEFAULT_CONFIG)
+
+# every representation and family, on hyperparameters that make a run short
+CHEAP = {
+    "seed": 3, "data": {"synthetic": 20},
+    "representations": list(REPRESENTATIONS), "families": list(FAMILIES),
+    "select": {"m": 3},
+    "hyperparameters": {
+        "max_terms": 30, "word2vec": {"d": 4, "epochs": 1},
+        "lda": {"n_topics": 2, "iterations": 5},
+        "bertopic": {"reduce_dims": 2, "n_clusters": 2},
+        "logistic": {"epochs": 20}, "mlp": {"hidden": [4], "epochs": 5},
+        "svr": {"max_iter": 50}, "forest": {"n_trees": 2}, "gbt": {"n_rounds": 2},
+    },
+}
+
+
+def schema_default(path: str):
+    node = SCHEMA
+    for key in path.split("."):
+        node = node[key]
+    return node
+
+
+def leaves(node: dict, at: str = ""):
+    for key, value in node.items():
+        where = "%s.%s" % (at, key) if at else key
+        if isinstance(value, dict):
+            yield from leaves(value, where)
+        else:
+            yield where, value
+
+
+def mutations(path: str) -> list:
+    """(value, must_fail) pairs for the key at path. A value of a wrong type
+    or outside the choices must fail; the bound and one step to either side
+    of it may load or fail."""
+    rule, default = _RULES[path], schema_default(path)
+    many = isinstance(default, list)
+    real = isinstance(default[0] if many else default, float)
+    if isinstance(rule, str):
+        limit = float(rule.split()[1]) if real else int(rule.split()[1])
+        step = 1e-6 if real else 1
+        may, must = [limit - step, limit, limit + step], ["x", True]
+        must += [float("inf")] if real else [2.5]
+    else:
+        may, must = [], ["nope", 3, True]
+    if many:
+        may, must = [[v] for v in may], [[v] for v in must] + [[], "x"]
+    return [(v, False) for v in may] + [(v, True) for v in must]
+
+
+def check_mutation(path: str, value, must_fail: bool, task: str, tmp: Path):
+    """CHEAP with one key set to value either fails to load with an error
+    that names the key, or runs ingest ... evaluate with every stage
+    exiting 0 and no cell failing."""
+    cfg = copy.deepcopy(CHEAP)
+    cfg.update(out_dir=str(tmp / "run"), target={"task": task})
+    *sections, key = path.split(".")
+    node = cfg
+    for section in sections:
+        node = node.setdefault(section, {})
+    node[key] = value
+    config = tmp / "run.yaml"
+    config.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+    try:
+        load_config(config)
+    except ConfigError as exc:
+        assert path in str(exc)
+        return
+    assert not must_fail, "%s: %r loaded" % (path, value)
+    # data.synthetic sizes the data, which the run holds at 20 listings
+    stages = ["ingest"] if path == "data.synthetic" else [
+        "ingest", "featurize", "select", "train", "evaluate"]
+    assert [run(stage, config) for stage in stages] == [0] * len(stages)
+    if "evaluate" in stages:
+        report = (tmp / "run" / ("report_%s.txt" % cfg["target"]["task"])).read_text()
+        assert "cell failures" not in report
+
+
+class TestConfigRules:
+    def test_every_numeric_default_has_a_rule(self):
+        numeric = [path for path, value in leaves(SCHEMA)
+                   if isinstance(value, (int, float))
+                   or isinstance(value, list) and isinstance(value[0], int)]
+        assert sorted(set(numeric) - set(_RULES)) == []
+
+    def test_every_rule_names_a_key(self):
+        for path in _RULES:
+            schema_default(path)
+
+    def test_defaults_keep_their_rules(self, tmp_path):
+        path, _ = write_config(tmp_path, seed=0, hyperparameters=DEFAULT_CONFIG)
+        load_config(path)
+
+    def test_readme_config_loads(self, tmp_path):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        block = readme.read_text(encoding="utf-8").split("```yaml\n# run.yaml\n")[1]
+        path = tmp_path / "run.yaml"
+        path.write_text(block.split("```")[0], encoding="utf-8")
+        assert load_config(path)["hyperparameters"]["gbt"] == {"n_rounds": 30}
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(sorted(_RULES)).flatmap(
+               lambda path: st.tuples(st.just(path), st.sampled_from(mutations(path)))),
+           st.sampled_from(["regression", "classification"]))
+    def test_a_mutated_key_fails_at_load_or_runs_clean(self, mutation, task):
+        path, (value, must_fail) = mutation
+        with tempfile.TemporaryDirectory() as tmp:
+            check_mutation(path, value, must_fail, task, Path(tmp))
 
 
 class TestConfigHash:
@@ -413,6 +564,14 @@ class TestFailureModes:
         with caplog.at_level(logging.ERROR, logger="dataprice"):
             assert run("report", config) == 1
         assert "run `dataprice evaluate` first" in caplog.text
+
+    @pytest.mark.parametrize("stage", ["evaluate", "curve"])
+    def test_cv_k_above_the_listing_count(self, tmp_path, caplog, stage):
+        config, _ = write_config(tmp_path, cv={"k": 41})
+        assert run("ingest", config) == 0
+        with caplog.at_level(logging.ERROR, logger="dataprice"):
+            assert run(stage, config) == 1
+        assert "cv.k: must be at most the number of listings, 40, got 41" in caplog.text
 
     def test_bad_threads_flag(self, tmp_path):
         config, _ = write_config(tmp_path)
