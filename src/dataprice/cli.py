@@ -132,9 +132,14 @@ def load_config(path, threads: int | None = None) -> dict:
         raw = dict(raw, threads=threads)
     cfg = merge_config(raw, DEFAULT_RUN)
     errors = _errors(cfg, dict(DEFAULT_RUN, hyperparameters=DEFAULT_CONFIG))
-    ms = [] if errors else cfg["curve"]["m_values"]
-    if ms != sorted(ms):
-        errors.append("curve.m_values: must be ascending, got %r" % (ms,))
+    if not errors:
+        ms, hp = cfg["curve"]["m_values"], merge_config(cfg["hyperparameters"])
+        if ms != sorted(ms):
+            errors.append("curve.m_values: must be ascending, got %r" % (ms,))
+        if hp["lda"]["n_topics"] > hp["max_terms"]:
+            errors.append("hyperparameters.lda.n_topics: must be at most "
+                          "hyperparameters.max_terms, %d, got %d"
+                          % (hp["max_terms"], hp["lda"]["n_topics"]))
     if errors:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))
     return cfg
@@ -322,6 +327,7 @@ def cmd_featurize(cfg, out_dir: Path) -> int:
 
     def body():
         products = load_products(corpus, format="jsonl")
+        _check_clusters(cfg, cfg["representations"], len(products), "the corpus")
         texts = [compose_text(p) for p in products]
         mcfg = cfg["hyperparameters"]
         outputs = []
@@ -354,13 +360,26 @@ def _full_features(out_dir: Path, rep: str) -> FeatureMatrix:
     return text.hstack(struct)
 
 
-def _listings(cfg, corpus: Path) -> list:
-    """The corpus's listings for CV, where each fold tests on one at least."""
+def _listings(cfg, corpus: Path, reps: list) -> list:
+    """The corpus's listings for CV on reps, where each fold tests on one at
+    least and bertopic's clusters fit the smallest training fold."""
     products = load_products(corpus, format="jsonl")
-    if len(products) < cfg["cv"]["k"]:
+    n, k = len(products), cfg["cv"]["k"]
+    if n < k:
         raise ConfigError("cv.k: must be at most the number of listings, %d, got %d"
-                          % (len(products), cfg["cv"]["k"]))
+                          % (n, k))
+    # the largest test fold holds ceil(n/k) listings
+    _check_clusters(cfg, reps, n * (k - 1) // k, "the smallest training fold")
     return products
+
+
+def _check_clusters(cfg, reps: list, n: int, where: str) -> None:
+    """bertopic, if among reps, finds no more clusters than the n listings
+    it is fitted on."""
+    clusters = merge_config(cfg["hyperparameters"])["bertopic"]["n_clusters"]
+    if "bertopic" in reps and clusters > n:
+        raise ConfigError("hyperparameters.bertopic.n_clusters: must be at most the "
+                          "listings of %s, %d, got %d" % (where, n, clusters))
 
 
 def _targets(cfg, corpus: Path):
@@ -409,7 +428,8 @@ def cmd_evaluate(cfg, out_dir: Path) -> int:
     corpus, task = _corpus(out_dir), cfg["target"]["task"]
 
     def body():
-        report = run_grid(_listings(cfg, corpus), cfg["representations"],
+        reps = cfg["representations"]
+        report = run_grid(_listings(cfg, corpus, reps), reps,
                           cfg["families"], task=task, config=cfg["hyperparameters"],
                           seed=cfg["seed"], k=cfg["cv"]["k"], workers=cfg["threads"])
         report.to_csv(out_dir / ("report_%s.csv" % task))
@@ -478,7 +498,7 @@ def cmd_curve(cfg, out_dir: Path) -> int:
     corpus, c = _corpus(out_dir), cfg["curve"]
 
     def body():
-        curve = feature_curve(_listings(cfg, corpus),
+        curve = feature_curve(_listings(cfg, corpus, [c["representation"]]),
                               c["representation"], c["family"], c["m_values"],
                               task=cfg["target"]["task"], config=cfg["hyperparameters"],
                               seed=cfg["seed"], k=cfg["cv"]["k"], workers=cfg["threads"])

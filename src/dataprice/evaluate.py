@@ -11,6 +11,7 @@ import warnings
 import zlib
 from dataclasses import dataclass, field
 from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,6 +32,9 @@ ERROR_METRICS = ("MSE", "RMSE", "MAPE")
 SCORE_METRICS = ("Accuracy", "AUC", "F1")
 N_TIERS = 5  # classes of the classification task: equal-frequency price tiers
 
+# Each section but bertopic reaches its fitter whole, with **: the families'
+# by _FITTERS, word2vec's train_skipgram and lda's train_lda. So each of
+# their keys is a keyword of that fitter.
 DEFAULT_CONFIG = {
     "max_terms": 300,
     "word2vec": {"d": 50, "window": 5, "epochs": 3, "lr": 0.05, "negatives": 5},
@@ -174,9 +178,7 @@ def classification_metrics(y, scores, yhat_class) -> dict:
 def fit_embedding_table(texts: list[str], config: dict, seed: int):
     """Skip-gram embedding table under the word2vec settings of config."""
     cfg = merge_config(config)
-    w = cfg["word2vec"]
-    return train_skipgram(texts, d=w["d"], window=w["window"], epochs=w["epochs"],
-                          lr=w["lr"], negatives=w["negatives"], seed=seed,
+    return train_skipgram(texts, **cfg["word2vec"], seed=seed,
                           max_terms=cfg["max_terms"])
 
 
@@ -197,9 +199,7 @@ def fit_representation(name: str, train_texts: list[str], config: dict,
         return (embedding_features(train_texts, table),
                 lambda texts: embedding_features(texts, table))
     if name == "lda":
-        l = cfg["lda"]
-        model = train_lda(train_texts, l["n_topics"], beta=l["beta"],
-                          iterations=l["iterations"], seed=seed,
+        model = train_lda(train_texts, **cfg["lda"], seed=seed,
                           max_terms=max_terms)
         return (topic_features(model.theta, "lda"),
                 lambda texts: topic_features(model.infer_theta(texts), "lda"))
@@ -220,61 +220,51 @@ def fit_representation(name: str, train_texts: list[str], config: dict,
     raise ValueError("unknown representation %r" % name)
 
 
+class _Fitter(NamedTuple):
+    section: str               # the config section, passed with **
+    fit: Callable
+    takes: tuple = ()          # what else it takes, by keyword
+    ovr: dict | None = None    # one_vs_rest's keywords over a binary fitter
+
+
+_TASKS = ("regression", "classification")
+
+# Each family's fitter for each task. mlp, cart and forest fit either task
+# themselves. The others classify one-vs-rest over a binary fitter: SVM
+# members on -1/+1 labels, and the boosters of all classes grown together.
+# The scale-sensitive families fit on fold-standardized columns.
+_FITTERS = {
+    "linear": {"regression": _Fitter("linear", partial(fit_standardized, fit_linear)),
+               "classification": _Fitter(
+                   "logistic", partial(fit_standardized, fit_logistic), ovr={})},
+    "mlp": dict.fromkeys(_TASKS, _Fitter(
+        "mlp", partial(fit_standardized, fit_mlp), ("task", "n_classes", "seed"))),
+    "cart": dict.fromkeys(_TASKS, _Fitter("cart", fit_cart, ("task", "n_classes"))),
+    "svm": {"regression": _Fitter("svr", partial(fit_standardized, fit_svr)),
+            "classification": _Fitter("svm", partial(fit_standardized, fit_svm),
+                                      ("seed",), {"labels": "pm1"})},
+    "forest": dict.fromkeys(_TASKS, _Fitter("forest", fit_forest,
+                                            ("task", "seed", "k_features"))),
+    "gbt": {"regression": _Fitter("gbt", partial(fit_gbt, loss="squared")),
+            "classification": _Fitter("gbt", partial(fit_gbts, loss="logistic"),
+                                      ovr={"joint": True})},
+}
+
+
 def fit_family(family: str, X, y, task: str, n_classes: int, cfg: dict,
                seed: int):
-    """Fit one learner family for the given task; returns the fitted model.
-    Scale-sensitive families are wrapped with fold-fitted standardization.
-    linear, svm and gbt classify one-vs-rest over binary members."""
-    if family == "mlp":
-        m = cfg["mlp"]
-        return fit_standardized(fit_mlp, X, y, hidden=tuple(m["hidden"]),
-                                epochs=m["epochs"], lr=m["lr"],
-                                batch_size=m["batch_size"], seed=seed,
-                                task=task, n_classes=n_classes)
-    if family == "cart":
-        c = cfg["cart"]
-        return fit_cart(X, y, max_depth=c["max_depth"], min_leaf=c["min_leaf"],
-                        task=task, n_classes=n_classes)
-    if family == "forest":
-        f = cfg["forest"]
-        return fit_forest(X, y, n_trees=f["n_trees"],
-                          k_features=max(1, int(np.sqrt(X.shape[1]))),
-                          max_depth=f["max_depth"], min_leaf=f["min_leaf"],
-                          task=task, seed=seed)
-
-    regression = task == "regression"
-    labels = "01"
-    if family == "linear" and regression:
-        fit = partial(fit_standardized, fit_linear, ridge=cfg["linear"]["ridge"])
-    elif family == "linear":
-        lg = cfg["logistic"]
-        fit = partial(fit_standardized, fit_logistic, lr=lg["lr"],
-                      epochs=lg["epochs"])
-    elif family == "svm" and regression:
-        s = cfg["svr"]
-        fit = partial(fit_standardized, fit_svr, C=s["C"], epsilon=s["epsilon"],
-                      kernel=s["kernel"], gamma=s["gamma"],
-                      max_iter=s["max_iter"])
-    elif family == "svm":
-        s = cfg["svm"]
-        fit = partial(fit_standardized, fit_svm, C=s["C"], kernel=s["kernel"],
-                      gamma=s["gamma"], tol=s["tol"], seed=seed)
-        labels = "pm1"
-    elif family == "gbt":
-        g = cfg["gbt"]
-        params = dict(n_rounds=g["n_rounds"], learning_rate=g["learning_rate"],
-                      lam=g["lam"], max_depth=g["max_depth"],
-                      min_leaf=g["min_leaf"])
-        if regression:
-            return fit_gbt(X, y, loss="squared", **params)
-        # the boosters of all classes grow their trees together
-        return one_vs_rest(partial(fit_gbts, loss="logistic", **params), X, y,
-                           n_classes=n_classes, joint=True)
-    else:
-        raise ValueError("unknown family %r" % family)
-    if regression:
+    """Fit one learner family for the given task, as its _FITTERS entry
+    says; returns the fitted model."""
+    if task not in _FITTERS.get(family, {}):
+        raise ValueError("unknown family %r or task %r" % (family, task))
+    f = _FITTERS[family][task]
+    given = {"task": task, "n_classes": n_classes, "seed": seed,
+             # each forest tree draws about sqrt(p) of the p columns
+             "k_features": max(1, int(np.sqrt(np.shape(X)[1])))}
+    fit = partial(f.fit, **cfg[f.section], **{k: given[k] for k in f.takes})
+    if f.ovr is None:
         return fit(X, y)
-    return one_vs_rest(fit, X, y, n_classes=n_classes, labels=labels)
+    return one_vs_rest(fit, X, y, n_classes=n_classes, **f.ovr)
 
 
 def model_scores(model, X, task: str):
@@ -288,8 +278,8 @@ def model_scores(model, X, task: str):
 
 @dataclass
 class CVData:
-    """What the grid and the curve share: documents, structured columns,
-    targets, metric names and the fold plan, all from the master seed."""
+    """What every fold unit reads: documents, structured columns, targets,
+    metric names and the fold plan, all from the master seed."""
     texts: list
     struct: FeatureMatrix
     y: np.ndarray
@@ -306,17 +296,6 @@ class CVData:
                    list(ERROR_METRICS if task == "regression" else SCORE_METRICS),
                    kfold_split(len(products), k, mix_seed(seed, "folds")),
                    seed)
-
-    def fold_features(self, rep: str, fold: int, cfg: dict):
-        """Fit rep on one fold's training documents. Returns the train and
-        test row indices and both feature matrices, structured columns
-        appended."""
-        train, test = self.plan.train_test(fold)
-        feats_train, transform = fit_representation(
-            rep, [self.texts[i] for i in train], cfg, mix_seed(self.seed, rep, fold))
-        feats_test = transform([self.texts[i] for i in test])
-        return (train, test, feats_train.hstack(self.struct.rows(train)),
-                feats_test.hstack(self.struct.rows(test)))
 
 
 def evaluate_cell(family: str, X_train, y_train, X_test, y_test, task: str,
@@ -367,6 +346,40 @@ def _map_units(fn, shared: tuple, units, workers: int) -> list:
             max_workers=n, mp_context=multiprocessing.get_context("fork"),
             initializer=_set_shared, initargs=(fn,) + shared) as pool:
         return list(pool.map(_run_unit, units))
+
+
+def _fold_unit(data: CVData, cfg: dict, task: str, cells: list, unit):
+    """One (representation, fold) unit. The representation is fitted once on
+    the fold's training documents, and the structured columns are appended.
+    Then each (family, m) cell is scored on all columns when m is None, else
+    on the first m of the fold's mRMR order. Returns (errors, {cell index:
+    metrics}, whether an m exceeded the column count). A fit that fails with
+    a ValueError (a model, metric, linear algebra or size error) is recorded
+    as an error; anything else raises."""
+    rep, fold = unit
+    train, test = data.plan.train_test(fold)
+    ms = [m for _, m in cells if m is not None]
+    try:
+        feats, transform = fit_representation(
+            rep, [data.texts[i] for i in train], cfg, mix_seed(data.seed, rep, fold))
+        ftr = feats.hstack(data.struct.rows(train))
+        fte = transform([data.texts[i] for i in test]).hstack(data.struct.rows(test))
+        if ms:
+            order = mrmr_select(ftr, data.y[train], max(ms),
+                                target_is_discrete=task == "classification").selected
+    except ValueError as exc:
+        return [(rep, "*", fold, str(exc))], {}, False
+    errors, scores = [], {}
+    for i, (family, m) in enumerate(cells):
+        cols = slice(None) if m is None else order[:m]
+        labels = (rep, fold, family) if m is None else (rep, fold, family, m)
+        try:
+            scores[i] = evaluate_cell(family, ftr.values[:, cols], data.y[train],
+                                      fte.values[:, cols], data.y[test], task, cfg,
+                                      mix_seed(data.seed, *labels))
+        except ValueError as exc:
+            errors.append((rep, family, fold, str(exc)))
+    return errors, scores, bool(ms) and max(ms) > ftr.n_cols
 
 
 # ------------------------------------------------------------------ grid ----
@@ -433,25 +446,6 @@ def _rank(means: np.ndarray, ascending: bool) -> np.ndarray:
     return ranks
 
 
-def _grid_unit(data: CVData, cfg: dict, families: list, task: str, unit):
-    """One (representation, fold) of the grid: (errors, {family index:
-    cell}). A failed representation fit or cell is recorded, not raised."""
-    rep, fold = unit
-    try:
-        train, test, ftr, fte = data.fold_features(rep, fold, cfg)
-    except Exception as exc:  # noqa: BLE001 - recorded in the report
-        return [(rep, "*", fold, str(exc))], {}
-    errors, cells = [], {}
-    for fi, family in enumerate(families):
-        try:
-            cells[fi] = evaluate_cell(family, ftr.values, data.y[train],
-                                      fte.values, data.y[test], task, cfg,
-                                      mix_seed(data.seed, rep, fold, family))
-        except Exception as exc:  # noqa: BLE001
-            errors.append((rep, family, fold, str(exc)))
-    return errors, cells
-
-
 def run_grid(products: list[DataProduct], representations=None, families=None,
              task: str = "regression", config: dict | None = None,
              seed: int = 0, k: int = 5, workers: int = 1) -> ExperimentReport:
@@ -459,9 +453,9 @@ def run_grid(products: list[DataProduct], representations=None, families=None,
 
     Vocabularies, embeddings, topic models and standardization are all
     fitted on training folds only. Regression targets are log prices;
-    classification targets are five equal-frequency price tiers. A failed
-    fold or cell is recorded in the report's errors and left out of the
-    means. The (representation, fold) units run on up to `workers`
+    classification targets are five equal-frequency price tiers. A fold or
+    cell that fails with a ValueError is recorded in the report's errors and
+    left out of the means; any other exception raises. The (representation, fold) units run on up to `workers`
     processes; the report does not depend on how many.
     """
     representations = list(REPRESENTATIONS if representations is None
@@ -481,11 +475,12 @@ def run_grid(products: list[DataProduct], representations=None, families=None,
            for m in data.metrics}
 
     units = [(rep, fold) for rep in representations for fold in range(k)]
-    results = _map_units(_grid_unit, (data, cfg, families, task), units, workers)
-    for u, (errors, cells) in enumerate(results):
+    cells = [(family, None) for family in families]
+    results = _map_units(_fold_unit, (data, cfg, task, cells), units, workers)
+    for u, (errors, scores, _) in enumerate(results):
         ri, fold = divmod(u, k)
         report.errors += errors
-        for fi, cell in cells.items():
+        for fi, cell in scores.items():
             for m in data.metrics:
                 acc[m][ri, fi, fold] = cell[m]
 
@@ -516,42 +511,30 @@ class FeatureCurve:
                 w.writerow([m] + [format(vals[name], ".6f") for name in metrics])
 
 
-def _curve_unit(data: CVData, cfg: dict, representation: str, family: str,
-                m_values: list, task: str, fold: int):
-    """One fold of the curve: (whether an m was clamped, [cell per m])."""
-    train, test, ftr, fte = data.fold_features(representation, fold, cfg)
-    trace = mrmr_select(ftr, data.y[train], min(max(m_values), ftr.n_cols),
-                        target_is_discrete=task == "classification")
-    cells = []
-    for m in m_values:
-        sel = trace.selected[:min(m, ftr.n_cols)]
-        cells.append(evaluate_cell(family, ftr.values[:, sel], data.y[train],
-                                   fte.values[:, sel], data.y[test], task, cfg,
-                                   mix_seed(data.seed, representation, fold,
-                                            family, m)))
-    return max(m_values) > ftr.n_cols, cells
-
-
 def feature_curve(products: list[DataProduct], representation: str,
                   family: str, m_values, task: str = "regression",
                   config: dict | None = None, seed: int = 0,
                   k: int = 5, workers: int = 1) -> FeatureCurve:
     """Metric vs number of mRMR-selected features, averaged over CV folds.
     m values beyond the feature count are clamped with a warning. Any
-    failed fold raises. The folds run on up to `workers` processes; the
-    curve does not depend on how many."""
+    failed fold or cell raises a ValueError that names the first failed
+    (representation, family, fold). The folds run on up to `workers`
+    processes; the curve does not depend on how many."""
     m_values = list(m_values)
-    if m_values != sorted(m_values):
-        raise ValueError("m_values must be ascending")
+    if not m_values or m_values != sorted(m_values):
+        raise ValueError("m_values must be non-empty and ascending")
     cfg = merge_config(config)
     data = CVData.build(products, task, seed, k)
 
-    folds = _map_units(_curve_unit,
-                       (data, cfg, representation, family, m_values, task),
-                       range(k), workers)
-    if any(clamped for clamped, _ in folds):
+    cells = [(family, m) for m in m_values]
+    folds = _map_units(_fold_unit, (data, cfg, task, cells),
+                       [(representation, fold) for fold in range(k)], workers)
+    errors = [e for errs, _, _ in folds for e in errs]
+    if errors:
+        raise ValueError("curve cell %s / %s / fold %s failed: %s" % errors[0])
+    if any(clamped for _, _, clamped in folds):
         warnings.warn("some m values exceeded the feature count and were clamped")
-    rows = [(m, {name: float(np.mean([cells[i][name] for _, cells in folds]))
+    rows = [(m, {name: float(np.mean([scores[i][name] for _, scores, _ in folds]))
                  for name in data.metrics})
             for i, m in enumerate(m_values)]
     return FeatureCurve(representation, family, task, rows)

@@ -291,4 +291,4 @@ def fit_svr(X, y, C: float = 1.0, epsilon: float = 0.1, kernel: str = "linear",
         sv = np.array([0])
     return SVRModel(X[sv], beta[sv], b, kernel, gamma,
                     hyperparams={"C": C, "epsilon": epsilon, "kernel": kernel,
-                                 "gamma": gamma, "tol": tol})
+                                 "gamma": gamma, "tol": tol, "max_iter": max_iter})

@@ -142,6 +142,8 @@ class TestLoadConfig:
         ({"svr": {"max_iter": 0}}, r"hyperparameters\.svr\.max_iter: must be >= 1, got 0"),
         # featurize exited 1 with the fitter's message, naming no key
         ({"lda": {"n_topics": 0}}, r"hyperparameters\.lda\.n_topics: must be >= 1, got 0"),
+        ({"max_terms": 5}, r"hyperparameters\.lda\.n_topics: must be at most "
+                           r"hyperparameters\.max_terms, 5, got 8"),
     ])
     def test_hyperparameter_below_its_lower_bound(self, tmp_path, hp, message):
         path, _ = write_config(tmp_path, hyperparameters=hp)
@@ -572,6 +574,28 @@ class TestFailureModes:
         with caplog.at_level(logging.ERROR, logger="dataprice"):
             assert run(stage, config) == 1
         assert "cv.k: must be at most the number of listings, 40, got 41" in caplog.text
+
+    @pytest.mark.parametrize("stage, reps, clusters, message", [
+        # evaluate exited 0 with a bertopic cell failure on every fold
+        ("evaluate", ["bertopic"], 17, "the smallest training fold, 16, got 17"),
+        ("curve", ["bertopic"], 17, "the smallest training fold, 16, got 17"),
+        ("featurize", ["bow", "bertopic"], 21, "the corpus, 20, got 21"),
+        # a stage that fits no bertopic does not check its clusters
+        ("evaluate", ["bow"], 17, None),
+    ])
+    def test_bertopic_clusters_above_the_listings_they_fit(self, tmp_path, caplog,
+                                                           stage, reps, clusters,
+                                                           message):
+        config, _ = write_config(
+            tmp_path, data={"synthetic": 20}, representations=reps,
+            curve={"representation": reps[-1]},
+            hyperparameters={"bertopic": {"n_clusters": clusters}})
+        assert run("ingest", config) == 0
+        with caplog.at_level(logging.ERROR, logger="dataprice"):
+            assert run(stage, config) == (0 if message is None else 1)
+        if message is not None:
+            assert ("hyperparameters.bertopic.n_clusters: must be at most the "
+                    "listings of " + message) in caplog.text
 
     def test_bad_threads_flag(self, tmp_path):
         config, _ = write_config(tmp_path)

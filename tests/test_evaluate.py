@@ -13,7 +13,7 @@ from dataprice.evaluate import (ERROR_METRICS, FAMILIES, SCORE_METRICS,
                                 evaluate_cell, feature_curve, kfold_split,
                                 merge_config, mix_seed, regression_metrics,
                                 run_grid)
-from dataprice.models import ModelError
+from dataprice.models import ModelError, OvREnsemble, StandardizedModel
 from dataprice.synth import generate_products
 
 # the pooled path needs fork and a second CPU; elsewhere it runs serially
@@ -210,6 +210,26 @@ class TestEvaluateCell:
         assert all(np.isfinite(v) for v in cell.values())
 
 
+class TestFitFamily:
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_model_records_its_config_section(self, family, task):
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(40, 4))
+        y = X[:, 0] + 0.1 * rng.normal(size=40)
+        if task == "classification":
+            y = np.searchsorted(np.quantile(y, [0.2, 0.4, 0.6, 0.8]), y)
+        cfg = merge_config(TestGrid.CFG)
+        model = evaluate.fit_family(family, X, y, task, 5, cfg, seed=1)
+        if isinstance(model, OvREnsemble):
+            model = model.members[0]
+        if isinstance(model, StandardizedModel):
+            model = model.inner
+        by_task = {"linear": ("linear", "logistic"), "svm": ("svr", "svm")}
+        section = cfg[by_task.get(family, (family, family))[task == "classification"]]
+        assert {key: model.hyperparams.get(key) for key in section} == section
+
+
 class TestCurve:
     def test_monotone_setup_and_clamping(self):
         products = generate_products(60, seed=2)
@@ -255,6 +275,34 @@ class TestPool:
             assert one.values[m].tobytes() == two.values[m].tobytes()
             assert one.mean[m].tobytes() == two.mean[m].tobytes()
             assert one.rank[m].tolist() == two.rank[m].tolist()
+
+    @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=pytest.mark.skipif(
+        not POOLED, reason="needs fork and two CPUs"))])
+    def test_programming_error_raises_out_of_the_grid(self, products, monkeypatch,
+                                                      workers):
+        def fit_family(family, X, y, task, n_classes, cfg, seed):
+            raise TypeError("planted bug")
+
+        # the forked workers inherit the patch
+        monkeypatch.setattr(evaluate, "fit_family", fit_family)
+        with pytest.raises(TypeError, match="planted bug"):
+            run_grid(products, ["bow"], ["linear"], task="regression",
+                     config=TestGrid.CFG, seed=0, k=3, workers=workers)
+        assert not multiprocessing.active_children()
+
+    def test_failed_curve_cell_names_its_unit(self, products, monkeypatch):
+        real, planted = evaluate.fit_family, mix_seed(0, "tfidf", 1, "cart", 3)
+
+        def fit_family(family, X, y, task, n_classes, cfg, seed):
+            if seed == planted:
+                raise ModelError("planted failure")
+            return real(family, X, y, task, n_classes, cfg, seed)
+
+        monkeypatch.setattr(evaluate, "fit_family", fit_family)
+        with pytest.raises(ValueError, match="tfidf / cart / fold 1 failed: "
+                                             "planted failure"):
+            feature_curve(products, "tfidf", "cart", [1, 3], task="classification",
+                          config=TestGrid.CFG, seed=0, k=3)
 
     def test_curve_same_at_one_and_two_workers(self, products):
         one, two = (feature_curve(products, "tfidf", "cart", [1, 3, 6],
