@@ -132,17 +132,9 @@ def binary_auc(y_true, scores) -> float:
     neg = scores[y_true == 0]
     if len(pos) == 0 or len(neg) == 0:
         raise MetricError("AUC needs both classes present")
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores), dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    pos_ranks = ranks[y_true == 1]
+    # each run of tied scores shares the midrank of its run
+    _, run, c = np.unique(scores, return_inverse=True, return_counts=True)
+    pos_ranks = (np.cumsum(c) - 0.5 * (c - 1))[run][y_true == 1]
     return float((np.sum(pos_ranks) - len(pos) * (len(pos) + 1) / 2.0)
                  / (len(pos) * len(neg)))
 

@@ -65,15 +65,14 @@ class _Booster:
                       - G2[node]) - self.gamma_pen
 
     def leaves(self, which):
-        values = [_leaf_weight(G, H, self.lam) for G, H
-                  in zip(self.G[which].tolist(), self.H[which].tolist())]
+        values = _leaf_weight(self.G[which], self.H[which], self.lam)
         size = self.size[which]
         leaf = np.zeros(len(self.size), dtype=bool)
         leaf[which] = True
         self.step[self.asc[:-1][leaf.repeat(self.size)]] = np.repeat(
             values, size)
         return [{"leaf": True, "value": v, "n": n}
-                for v, n in zip(values, size.tolist())]
+                for v, n in zip(values.tolist(), size.tolist())]
 
 
 @register

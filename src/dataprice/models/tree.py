@@ -21,8 +21,8 @@ and ties go to the lower feature, then the lower threshold. Rows with value
 
 The trees are bit-identical to growing one node at a time by the same
 arithmetic: cumulative sums run along each node's own rows from its first,
-and every total that NumPy takes by pairwise summation is taken in NumPy's
-order over exactly the node's rows (node_sums, _row_sums)."""
+and every total is np.sum's over exactly the node's rows, in the order the
+one-node grower took them (node_sums, segment_sums)."""
 
 from __future__ import annotations
 
@@ -32,7 +32,6 @@ from .base import Model, ModelError, register, require_finite
 
 _BLOCK = 1 << 14  # elements per search block: bounds the temporaries
 _MIN_BLOCK = 1 << 12  # below this, a block takes smaller nodes padded
-_PAIRWISE = 128  # NumPy's pairwise sum adds runs up to this long in order
 
 
 def presort(X) -> np.ndarray:
@@ -111,69 +110,28 @@ def grow(stack, crit, max_depth, min_leaf) -> list[dict]:
 
 def node_sums(values, asc, start, size) -> np.ndarray:
     """np.sum of each of values over each node's rows, ascending, bit for
-    bit: (k x nodes) for a sequence of k arrays over the rows, each 0 at
-    the padding row. asc lists the rows of each node (start, size) in
-    order, the padding row last."""
-    if len(size) <= 8:  # few nodes: one NumPy sum each
-        rows = asc[:-1]
-        return np.array([[np.add.reduce(v[rows[s:s + n]]) for s, n
-                          in zip(start.tolist(), size.tolist())]
-                         for v in values]).reshape(len(values), -1)
-    # the short nodes padded together, each longer size on its own
-    out = np.empty((len(values), len(size)))
-    long = size > _PAIRWISE
-    short = (~long).nonzero()[0]
-    for sel in [(size == s).nonzero()[0]
-                for s in sorted(set(size[long].tolist()))] + [short]:
-        if not sel.size:
-            continue
-        n = size[sel]
-        width = int(n.max())
-        at = start[sel][:, None] + np.arange(width)
-        at[np.arange(width) >= n[:, None]] = len(asc) - 1
-        rows = asc[at]
-        out[:, sel] = _row_sums(np.concatenate([v[rows] for v in values]),
-                                np.tile(n, len(values))).reshape(len(values),
-                                                                 -1)
-    return out
+    bit: (k x nodes) for a sequence of k arrays over the rows. asc lists
+    the rows of each node (start, size) in order."""
+    packed = size.cumsum() - size  # where each node's rows go in the gather
+    rows = asc[np.arange(size.sum()) + np.repeat(start - packed, size)]
+    return segment_sums(np.concatenate([v[rows] for v in values]),
+                        np.tile(size, len(values))).reshape(len(values), -1)
 
 
-def _row_sums(a, n) -> np.ndarray:
-    """np.sum(a[i, :n[i]]) of each row of a, bit for bit, where a is 0 past
-    each row's n[i] values.
+def segment_sums(values, lengths) -> np.ndarray:
+    """np.sum of each run of values, bit for bit, where the runs lie one
+    after another, lengths[i] values each.
 
-    Up to _PAIRWISE values, NumPy adds in eight running sums over the full
-    blocks of eight, adds those as a tree, then the rest one by one, and
-    adds the result to 0. Rows that short are summed that way together; the
-    zeros past their values leave every sum as it is. Longer rows are
-    stacked by length and summed along rows, which NumPy does row by row as
-    it sums one."""
-    out = np.empty(len(n))
-    long = n > _PAIRWISE
-    for s in sorted(set(n[long].tolist())):
-        sel = (n == s).nonzero()[0]
-        out[sel] = np.add.reduce(a[sel, :s], axis=1)
-    short = (~long).nonzero()[0]
-    if not short.size:
-        return out
-    n = n[short]
-    blocks = n // 8
-    # blocks of eight, with at least one block of zeros after each row
-    chunks = np.zeros((len(n), int(blocks.max()) + 2, 8))
-    width = min(a.shape[1], 8 * int(blocks.max()) + 8)
-    chunks.reshape(len(n), -1)[:, :width] = a[short, :width]
-    every = np.arange(len(n))
-    rest = chunks[every, blocks]  # the last, partial block
-    chunks[every, blocks] = 0.0
-    # eight running sums over the full blocks, in order (accumulate adds
-    # in order), then a tree of them, then the rest one by one
-    r = np.add.accumulate(chunks, axis=1)[:, -1]
-    r = r[:, 0::2] + r[:, 1::2]
-    r = r[:, 0::2] + r[:, 1::2]
-    r = r[:, 0] + r[:, 1]
-    out[short] = 0.0 + np.add.accumulate(np.hstack([r[:, None], rest]),
-                                         axis=1)[:, -1]
-    return out
+    np.sum adds the values by NumPy's pairwise sum, then adds that to 0.
+    With a 0 in front of each run, one np.add.reduceat from the zeros does
+    the same for every run: it starts from the 0 and passes the run to the
+    same pairwise loop."""
+    lengths = np.asarray(lengths)
+    k = len(lengths)
+    laid = np.zeros(len(values) + k)
+    at = np.arange(len(values)) + np.repeat(np.arange(1, k + 1), lengths)
+    laid[at] = values
+    return np.add.reduceat(laid, lengths.cumsum() - lengths + np.arange(k))
 
 
 def _blocks(nodes, size, p):
@@ -295,8 +253,9 @@ class _Variance:
         n = self.size[nodes]
         # each (node, column) total is summed over the node's rows in that
         # column's order, as the one-node search took it
-        total = _row_sums(ys.transpose(0, 2, 1).reshape(-1, width),
-                          np.repeat(n, pc))
+        lens = np.repeat(n, pc)
+        runs = ys.transpose(0, 2, 1).reshape(-1, width)
+        total = segment_sums(runs[np.arange(width) < lens[:, None]], lens)
         # S^2 squares Python floats (libm pow), whose last bit can differ
         # from NumPy's x*x; the trees depend on it
         const = np.array([t ** 2 for t in total.tolist()])

@@ -14,7 +14,7 @@ from dataprice.models import (ConstantScoreModel, ModelError, fit_cart,
                               one_vs_rest)
 from dataprice.models import svm
 from dataprice.models.gbt import _leaf_weight
-from dataprice.models.tree import _row_sums
+from dataprice.models.tree import node_sums, segment_sums
 
 
 # reference oracles: plain definitions the fitted models are checked against
@@ -686,18 +686,26 @@ class TestLevelwiseGrower:
         assert m.trees == _ref_gbt_trees(X, binary, 3, 0.3, 1.0, 0.0, 3,
                                          min_leaf, "logistic", m.base_score)
 
-    def test_row_sums_equal_numpy_sums(self):
-        # lengths across the eight-wide blocks and past NumPy's pairwise
-        # block of 128, values over many orders of magnitude
+    def test_segment_sums_equal_numpy_sums(self):
+        # lengths across the eight-wide blocks, past NumPy's pairwise block
+        # of 128 and around 8192, values over many orders of magnitude
         rng = np.random.default_rng(5)
-        n = np.concatenate([np.arange(1, 300), rng.integers(1, 300, size=40)])
-        a = rng.normal(size=(len(n), 300)) * 10.0 ** rng.integers(
-            -8, 9, size=(len(n), 300))
-        a[np.arange(300) >= n[:, None]] = 0.0
-        want = np.array([np.sum(row[:k]) for row, k in zip(a, n)])
-        assert _same_bits(_row_sums(a, n), want)
-        few = n[:3]  # few lengths are summed as stacks of one length
-        assert _same_bits(_row_sums(a[:3], few), want[:3])
+        n = np.concatenate([np.arange(1, 300), rng.integers(1, 300, size=40),
+                            [8191, 8192, 8193, 20000]])
+        a = rng.normal(size=n.sum()) * 10.0 ** rng.integers(-8, 9,
+                                                             size=n.sum())
+        runs = np.split(a, n.cumsum()[:-1])
+        assert _same_bits(segment_sums(a, n),
+                          np.array([np.sum(run) for run in runs]))
+        # a non-contiguous subset of nodes, as leaves(which) passes them
+        asc = rng.permutation(len(a))
+        start = n.cumsum() - n
+        which = np.concatenate([np.arange(1, len(n), 3), [len(n) - 1]])
+        values = [a, -a[::-1].copy()]
+        want = np.array([[np.sum(v[asc[s:s + k]]) for s, k
+                          in zip(start[which], n[which])] for v in values])
+        assert _same_bits(node_sums(values, asc, start[which], n[which]),
+                          want)
 
 
 class TestJointBoosting:
