@@ -455,19 +455,8 @@ def cmd_explain(cfg, out_dir: Path) -> int:
         bg_idx = rng.choice(feats.n_rows, size=min(e["background_rows"], feats.n_rows),
                             replace=False)
         X, background = feats.values[:rows], feats.values[bg_idx]
-        if model.task == "regression":
-            phi, _ = shap_values(model, X, background, n_samples=e["n_samples"],
-                                 seed=mix_seed(cfg["seed"], "explain", "kernel"))
-        else:
-            # explain each row's predicted class, the tree method's default; the
-            # kernel method needs the class named, so it runs once per class
-            phi = np.zeros(X.shape)
-            preds = model.predict(X)
-            for c in np.unique(preds).tolist():
-                sel = preds == c
-                phi[sel], _ = shap_values(
-                    model, X[sel], background, n_samples=e["n_samples"],
-                    seed=mix_seed(cfg["seed"], "explain", "kernel", c), class_index=c)
+        phi, _ = shap_values(model, X, background, n_samples=e["n_samples"],
+                             seed=mix_seed(cfg["seed"], "explain", "kernel"))
         importance = global_importance(phi, feats.columns)
         importance.to_csv(out_dir / "importance.csv")
         beeswarm_csv(phi, X, feats.columns, out_dir / "beeswarm.csv")

@@ -14,7 +14,10 @@ its coalitions from each background row's kernel terms, updated by the
 columns where the row differs from the explained one, instead of
 predicting the imputed rows. Both methods satisfy local accuracy: the
 attributions plus the expected value sum to the model output for the
-explained row. Explained and background rows must be finite.
+explained row. Both explain a classifier's predicted class unless a class
+is named, and the kernel method draws one coalition design per call, so a
+row's attributions depend only on the row, the model, the background and
+the seed. Explained and background rows must be finite.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from math import comb
 
 import numpy as np
 
-from .evaluate import mix_seed
 from .models import (CARTModel, ForestModel, GBTModel, OvREnsemble,
                      StandardizedModel, SVMModel, SVRModel)
 from .models.svm import rbf_in_place, sq_distances
@@ -322,13 +324,14 @@ def shap_values(model, X, background=None, n_samples: int = 2048,
     value. CART, forest and GBT models, and one-vs-rest ensembles of them,
     use the exact tree method; everything else, standardized models
     included, uses the kernel method and requires a background dataset.
-    The kernel method scores an SVR's or a one-vs-rest SVM member's
-    coalitions by _kernel_machine_values, and any other model's by
-    predicting the imputed rows.
+    The kernel method scores every row against the coalitions drawn from
+    seed, an SVR's or a one-vs-rest SVM member's by _kernel_machine_values
+    and any other model's by predicting the imputed rows, so a row's
+    attributions do not depend on the other rows of X.
 
     For classifiers, class_index picks the score column to explain; it
-    defaults to each row's predicted class for the tree method and must be
-    given explicitly for the kernel method."""
+    defaults to each row's predicted class. A regression model's output and
+    a GBT's raw score name no class, so there class_index is ignored."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if not np.isfinite(X).all():
         raise ExplainError("the explained rows hold a non-finite value")
@@ -337,32 +340,31 @@ def shap_values(model, X, background=None, n_samples: int = 2048,
         if not np.isfinite(background).all():
             raise ExplainError("the background rows hold a non-finite value")
     n, p = X.shape
-    ovr = isinstance(model, OvREnsemble) and all(
-        _is_tree(m) or m.family == "constant_score" for m in model.members)
+    if model.task == "regression" or isinstance(model, GBTModel):
+        classes = [None] * n
+    elif class_index is not None:
+        classes = [class_index] * n
+    else:
+        classes = model.predict(X).tolist()
+    phi = np.zeros((n, p))
+    expected = np.zeros(n)
 
-    if ovr or _is_tree(model):
-        if class_index is not None:
-            classes = [class_index] * n
-        elif model.task == "classification" and not isinstance(model, GBTModel):
-            classes = model.predict(X)  # a GBT's raw score names no class
-        else:
-            classes = [None] * n
-        phi = np.zeros((n, p))
-        expected = np.zeros(n)
-        if ovr:
-            for i, c in enumerate(classes):
-                member = model.members[int(c)]
-                if member.family == "constant_score":
-                    expected[i] = member.SCORE
-                    continue
-                phi[i:i + 1], expected[i:i + 1] = shap_values(member, X[i:i + 1])
-            return phi, expected
+    if isinstance(model, OvREnsemble) and all(
+            _is_tree(m) or m.family == "constant_score" for m in model.members):
+        for i, c in enumerate(classes):
+            member = model.members[c]
+            if member.family == "constant_score":
+                expected[i] = member.SCORE
+                continue
+            phi[i:i + 1], expected[i:i + 1] = shap_values(member, X[i:i + 1])
+        return phi, expected
+    if _is_tree(model):
         paths, w, offset, divisor = _tree_sum(model)
         subsets = paths.subsets
         trees = list(enumerate(subsets or [slice(None)] * len(paths.expected)))
         width = p if subsets is None else len(subsets[0])
         for i, c in enumerate(classes):
-            k = 0 if paths.expected.shape[1] == 1 else int(c)
+            k = 0 if c is None else c
             per_tree = _path_phi(paths, X[i], width, k)
             total = offset
             for t, cols in trees:
@@ -374,20 +376,17 @@ def shap_values(model, X, background=None, n_samples: int = 2048,
 
     if background is None:
         raise ExplainError("a background dataset is required for this model")
-    if model.task == "classification":
-        if class_index is None:
-            raise ExplainError("class_index is required to explain a "
-                               "classifier with the kernel method")
-        fn = lambda rows: np.asarray(model.predict_scores(rows))[:, class_index]
-    else:
-        fn = lambda rows: np.asarray(model.predict(rows), dtype=np.float64)
-    machine = _kernel_machine(model, class_index)
-    values = (None if machine is None
-              else partial(_kernel_machine_values, *machine))
-    rows = [kernel_shap(fn, X[i], background, n_samples, mix_seed(seed, i),
-                        coalition_values=values)
-            for i in range(n)]
-    return np.stack([r[0] for r in rows]), np.array([r[1] for r in rows])
+    for i, c in enumerate(classes):
+        if c is None:
+            fn = lambda rows: np.asarray(model.predict(rows), dtype=np.float64)
+        else:
+            fn = lambda rows: np.asarray(model.predict_scores(rows))[:, c]
+        machine = _kernel_machine(model, c)
+        values = (None if machine is None
+                  else partial(_kernel_machine_values, *machine))
+        phi[i], expected[i] = kernel_shap(fn, X[i], background, n_samples,
+                                          seed, coalition_values=values)
+    return phi, expected
 
 
 # ------------------------------------------------------------- summaries ----

@@ -44,7 +44,11 @@ class ForestModel(Model):
     def predict(self, X):
         X = self._check_input(X)
         if self.task == "regression":
-            return np.array(self._tree_votes(X)).mean(axis=0)
+            # tree by tree, so that a row's sum does not depend on the batch
+            total = np.zeros(len(X))
+            for vote in self._tree_votes(X):
+                total += vote
+            return total / len(self.trees)
         # argmax takes the lower class on ties
         return np.argmax(self._vote_counts(X), axis=1).astype(np.int64)
 

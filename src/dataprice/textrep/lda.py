@@ -32,16 +32,18 @@ class TopicModel:
 
     def infer_theta(self, corpus: list[str]) -> np.ndarray:
         """Document-topic mixtures for new documents under the fitted phi,
-        by short per-document Gibbs runs with phi held fixed."""
+        by short per-document Gibbs runs with phi held fixed. Each run draws
+        from its own stream, seeded by the model seed and the document's
+        term ids, so a document's mixture does not depend on the batch."""
         index = {t: i for i, t in enumerate(self.terms)}
         K = self.n_topics
-        rng = random.Random(self.seed + 1)
         out = np.zeros((len(corpus), K))
         for i, text in enumerate(corpus):
             ids = [index[t] for t in tokenize(text) if t in index]
             if not ids:
                 out[i] = 1.0 / K
                 continue
+            rng = random.Random(np.array([self.seed, *ids], np.int64).tobytes())
             z = [rng.randrange(K) for _ in ids]
             n_k = [0] * K
             for t in z:

@@ -12,7 +12,6 @@ from dataprice.explain import (ExplainError, _kernel_machine,
                                embedding_keywords, global_importance,
                                kernel_shap, shap_values, shapley_kernel_weight,
                                tree_expected, tree_shap)
-from dataprice.evaluate import mix_seed
 from dataprice.models import (CARTModel, ForestModel, GBTModel, OvREnsemble,
                               fit_cart, fit_forest, fit_gbt, fit_linear,
                               fit_mlp, fit_standardized, fit_svm, fit_svr,
@@ -258,8 +257,6 @@ class TestTreeReference:
         yc = np.digitize(y, np.quantile(y, [1 / 3, 2 / 3]))
         model = one_vs_rest(partial(fit_standardized, fit_gbt, n_rounds=5,
                                     loss="logistic"), X, yc)
-        with pytest.raises(ExplainError, match="class_index"):
-            shap_values(model, X[:2], background=X[:10])
         phi, expected = shap_values(model, X[:4], background=X[:10],
                                     class_index=1)
         target = model.predict_scores(X[:4])[:, 1]
@@ -566,7 +563,7 @@ def _predict_loop(model, X, background, n_samples, seed, class_index=None):
         fn = lambda rows: np.asarray(model.predict(rows), dtype=np.float64)
     else:
         fn = lambda rows: model.predict_scores(rows)[:, class_index]
-    rows = [kernel_shap(fn, X[i], background, n_samples, mix_seed(seed, i))
+    rows = [kernel_shap(fn, X[i], background, n_samples, seed)
             for i in range(len(X))]
     return np.stack([r[0] for r in rows]), np.array([r[1] for r in rows])
 
@@ -666,16 +663,21 @@ class TestDispatch:
         assert np.allclose(phi.sum(axis=1) + expected, model.predict(X[:3]),
                            atol=1e-8)
 
-    def test_classifier_kernel_needs_class_index(self):
+    def test_classifier_kernel_explains_predicted_class(self):
         X, _ = make_data(14, n=80, p=2)
         y = (X[:, 0] > 0).astype(int) + (X[:, 1] > 0).astype(int)
         model = fit_mlp(X, y, hidden=(6,), epochs=50, task="classification",
                         seed=0)
-        with pytest.raises(ExplainError, match="class_index"):
-            shap_values(model, X[:2], background=X[:10])
-        phi, expected = shap_values(model, X[:2], background=X[:10],
-                                    class_index=1, n_samples=64)
-        target = model.predict_scores(X[:2])[:, 1]
+        preds = model.predict(X[:6])
+        assert len(set(preds.tolist())) > 1
+        phi, expected = shap_values(model, X[:6], background=X[:10],
+                                    n_samples=64, seed=3)
+        for i, c in enumerate(preds.tolist()):
+            one, e = shap_values(model, X[i:i + 1], background=X[:10],
+                                 n_samples=64, seed=3, class_index=c)
+            assert phi[i].tobytes() == one[0].tobytes()
+            assert expected[i] == e[0]
+        target = model.predict_scores(X[:6])[np.arange(6), preds]
         assert np.allclose(phi.sum(axis=1) + expected, target, atol=1e-8)
 
 

@@ -26,7 +26,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "digests.json"
 STAGES = ["ingest", "featurize", "select", "train", "evaluate", "explain",
           "curve", "report"]
 # regression trains the tree path on embedding features (keywords too);
-# classification trains the kernel path, explained once per class
+# classification trains the kernel path, each row at its predicted class
 TRAIN = {"regression": {"representation": "word2vec", "family": "gbt"},
          "classification": {"representation": "bow", "family": "mlp"}}
 
