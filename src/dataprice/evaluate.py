@@ -251,7 +251,7 @@ def fit_family(family: str, X, y, task: str, n_classes: int, cfg: dict,
         raise ValueError("unknown family %r or task %r" % (family, task))
     f = _FITTERS[family][task]
     given = {"task": task, "n_classes": n_classes, "seed": seed,
-             # each forest tree draws about sqrt(p) of the p columns
+             # each forest node draws about sqrt(p) of the p columns
              "k_features": max(1, int(np.sqrt(np.shape(X)[1])))}
     fit = partial(f.fit, **cfg[f.section], **{k: given[k] for k in f.takes})
     if f.ovr is None:

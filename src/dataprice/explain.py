@@ -29,8 +29,8 @@ from math import comb
 
 import numpy as np
 
-from .models import (CARTModel, ForestModel, GBTModel, OvREnsemble,
-                     StandardizedModel, SVMModel, SVRModel)
+from .models import (CARTModel, ForestModel, GBTModel, LogisticModel,
+                     OvREnsemble, StandardizedModel, SVMModel, SVRModel)
 from .models.svm import rbf_in_place, sq_distances
 from .textrep.word2vec import EmbeddingTable
 
@@ -53,17 +53,13 @@ class TreePaths:
     A path holds each feature it splits on once, at its first split: the
     feature's zero fraction is the product of the cover fractions of its
     splits, and its splits bound an interval (lo, hi] that a row must fall
-    in to follow them all. A group is (tree, feature, column, zero, lo, hi,
-    value). tree and value have one row per path; the element arrays
-    feature, column, zero, lo and hi (L x paths) have one row per element
-    and one column per path, feature indexing the tree's own columns and
-    column the model's. Tree t reads the columns subsets[t] of the model's
-    row, or all of them when subsets is None. value (paths x C) and
-    expected (trees x C) hold leaf_value(leaf), an array of C values, and
-    its cover-weighted mean."""
+    in to follow them all. A group is (tree, feature, zero, lo, hi, value).
+    tree and value have one row per path; the element arrays feature,
+    zero, lo and hi (L x paths) have one row per element and one column per
+    path. value (paths x C) and expected (trees x C) hold leaf_value(leaf),
+    an array of C values, and its cover-weighted mean."""
 
-    def __init__(self, roots, leaf_value, subsets=None):
-        self.subsets = subsets
+    def __init__(self, roots, leaf_value):
         self.expected = np.array([tree_expected(root, leaf_value)
                                   for root in roots])
         groups = {}
@@ -86,13 +82,9 @@ class TreePaths:
         self.groups = []
         for L in sorted(groups):
             tree, elements, value = zip(*groups[L])
-            tree = np.array(tree)
             feature, zero, lo, hi = np.stack(elements, axis=2)
-            feature = feature.astype(np.int64)
-            column = (feature if subsets is None
-                      else np.asarray(subsets)[tree, feature])
-            self.groups.append((tree, feature, column, zero, lo, hi,
-                                np.array(value)))
+            self.groups.append((np.array(tree), feature.astype(np.int64),
+                                zero, lo, hi, np.array(value)))
 
 
 def _path_terms(zero, one, value):
@@ -132,8 +124,8 @@ def _path_phi(paths, x, width, c=0):
     """(trees x width) attributions of each tree of paths for the row x
     and the leaf values' column c."""
     out = np.zeros((len(paths.expected), width))
-    for tree, feature, column, zero, lo, hi, value in paths.groups:
-        v = x[column]
+    for tree, feature, zero, lo, hi, value in paths.groups:
+        v = x[feature]
         one = ((lo < v) & (v <= hi)).astype(np.float64)
         np.add.at(out, (tree, feature), _path_terms(zero, one, value[:, c]))
     return out
@@ -168,13 +160,13 @@ def _tree_sum(model):
     and GBT the raw boosted score (log-odds under the logistic loss)
     whatever the class; a regression leaf holds its one value."""
     if isinstance(model, GBTModel):
-        roots, subsets = model.trees, None
+        roots = model.trees
         weight, offset, divisor = model.learning_rate, model.base_score, 1
     elif isinstance(model, ForestModel):
-        roots, subsets = [t.root for t in model.trees], model.feature_subsets
+        roots = [t.root for t in model.trees]
         weight, offset, divisor = 1.0, 0.0, len(model.trees)
     else:
-        roots, subsets = [model.root], None
+        roots = [model.root]
         weight, offset, divisor = 1.0, 0.0, 1
     paths = vars(model).get("shap_paths")
     if paths is None:
@@ -187,7 +179,7 @@ def _tree_sum(model):
         else:
             leaf = lambda node: (np.array(node["probs"]) if "probs" in node
                                  else votes[int(node["value"])])
-        paths = model.shap_paths = TreePaths(roots, leaf, subsets)
+        paths = model.shap_paths = TreePaths(roots, leaf)
     return paths, weight, offset, divisor
 
 
@@ -331,7 +323,9 @@ def shap_values(model, X, background=None, n_samples: int = 2048,
 
     For classifiers, class_index picks the score column to explain; it
     defaults to each row's predicted class. A regression model's output and
-    a GBT's raw score name no class, so there class_index is ignored."""
+    a GBT's raw score name no class, so there class_index is ignored. A bare
+    binary SVM or logistic model has no score per class and raises
+    ExplainError."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if not np.isfinite(X).all():
         raise ExplainError("the explained rows hold a non-finite value")
@@ -339,6 +333,11 @@ def shap_values(model, X, background=None, n_samples: int = 2048,
         background = np.atleast_2d(np.asarray(background, dtype=np.float64))
         if not np.isfinite(background).all():
             raise ExplainError("the background rows hold a non-finite value")
+    inner = model.inner if isinstance(model, StandardizedModel) else model
+    if isinstance(inner, (SVMModel, LogisticModel)):
+        raise ExplainError("a bare binary %s has no class scores to explain; "
+                           "explain the one-vs-rest ensemble of it"
+                           % type(inner).__name__)
     n, p = X.shape
     if model.task == "regression" or isinstance(model, GBTModel):
         classes = [None] * n
@@ -360,15 +359,11 @@ def shap_values(model, X, background=None, n_samples: int = 2048,
         return phi, expected
     if _is_tree(model):
         paths, w, offset, divisor = _tree_sum(model)
-        subsets = paths.subsets
-        trees = list(enumerate(subsets or [slice(None)] * len(paths.expected)))
-        width = p if subsets is None else len(subsets[0])
         for i, c in enumerate(classes):
             k = 0 if c is None else c
-            per_tree = _path_phi(paths, X[i], width, k)
             total = offset
-            for t, cols in trees:
-                phi[i, cols] += w * per_tree[t]
+            for t, tree_phi in enumerate(_path_phi(paths, X[i], p, k)):
+                phi[i] += w * tree_phi
                 total += w * paths.expected[t, k]
             phi[i] /= divisor
             expected[i] = total / divisor

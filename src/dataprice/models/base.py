@@ -6,7 +6,8 @@ import json
 
 import numpy as np
 
-FORMAT_VERSION = 1
+# 2: forest trees split on the model's columns and keep no column subsets
+FORMAT_VERSION = 2
 
 _REGISTRY: dict[str, type] = {}
 

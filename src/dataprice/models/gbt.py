@@ -8,8 +8,9 @@ classification uses the logistic loss with g = p - y, h = p(1-p).
 
 Trees grow level by level in tree.py. fit_gbts boosts several targets on
 one X together, as one-vs-rest classification does: each round grows one
-tree per target in one batch, on the one presort of X. Each round updates
-the training predictions with the leaf values written while growing.
+tree per target in one batch, every target's rows standing for the rows of
+the one binned X. Each round updates the training predictions with the
+leaf values written while growing.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import Model, ModelError, register, require_finite
-from .tree import FlatTree, Stack, grow, node_sums, presort
+from .tree import Binned, FlatTree, grow, node_sums
 
 
 def _leaf_weight(G, H, lam):
@@ -26,18 +27,17 @@ def _leaf_weight(G, H, lam):
 
 class _Booster:
     """The criterion of one round: second-order gain and leaf weights from
-    the derivatives g and h of the stacked rows; h None stands for h = 1,
+    the derivatives g and h of the stack rows; h None stands for h = 1,
     whose sums are exact counts. leaves() writes each row's leaf weight to
     step."""
 
     def __init__(self, g, h, lam, gamma_pen):
-        self.g = np.append(g, 0.0)
-        self.h = None if h is None else np.append(h, 0.0)
+        self.g, self.h = g, h
         self.lam, self.gamma_pen = lam, gamma_pen
         self.step = np.empty(len(g))
 
     def level(self, asc, start, size):
-        self.asc, self.start, self.size = asc, start, size
+        self.asc, self.size = asc, size
         if self.h is None:
             self.G = node_sums([self.g], asc, start, size)[0]
             self.H = size.astype(np.float64)
@@ -47,30 +47,30 @@ class _Booster:
                 # logistic probabilities saturated at 0 or 1, lam 0
                 raise ModelError(
                     "a node's hessian sum plus lam is 0; use lam > 0")
+        # G ** 2 squares a Python float (libm pow); the trees depend on it
+        self.G2 = np.array([g ** 2 / (h + self.lam) for g, h
+                            in zip(self.G.tolist(), self.H.tolist())])
 
     def pure(self):
         return None
 
-    def gain(self, rows, nodes, node, flat, pos):
-        gl = np.add.accumulate(self.g[rows], axis=1).ravel()[flat]
-        hl = (pos if self.h is None
-              else np.add.accumulate(self.h[rows], axis=1).ravel()[flat])
-        G, H = self.G[nodes], self.H[nodes]
-        lam = self.lam
-        # G ** 2 squares a Python float (libm pow); the trees depend on it
-        G2 = np.array([g ** 2 / (h + lam)
-                       for g, h in zip(G.tolist(), H.tolist())])
-        return 0.5 * (gl ** 2 / (hl + lam)
-                      + (G[node] - gl) ** 2 / (H[node] - hl + lam)
-                      - G2[node]) - self.gamma_pen
+    def hist(self, key, rows, k, bins):
+        return [np.bincount(key, np.tile(v[rows], k), minlength=bins)
+                for v in ((self.g,) if self.h is None else (self.g, self.h))]
+
+    def gain(self, node, pos, cum):
+        gl = cum[:, 0]
+        hl = pos if self.h is None else cum[:, 1]
+        G, H, lam = self.G[node], self.H[node], self.lam
+        return 0.5 * (gl ** 2 / (hl + lam) + (G - gl) ** 2 / (H - hl + lam)
+                      - self.G2[node]) - self.gamma_pen
 
     def leaves(self, which):
         values = _leaf_weight(self.G[which], self.H[which], self.lam)
         size = self.size[which]
         leaf = np.zeros(len(self.size), dtype=bool)
         leaf[which] = True
-        self.step[self.asc[:-1][leaf.repeat(self.size)]] = np.repeat(
-            values, size)
+        self.step[self.asc[leaf.repeat(self.size)]] = np.repeat(values, size)
         return [{"leaf": True, "value": v, "n": n}
                 for v, n in zip(values.tolist(), size.tolist())]
 
@@ -147,9 +147,7 @@ def fit_gbts(X, targets, n_rounds: int = 50, learning_rate: float = 0.3,
 
     raw = np.repeat(base, n).reshape(T, n)
     trees = [[] for _ in range(T)]
-    one = presort(X)
-    stack = Stack(np.tile(X, (T, 1)),
-                  np.hstack([one + t * n for t in range(T)]), [n] * T)
+    binned, src = Binned(X), np.tile(np.arange(n), T)
     for _ in range(n_rounds):
         if loss == "squared":
             booster = _Booster((raw - y).ravel(), None, lam, gamma_pen)
@@ -157,7 +155,7 @@ def fit_gbts(X, targets, n_rounds: int = 50, learning_rate: float = 0.3,
             prob = 1.0 / (1.0 + np.exp(-raw))
             booster = _Booster((prob - y).ravel(),
                                (prob * (1.0 - prob)).ravel(), lam, gamma_pen)
-        roots = grow(stack, booster, max_depth, min_leaf)
+        roots = grow(binned, src, [n] * T, booster, max_depth, min_leaf)
         for tree, root in zip(trees, roots):
             tree.append(root)
         raw += learning_rate * booster.step.reshape(T, n)

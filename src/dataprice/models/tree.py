@@ -2,27 +2,32 @@
 gini), the trees of a random forest (forest.py) and the rounds of gradient
 boosting (gbt.py) all grow in `grow`.
 
-The trees of one batch stack their rows in one matrix, tree after tree. A
-fit sorts each tree's columns once, stably (the presort). One step grows
-every tree of the batch by one depth: it searches all open nodes of that
-depth, then partitions them all. Per column, a step keeps each node's rows
-as one segment in that column's sorted order, plus one more row of
-segments with the rows ascending. A split partitions each segment stably
-into its two children, so a node's order is always exactly a stable sort
-of its own rows, and no node sorts again.
+A fit codes each column of X once, as the index of each value among the
+column's sorted distinct values (Binned). The trees grown together are
+blocks of stack rows, and each stack row stands for one row of X: a forest
+tree's block is its bootstrap sample, and each boosted target's block is
+all of X. Every node keeps its stack rows ascending.
 
-The search scores blocks of nodes of similar size together: padded to the
-size of the block's largest node, as one (nodes x rows x columns) array of
-at most _BLOCK elements. Gains are computed only at candidate boundaries:
-between consecutive distinct values, with at least min_leaf rows on each
-side. A split needs a gain above 1e-12, a NaN gain rules its column out,
-and ties go to the lower feature, then the lower threshold. Rows with value
-<= threshold go left.
+One step grows every tree by one depth. For the open nodes of that depth
+it takes a histogram (Ke et al., "LightGBM", NeurIPS 2017): per (node,
+column, value) the row count and the sums of the criterion's statistics,
+each one np.bincount over the rows in ascending order. A forest node's
+histogram covers only its drawn columns. The bins are numbered through a
+table of every bin of the open nodes' columns while that table is small,
+else by sorting, so a deep level of many small nodes holds no more bins
+than it has (row, column) pairs. Cumulative sums run over each (node,
+column)'s occurring values, ascending, one value at a time. The
+candidate splits lie between consecutive occurring values, with at least
+min_leaf rows on each side, and the threshold is the midpoint of the two
+values. A split needs a gain above 1e-12, a NaN gain rules its column
+out, and ties go to the lower feature, then the lower threshold. Rows
+with value <= threshold go left; the children of a node follow each
+other, left first, in the next level's order.
 
-The trees are bit-identical to growing one node at a time by the same
-arithmetic: cumulative sums run along each node's own rows from its first,
-and every total is np.sum's over exactly the node's rows, in the order the
-one-node grower took them (node_sums, segment_sums)."""
+Gini counts are integers, so those trees equal growing one node at a time
+on the rows sorted by value, bit for bit. A float criterion sums each
+value's statistics in row order before it cumulates them; node totals and
+leaf values are np.sum's over the node's rows, ascending (node_sums)."""
 
 from __future__ import annotations
 
@@ -30,81 +35,82 @@ import numpy as np
 
 from .base import Model, ModelError, register, require_finite
 
-_BLOCK = 1 << 14  # elements per search block: bounds the temporaries
-_MIN_BLOCK = 1 << 12  # below this, a block takes smaller nodes padded
+
+class Binned:
+    """The columns of X coded by value: codes[j, i] is the index of X[i, j]
+    among the sorted distinct values of column j, which lie in values from
+    offset[j] on, width[j] of them. Codes are uint8 when no column has more
+    than 256 values, else uint16."""
+
+    def __init__(self, X):
+        self.X = X
+        n, self.p = X.shape
+        order = np.argsort(X, axis=0)
+        xs = np.take_along_axis(X, order, axis=0)
+        new = np.ones(X.shape, dtype=bool)
+        new[1:] = xs[1:] != xs[:-1]
+        self.width = new.sum(axis=0)
+        self.values = np.concatenate([xs[new[:, j], j] for j in range(self.p)]
+                                     + [np.zeros(0)])
+        self.offset = self.width.cumsum() - self.width  # column j in values
+        dtype = np.uint8 if self.width.max(initial=0) <= 256 else np.uint16
+        self.codes = np.empty((self.p, n), dtype=dtype)
+        np.put_along_axis(self.codes, order.T, new.T.cumsum(axis=1) - 1,
+                          axis=1)
 
 
-def presort(X) -> np.ndarray:
-    """The root order of one tree: (features x rows), each row stable."""
-    return np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
+def grow(binned, src, sizes, crit, max_depth, min_leaf,
+         draw=None) -> list[dict]:
+    """Grow one tree per block of stack rows; return their roots.
 
-
-class Stack:
-    """The rows of a batch of trees, tree after tree, and their presort,
-    laid out for growth; every boosting round on the same rows shares it.
-
-    X (rows x p) stacks the trees' rows and order (p x rows) is their
-    presort as rows of X: per column, each tree's segment sorted. The
-    stack adds a last row to the order that lists the rows ascending, and
-    a padding row R (its last column) for nodes shorter than their block.
-    xs holds the values of order's rows, 0 for the padding row, and Xt is X
-    by column with the padding row: X[r, j] is Xt[j * (R + 1) + r]."""
-
-    def __init__(self, X, order, tree_sizes):
-        R, self.p = X.shape
-        self.rows = R
-        self.size = np.asarray(tree_sizes, dtype=np.int64)
-        self.start = np.cumsum(self.size) - self.size
-        self.order = np.hstack([np.vstack([order, np.arange(R)]),
-                                np.full((self.p + 1, 1), R)])
-        self.Xt = np.hstack([X.T, np.zeros((self.p, 1))]).ravel()
-        self.xs = self.Xt[self.order[:-1]
-                          + (np.arange(self.p) * (R + 1))[:, None]]
-
-
-def grow(stack, crit, max_depth, min_leaf) -> list[dict]:
-    """Grow one tree per tree of stack; return their roots.
-
-    crit is the criterion (_Variance, _Gini or gbt's booster): level()
-    takes the statistics of a depth's nodes, pure() marks those that stop
-    before any search (or is None), gain() scores candidate splits and
-    leaves() returns leaf dicts."""
+    Stack row i stands for row src[i] of binned, and tree t owns the
+    sizes[t] stack rows after those of the trees before it. crit is the
+    criterion (_Variance, _Gini or gbt's booster): level() takes the
+    statistics of a depth's nodes, pure() marks those that stop before any
+    search (or is None), hist() sums the statistics of the search's
+    entries per histogram bin, gain() scores candidate splits and leaves()
+    returns leaf dicts. draw(trees), given the tree of each node to search
+    in level order, returns the sorted columns each searches (nodes x k);
+    without it every node searches every column."""
     lo = max(1, min_leaf)
-    order, xs, start, size = stack.order, stack.xs, stack.start, stack.size
+    size = np.asarray(sizes, dtype=np.int64)
+    rows = np.arange(size.sum())
+    tree = np.arange(len(size))
     nodes = [{} for _ in size]
     roots = list(nodes)
     depth = 0
     while nodes:
-        crit.level(order[-1], start, size)
-        if depth >= max_depth or not stack.p:
+        start = size.cumsum() - size
+        crit.level(rows, start, size)
+        if depth >= max_depth or not binned.p:
             for node, leaf in zip(nodes, crit.leaves(np.arange(len(size)))):
                 node.update(leaf)
             break
-        feature = np.full(len(size), -1)
-        threshold = np.zeros(len(size))
         open_ = size >= 2 * lo
         pure = crit.pure()
         if pure is not None:
             open_ &= ~pure
-        _search(order, xs, start, size, open_.nonzero()[0], crit, lo,
+        which = open_.nonzero()[0]
+        cols = None if draw is None else draw(tree[which])
+        feature = np.full(len(size), -1)
+        threshold = np.zeros(len(size))
+        _search(binned, src, rows, start, size, which, cols, crit, lo,
                 feature, threshold)
         split = (feature >= 0).nonzero()[0]
         leaves = (feature < 0).nonzero()[0]
         for i, leaf in zip(leaves.tolist(), crit.leaves(leaves)):
             nodes[i].update(leaf)
-        lefts, rights = [{} for _ in split], [{} for _ in split]
-        for i, j, thr, n, left, right in zip(
-                split.tolist(), feature[split].tolist(),
-                threshold[split].tolist(), size[split].tolist(), lefts, rights):
+        children = []
+        for i, j, thr, n in zip(split.tolist(), feature[split].tolist(),
+                                threshold[split].tolist(), size[split].tolist()):
+            left, right = {}, {}
             nodes[i].update({"leaf": False, "feature": j, "threshold": thr,
                              "n": n, "left": left, "right": right})
+            children += [left, right]
+        rows, size = _partition(binned, src, rows, size, feature, threshold)
+        tree = tree[split].repeat(2)
+        nodes = children
         depth += 1
-        if split.size:
-            if depth == max_depth:  # leaves next, which need only the rows
-                order, xs = order[-1:], xs[:0]
-            order, xs, start, size = _partition(stack, order, xs, size,
-                                                feature, threshold)
-        nodes = lefts + rights
     return roots
 
 
@@ -134,140 +140,149 @@ def segment_sums(values, lengths) -> np.ndarray:
     return np.add.reduceat(laid, lengths.cumsum() - lengths + np.arange(k))
 
 
-def _blocks(nodes, size, p):
-    """(nodes, first column, end column) of each search block. nodes are
-    sorted by size, descending, and a block pads them to the size of its
-    first. It holds at most _BLOCK elements, and once it holds _MIN_BLOCK,
-    no node of half that size or less. A node too big for one block is
-    searched in blocks of columns."""
-    s = size[nodes].tolist()
-    i = 0
-    while i < len(s):
-        width = s[i]
-        if width * p > _BLOCK:
-            step = max(1, _BLOCK // width)
-            for c in range(0, p, step):
-                yield nodes[i:i + 1], c, min(p, c + step)
-            i += 1
-            continue
-        j = i + 1
-        while (j < len(s) and (j - i + 1) * width * p <= _BLOCK
-               and (2 * s[j] > width or (j - i) * width * p < _MIN_BLOCK)):
-            j += 1
-        yield nodes[i:j], 0, p
-        i = j
+def segment_cumsums(values, lengths) -> np.ndarray:
+    """np.cumsum of each run of each array of values, bit for bit, as one
+    (values per array x arrays) array. The runs lie one after another in
+    each array, lengths[i] values each, all at least 1.
+
+    The runs are laid out by position, longest first: the first value of
+    every run, then the second of every run at least two long, and so on.
+    One slice add per position then extends every run that has it, as
+    np.cumsum adds each value to the sum before it."""
+    lengths = np.asarray(lengths)
+    order = np.argsort(-lengths, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    longest = int(lengths[order[0]]) if len(order) else 0
+    # runs longer than i, and where position i starts in the layout
+    n_at = len(lengths) - np.bincount(lengths, minlength=longest).cumsum()
+    first = n_at.cumsum() - n_at
+    at = first[np.arange(lengths.sum())
+               - np.repeat(lengths.cumsum() - lengths, lengths)]
+    at += rank.repeat(lengths)
+    where = np.empty_like(at)
+    where[at] = np.arange(len(at))
+    laid = np.empty((len(at), len(values)))
+    for j, v in enumerate(values):
+        laid[:, j] = v.take(where)
+    starts = first[:longest].tolist()
+    for b, a, m in zip(starts, starts[1:], n_at[1:longest].tolist()):
+        laid[a:a + m] += laid[b:b + m]
+    return laid.take(at, axis=0)
 
 
-def _search(order, xs, start, size, which, crit, lo, feature, threshold):
+def _search(binned, src, rows, start, size, which, cols, crit, lo, feature,
+            threshold):
     """Write the best split of each node in which to feature and threshold;
-    a node without one keeps feature -1."""
-    best = np.full(len(size), -np.inf)
-    pad = order.shape[1] - 1
-    if len(which) > 1:
-        which = which[(-size[which]).argsort(kind="stable")]
-    for nodes, c0, c1 in _blocks(which, size, len(order) - 1):
-        n = size[nodes]
-        b, pc, width = len(nodes), c1 - c0, int(n[0])
-        span = np.arange(width)
-        at = start[nodes][:, None] + span
-        at[span >= n[:, None]] = pad
-        # (nodes, rows, columns) of rows and of their values; NumPy lays
-        # these gathers out in that order already
-        rows = np.ascontiguousarray(order[c0:c1][:, at].transpose(1, 2, 0))
-        v = np.ascontiguousarray(xs[c0:c1][:, at].transpose(1, 2, 0))
-        pos = span[1:]
-        sizes_ok = (pos >= lo) & (pos <= n[:, None] - lo)
-        cand = ((v[:, :-1] < v[:, 1:]) & sizes_ok[:, :, None]).ravel().nonzero()[0]
-        if not cand.size:
-            continue
-        # candidates run by node, then threshold, then column
-        node = cand // ((width - 1) * pc)
-        k = cand // pc - node * (width - 1)
-        gain = crit.gain(rows, nodes, node, cand + node * pc, k + 1)
-        # the first best gain of each (node, column), then of each node, so
-        # that ties go to the lower feature, then the lower threshold
-        dense = np.full((b, width - 1, pc), -np.inf)
-        dense.ravel()[cand] = gain
-        top = dense.max(axis=1)
-        top[np.isnan(top)] = -np.inf  # a NaN gain rules its column out
-        j = top.argmax(axis=1)
-        better = (top[np.arange(b), j] > best[nodes]).nonzero()[0]
-        if not better.size:
-            continue
-        j = j[better]
-        k = dense[better, :, j].argmax(axis=1)
-        won = nodes[better]
-        best[won] = top[better, j]
-        feature[won] = c0 + j
-        threshold[won] = (v[better, k, j] + v[better, k + 1, j]) / 2
-    feature[~(best > 1e-12)] = -1
+    a node without one keeps feature -1. Node which[i] searches the
+    columns cols[i], or every column when cols is None."""
+    m, k = len(which), binned.p if cols is None else cols.shape[1]
+    if not m:
+        return
+    n = size[which]
+    node = np.arange(m).repeat(n)
+    r = rows[(start[which] - n.cumsum() + n).repeat(n) + np.arange(n.sum())]
+    # one entry per (column slot, row) pair of each node, slot by slot;
+    # the bins of group (node, slot) take the keys from first[group] on
+    if cols is None:
+        code = binned.codes[:, src[r]]
+        width = np.tile(binned.width, m)
+    else:
+        code = binned.codes[cols[node].T, src[r]]
+        width = binned.width[cols].ravel()
+    first = width.cumsum() - width
+    key = (first.reshape(m, k).T[:, node] + code).ravel()
+    space = int(width.sum())
+    keys = None
+    # a table of every bin costs a pass over it; when it would outgrow the
+    # entries and 2 ** 16 bins, sorting numbers the bins that occur
+    if space > max(len(key), 1 << 16):
+        keys, key = np.unique(key, return_inverse=True)
+        space = len(keys)
+    stats = [np.bincount(key, minlength=space), *crit.hist(key, r, k, space)]
+    if keys is None:
+        keys = stats[0].nonzero()[0]
+        stats = [v.take(keys) for v in stats]
+    group = first.searchsorted(keys, side="right") - 1
+    # a candidate is a bin with a next one in its group
+    cand = (group[1:] == group[:-1]).nonzero()[0]
+    cum = segment_cumsums(stats, np.bincount(group, minlength=m * k))
+    cum = cum.take(cand, axis=0)
+    pos = cum[:, 0]
+    cnode = group[cand] // k
+    ok = ((pos >= lo) & (pos <= n[cnode] - lo)).nonzero()[0]
+    cand, cum, cnode = cand[ok], cum.take(ok, axis=0), cnode[ok]
+    if not cand.size:
+        return
+    gain = crit.gain(which[cnode], cum[:, 0], cum[:, 1:])
+    bad = np.isnan(gain)
+    if bad.any():  # a NaN gain rules its column out
+        gain[np.isin(group[cand], group[cand[bad]])] = -np.inf
+    # candidates run by node, then column, then threshold: the first best
+    # gain of each node is its split
+    head = np.ones(len(cand), dtype=bool)
+    head[1:] = cnode[1:] != cnode[:-1]
+    head = head.nonzero()[0]
+    best = np.maximum.reduceat(gain, head)
+    top = (gain == best.repeat(np.diff(head, append=len(gain)))).nonzero()[0]
+    won = np.ones(len(top), dtype=bool)
+    won[1:] = cnode[top[1:]] != cnode[top[:-1]]
+    c = cand[top[won][best > 1e-12]]
+    g = group[c]
+    j = g % k if cols is None else cols.ravel()[g]
+    at = binned.offset[j] - first[g]
+    out = which[g // k]
+    feature[out] = j
+    threshold[out] = (binned.values[at + keys[c]]
+                      + binned.values[at + keys[c + 1]]) / 2
 
 
-def _partition(stack, order, xs, size, feature, threshold):
-    """order, xs, starts and sizes of the children of the split nodes: the
-    left children in the order of their parents, then the right ones. An
-    order of the ascending rows alone partitions that alone."""
+def _partition(binned, src, rows, size, feature, threshold):
+    """rows and sizes of the children of the split nodes, each split
+    node's left child, then its right one."""
     split = feature >= 0
-    at = split.repeat(size)  # the positions of the split nodes' rows
-    rows = order[-1, :-1][at]
-    right = (stack.Xt[feature.repeat(size)[at] * (stack.rows + 1) + rows]
+    at = split.repeat(size)
+    rows = rows[at]
+    n = size[split]
+    right = (binned.X[src[rows], feature.repeat(size)[at]]
              > threshold.repeat(size)[at])
-    side = np.zeros(stack.rows + 1, dtype=np.int8)  # 0: a leaf's or padding
-    side[rows] = 1 + right
-    # each column holds the same rows, so each side keeps as many of them
-    # per column, in their order
-    code = side[order].ravel()
-    q, width = order.shape
-    at = np.concatenate([(code == 1).nonzero()[0].reshape(q, -1),
-                         (code == 2).nonzero()[0].reshape(q, -1),
-                         np.arange(width - 1, q * width, width)[:, None]],
-                        axis=1)
-    order = order.ravel()[at]
-    if len(xs):  # xs's rows are the first of order's
-        xs = xs.ravel()[at[:len(xs)]]
-    lens = size[split]
-    n_right = np.add.reduceat(right.astype(np.int64), lens.cumsum() - lens)
-    size = np.concatenate([lens - n_right, n_right])
-    return order, xs, size.cumsum() - size, size
+    child = 2 * np.repeat(np.arange(len(n)), n) + right
+    size = np.bincount(child, minlength=2 * len(n))
+    return rows[np.argsort(child, kind="stable")], size
 
 
 class _Variance:
     """Squared error: the gain is s_L^2/n_L + s_R^2/n_R - S^2/n, with s and
-    S sums of the targets y of the stacked rows."""
+    S sums of the targets y of the stack rows."""
 
     def __init__(self, y):
-        self.y = np.append(y, 0.0)
+        self.y = y
 
     def level(self, asc, start, size):
         self.asc, self.start, self.size = asc, start, size
-        ys = self.y[asc[:-1]]
+        ys = self.y[asc]
         self.same = (np.minimum.reduceat(ys, start)
                      == np.maximum.reduceat(ys, start))
+        self.total = node_sums([self.y], asc, start, size)[0]
+        # S^2 squares Python floats (libm pow), whose last bit can differ
+        # from NumPy's x*x; the trees depend on it
+        self.const = np.array([t ** 2 for t in self.total.tolist()])
 
     def pure(self):
         return self.same
 
-    def gain(self, rows, nodes, node, flat, pos):
-        ys = self.y[rows]
-        b, width, pc = ys.shape
-        n = self.size[nodes]
-        # each (node, column) total is summed over the node's rows in that
-        # column's order, as the one-node search took it
-        lens = np.repeat(n, pc)
-        runs = ys.transpose(0, 2, 1).reshape(-1, width)
-        total = segment_sums(runs[np.arange(width) < lens[:, None]], lens)
-        # S^2 squares Python floats (libm pow), whose last bit can differ
-        # from NumPy's x*x; the trees depend on it
-        const = np.array([t ** 2 for t in total.tolist()])
-        cum = np.add.accumulate(ys, axis=1).ravel()[flat]
-        at = node * pc + flat % pc
-        m = n[node]
-        return (cum ** 2 / pos + (total[at] - cum) ** 2 / (m - pos)
-                - const[at] / m)
+    def hist(self, key, rows, k, bins):
+        return [np.bincount(key, np.tile(self.y[rows], k), minlength=bins)]
+
+    def gain(self, node, pos, cum):
+        cum = cum[:, 0]
+        m = self.size[node]
+        return (cum ** 2 / pos + (self.total[node] - cum) ** 2 / (m - pos)
+                - self.const[node] / m)
 
     def leaves(self, which):
         size = self.size[which]
-        means = node_sums([self.y], self.asc, self.start[which], size)[0] / size
+        means = self.total[which] / size
         return [{"leaf": True, "value": v, "n": n}
                 for v, n in zip(means.tolist(), size.tolist())]
 
@@ -278,28 +293,24 @@ class _Gini:
     n. The counts are integers, so every sum is exact."""
 
     def __init__(self, y, n_classes):
-        self.y = y
-        # class counts are exact in any type; small ones keep blocks small
-        self.onehot = np.vstack([np.eye(n_classes, dtype=np.uint8)[y],
-                                 np.zeros(n_classes, dtype=np.uint8)])
+        self.y, self.c = y, n_classes
 
     def level(self, asc, start, size):
-        c = self.onehot.shape[1]
         seg = np.arange(len(size)).repeat(size)
-        self.counts = np.bincount(seg * c + self.y[asc[:-1]],
-                                  minlength=len(size) * c).reshape(-1, c)
+        self.counts = np.bincount(seg * self.c + self.y[asc],
+                                  minlength=len(size) * self.c).reshape(-1, self.c)
         self.size = size
 
     def pure(self):
         return self.counts.max(axis=1) == self.size
 
-    def gain(self, rows, nodes, node, flat, pos):
-        c = self.onehot.shape[1]
-        cum = np.add.accumulate(self.onehot[rows], axis=1, dtype=np.int32)
-        cum = cum.reshape(-1, c)[flat].astype(np.float64)
-        at = nodes[node]
-        total = self.counts[at]
-        m = self.size[at]
+    def hist(self, key, rows, k, bins):
+        return np.bincount(key + bins * np.tile(self.y[rows], k),
+                           minlength=bins * self.c).reshape(self.c, bins)
+
+    def gain(self, node, pos, cum):
+        total = self.counts[node]
+        m = self.size[node]
         return (np.add.reduce(cum ** 2, axis=1) / pos
                 + np.add.reduce((total - cum) ** 2, axis=1) / (m - pos)
                 - np.add.reduce(total ** 2, axis=1) / m)
@@ -394,7 +405,7 @@ def fit_cart(X, y, max_depth: int = 10, min_leaf: int = 1,
     y, n_classes = cart_targets(y, task, n_classes)
     if len(y) < min_leaf:
         raise ModelError("fewer rows than min_leaf")
-    root, = grow(Stack(X, presort(X), [len(y)]), cart_criterion(y, n_classes),
-                 max_depth, min_leaf)
+    root, = grow(Binned(X), np.arange(len(y)), [len(y)],
+                 cart_criterion(y, n_classes), max_depth, min_leaf)
     return CARTModel(root, n_classes,
                      hyperparams={"max_depth": max_depth, "min_leaf": min_leaf})

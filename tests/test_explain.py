@@ -14,8 +14,8 @@ from dataprice.explain import (ExplainError, _kernel_machine,
                                tree_expected, tree_shap)
 from dataprice.models import (CARTModel, ForestModel, GBTModel, OvREnsemble,
                               fit_cart, fit_forest, fit_gbt, fit_linear,
-                              fit_mlp, fit_standardized, fit_svm, fit_svr,
-                              one_vs_rest)
+                              fit_logistic, fit_mlp, fit_standardized, fit_svm,
+                              fit_svr, one_vs_rest)
 from dataprice.textrep.word2vec import EmbeddingTable
 
 
@@ -116,13 +116,36 @@ class TestTreeShap:
 
 
 class TestForestShap:
-    def test_local_accuracy_with_feature_subsets(self):
+    def test_local_accuracy_with_per_node_draws(self):
         X, y = make_data(7, n=150, p=5)
-        model = fit_forest(X, y, n_trees=8, k_features=3, max_depth=5, seed=0)
+        yc = np.digitize(y, np.quantile(y, [1 / 3, 2 / 3]))
+        model = fit_forest(X, y, n_trees=8, k_features=2, max_depth=5, seed=0)
         preds = model.predict(X[:20])
         phi, expected = shap_values(model, X[:20])
         for i in range(20):
             assert abs(phi[i].sum() + expected[i] - preds[i]) < 1e-6
+        model = fit_forest(X, yc, n_trees=8, k_features=2, max_depth=5,
+                           task="classification", seed=0)
+        scores = model.predict_scores(X[:20])
+        phi, expected = shap_values(model, X[:20], class_index=2)
+        for i in range(20):
+            assert abs(phi[i].sum() + expected[i] - scores[i, 2]) < 1e-6
+
+    @pytest.mark.parametrize("classify", [False, True])
+    def test_matches_exhaustive_with_per_node_draws(self, classify):
+        # one column per node, so that a tree splits on several columns
+        X, y = make_data(10, n=100, p=4)
+        target = (X[:, 0] + X[:, 1] > 0).astype(int) if classify else y
+        model = fit_forest(X, target, n_trees=4, k_features=1, max_depth=3,
+                           task="classification" if classify else "regression",
+                           seed=3)
+        lv = ((lambda node: 1.0 if node["value"] == 1 else 0.0) if classify
+              else leaf_mean)
+        for x in X[:4]:
+            phi, _ = shap_values(model, x[None], class_index=1)
+            oracle = np.mean([exhaustive_shapley(t.root, x, 4, lv)
+                              for t in model.trees], axis=0)
+            assert np.max(np.abs(phi[0] - oracle)) < 1e-8
 
     def test_classification_explains_vote_fraction(self):
         X, _ = make_data(8, n=120, p=3)
@@ -131,8 +154,7 @@ class TestForestShap:
                            seed=1)
         x = X[0]
         phi, expected = shap_values(model, x[None], class_index=1)
-        votes = np.mean([t.predict(x[s].reshape(1, -1))[0] == 1
-                         for t, s in zip(model.trees, model.feature_subsets)])
+        votes = np.mean([t.predict(x[None])[0] == 1 for t in model.trees])
         assert abs(phi[0].sum() + expected[0] - votes) < 1e-8
 
 
@@ -172,10 +194,8 @@ def _ref_shap_forest(model, x, n_features, class_index=None):
         lv = leaf_mean
     phi = np.zeros(n_features)
     expected = 0.0
-    for tree, subset in zip(model.trees, model.feature_subsets):
-        local = tree_shap(tree.root, x[subset], len(subset), lv)
-        for li, gi in enumerate(subset):
-            phi[gi] += local[li]
+    for tree in model.trees:
+        phi += tree_shap(tree.root, x, n_features, lv)
         expected += tree_expected(tree.root, lv)
     return phi / len(model.trees), expected / len(model.trees)
 
@@ -386,22 +406,20 @@ class TestTreeShapAgainstRecursion:
 
     @settings(max_examples=40, deadline=None)
     @given(st.data(), st.booleans())
-    def test_forests_with_column_subsets(self, data, classify):
+    def test_forests_with_per_node_draws(self, data, classify):
+        # each tree splits on its own mix of the six columns, as nodes that
+        # draw their columns make it
         n_classes = 3 if classify else None
-        roots = data.draw(st.lists(dict_trees(3, n_classes, max_depth=4),
+        roots = data.draw(st.lists(dict_trees(6, n_classes, max_depth=4),
                                    min_size=1, max_size=5))
-        subsets = [sorted(data.draw(st.permutations(range(6)))[:3])
-                   for _ in roots]
-        model = ForestModel([CARTModel(r, n_classes) for r in roots], subsets,
+        model = ForestModel([CARTModel(r, n_classes) for r in roots],
                             n_classes)
         x = np.array(data.draw(st.lists(_row_values, min_size=6,
                                         max_size=6)))
         c = data.draw(st.integers(0, 2)) if classify else None
         lv = leaf_mean if c is None else (
             lambda node: 1.0 if node["value"] == c else 0.0)
-        ref = np.zeros(6)
-        for root, subset in zip(roots, subsets):
-            ref[subset] += _ref_tree_shap(root, x[subset], 3, lv)
+        ref = sum(_ref_tree_shap(root, x, 6, lv) for root in roots)
         phi, _ = shap_values(model, x[None], class_index=c)
         assert np.max(np.abs(phi[0] - ref / len(roots))) <= 1e-12
 
@@ -655,6 +673,16 @@ class TestDispatch:
         model = fit_linear(X, y)
         with pytest.raises(ExplainError, match="background"):
             shap_values(model, X[:2])
+
+    @pytest.mark.parametrize("class_index", [None, 1])
+    def test_bare_binary_classifier_is_refused(self, class_index):
+        X, _ = make_data(15, n=40, p=3)
+        y = (X[:, 0] > 0).astype(int)
+        for model in (fit_svm(X, 2 * y - 1), fit_logistic(X, y, epochs=20),
+                      fit_standardized(fit_svm, X, 2 * y - 1)):
+            with pytest.raises(ExplainError, match="one-vs-rest"):
+                shap_values(model, X[:2], X[:5], n_samples=16,
+                            class_index=class_index)
 
     def test_kernel_path_linear_model(self):
         X, y = make_data(13, n=60)

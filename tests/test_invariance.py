@@ -1,18 +1,21 @@
 """A row's output depends only on the row and on the fitted artifacts.
 
 Each check computes an output for a batch of rows, then for each row alone
-and for the rows shuffled, and requires the same bytes for every row. Not
-covered yet: the predictions of linear, MLP and SVM models (a one-row
-product runs another BLAS kernel than a batch one) and bertopic's
-projection.
+and for the rows shuffled, and requires the same bytes for every row. A
+forest tree must not depend on the forest's size either, nor the forest's
+grid cells on the number of worker processes. Not covered yet: the
+predictions of linear, MLP and SVM models (a one-row product runs another
+BLAS kernel than a batch one) and bertopic's projection.
 """
 
 import numpy as np
 import pytest
 
 from dataprice.corpus import compose_text
-from dataprice.evaluate import fit_family, fit_representation, merge_config
+from dataprice.evaluate import (fit_family, fit_representation, merge_config,
+                                run_grid)
 from dataprice.explain import shap_values
+from dataprice.models import fit_forest
 from dataprice.synth import generate_products
 from dataprice.textrep import train_lda
 
@@ -92,6 +95,31 @@ def test_tree_shap(family, task):
 def test_tree_predict(family, task):
     X, model = _fit(family, task)
     assert_rows_stand_alone(model.predict, X[:30])
+
+
+@pytest.mark.parametrize("task", TASKS)
+def test_forest_tree_does_not_depend_on_forest_size(task):
+    # a tree draws its sample and its nodes' columns from its own RNG, and
+    # the trees grown with it in one batch leave them alone
+    X, y = _data(task)
+
+    def fit(n_trees):
+        return fit_forest(X, y, n_trees=n_trees, k_features=3, max_depth=6,
+                          min_leaf=2, task=task, seed=11)
+
+    whole = fit(25).trees
+    for t in range(25):
+        assert fit(t + 1).trees[t].params_dict() == whole[t].params_dict()
+
+
+@pytest.mark.parametrize("task", TASKS)
+def test_forest_grid_cells_do_not_depend_on_threads(task):
+    products = generate_products(40, 2)
+    one, two = (run_grid(products, ["bow"], ["forest"], task, CONFIG, seed=5,
+                         k=2, workers=w) for w in (1, 2))
+    assert not one.errors and not two.errors
+    for metric in one.metrics:
+        assert one.values[metric].tobytes() == two.values[metric].tobytes()
 
 
 def test_lda_infer_theta(texts):

@@ -13,8 +13,10 @@ from dataprice.models import (ConstantScoreModel, ModelError, fit_cart,
                               fit_mlp, fit_svm, fit_svr, kernel_matrix,
                               one_vs_rest)
 from dataprice.models import svm
+from dataprice.models.forest import _tree_rng
 from dataprice.models.gbt import _leaf_weight
-from dataprice.models.tree import node_sums, segment_sums
+from dataprice.models.tree import (node_sums, segment_cumsums,
+                                   segment_sums)
 
 
 # reference oracles: plain definitions the fitted models are checked against
@@ -334,10 +336,18 @@ class TestForest:
         scores = m.predict_scores(X)
         assert np.allclose(scores.sum(axis=1), 1.0)
 
-    def test_feature_subset_size(self):
+    def test_nodes_draw_their_own_columns(self):
+        # one column per node: a tree still splits on several columns
         X, y = self.make_data()
-        m = fit_forest(X, y, n_trees=5, k_features=2, max_depth=3, seed=0)
-        assert all(len(fs) == 2 for fs in m.feature_subsets)
+        m = fit_forest(X, y, n_trees=5, k_features=1, max_depth=4, seed=0)
+        for tree in m.trees:
+            used, stack = set(), [tree.root]
+            while stack:
+                node = stack.pop()
+                if not node["leaf"]:
+                    used.add(node["feature"])
+                    stack += [node["left"], node["right"]]
+            assert len(used) > 1
 
     def test_bad_dimensions(self):
         X, y = self.make_data()
@@ -425,9 +435,20 @@ class TestGBT:
 
 
 # ------------------------------------------------------ split finder ----
-# The per-column search that the presorted finder replaced, copied as it
-# was: every node copies its rows and sorts each column again. Fitted trees
-# and their predictions must match it bit for bit.
+# A per-column search one node at a time: every node copies its rows and
+# sorts each column again. Gini counts cumulate along the sorted rows; a
+# float criterion sums each distinct value's targets in row order, then
+# cumulates over the values, as the binned grower does. Node totals are
+# np.sum over the node's rows. Fitted trees and their predictions must
+# match it bit for bit.
+
+def _ref_value_cumsum(xj, v):
+    """Per row, the cumulative sum of v up to and including the row's
+    value of xj: the sums of the distinct values in row order, cumulated
+    over the sorted values."""
+    inv = np.unique(xj, return_inverse=True)[1]
+    return np.cumsum(np.bincount(inv, weights=v))[inv]
+
 
 def _ref_cart_split(X, y, min_leaf, n_classes):
     n = len(y)
@@ -444,9 +465,8 @@ def _ref_cart_split(X, y, min_leaf, n_classes):
             continue
         pos = np.arange(1, n)
         if n_classes is None:
-            ys = y[order]
-            cum = np.cumsum(ys)[:-1]
-            total = float(np.sum(ys))
+            cum = _ref_value_cumsum(xj, y)[order][:-1]
+            total = float(np.sum(y))
             decrease = (cum ** 2 / pos + (total - cum) ** 2 / (n - pos)
                         - total ** 2 / n)
         else:
@@ -502,11 +522,14 @@ def _ref_gbt_grow(X, g, h, depth, max_depth, min_leaf, lam, gamma_pen):
         valid = xs[:-1] < xs[1:]
         if not valid.any():
             continue
-        gl = np.cumsum(g[order])[:-1]
-        hl = np.cumsum(h[order])[:-1]
+        gl = _ref_value_cumsum(xj, g)[order][:-1]
+        hl = _ref_value_cumsum(xj, h)[order][:-1]
         pos = np.arange(1, n)
-        gain = 0.5 * (gl ** 2 / (hl + lam) + (G - gl) ** 2 / (H - hl + lam)
-                      - G ** 2 / (H + lam)) - gamma_pen
+        # a row inside a run of its value holds its value's sums, which can
+        # leave nothing on the right; ok masks it out
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gain = 0.5 * (gl ** 2 / (hl + lam) + (G - gl) ** 2 / (H - hl + lam)
+                          - G ** 2 / (H + lam)) - gamma_pen
         ok = valid & (pos >= min_leaf) & ((n - pos) >= min_leaf)
         gain = np.where(ok, gain, -np.inf)
         k = int(np.argmax(gain))
@@ -541,6 +564,51 @@ def _ref_gbt_trees(X, y, n_rounds, learning_rate, lam, gamma_pen, max_depth,
                                    gamma_pen))
         raw += learning_rate * _ref_values(trees[-1], X)
     return trees
+
+
+def _ref_forest_tree(X, y, rng, k, max_depth, min_leaf, n_classes):
+    """A forest tree on the rows X, y, level by level: each node of a level,
+    in turn (each node's left child, then its right, after the children of
+    the nodes before it), that is searched draws p uniforms from rng and
+    searches the sorted columns of the k smallest."""
+    p = X.shape[1]
+    root = {}
+    level = [(root, np.arange(len(y)))]
+    for depth in range(max_depth + 1):
+        children = []
+        for node, idx in level:
+            yn = y[idx]
+            if (depth >= max_depth or len(yn) < 2 * min_leaf
+                    or len(np.unique(yn)) == 1):
+                node.update(_ref_cart_leaf(yn, n_classes))
+                continue
+            cols = np.sort(np.argsort(rng.random(p))[:k])
+            split = _ref_cart_split(X[np.ix_(idx, cols)], yn, min_leaf,
+                                    n_classes)
+            if split is None:
+                node.update(_ref_cart_leaf(yn, n_classes))
+                continue
+            _, j, thr = split
+            mask = X[idx, cols[j]] <= thr
+            left, right = {}, {}
+            node.update({"leaf": False, "feature": int(cols[j]),
+                         "threshold": thr, "n": len(yn), "left": left,
+                         "right": right})
+            children += [(left, idx[mask]), (right, idx[~mask])]
+        level = children
+    return root
+
+
+def _ref_forest(X, y, n_trees, k, max_depth, min_leaf, n_classes, seed):
+    """The roots of fit_forest's trees, each grown by _ref_forest_tree on
+    its bootstrap rows, in the order drawn, from the RNG of (seed, t)."""
+    roots = []
+    for t in range(n_trees):
+        rng = _tree_rng(seed, t)
+        rows = rng.integers(0, len(y), size=len(y))
+        roots.append(_ref_forest_tree(X[rows], y[rows], rng, k, max_depth,
+                                      min_leaf, n_classes))
+    return roots
 
 
 def _split_case(case, seed):
@@ -614,21 +682,32 @@ class TestPresortedSplitFinder:
     def test_forest_trees_match_reference(self, task):
         X, y, labels, _, Xt = _split_case("ties", 4)
         target = y if task == "regression" else labels
+        m = fit_forest(X, target, n_trees=4, k_features=2, max_depth=5,
+                       task=task, seed=9)
+        n_classes = None if task == "regression" else 3
+        refs = _ref_forest(X, target, 4, 2, 5, 1, n_classes, 9)
+        for tree, ref in zip(m.trees, refs):
+            assert tree.root == ref
+            assert _same_bits(tree.predict(Xt).astype(np.float64),
+                              _ref_values(ref, Xt).astype(np.float64))
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_forest_of_every_column_is_cart_on_bootstrap_rows(self, task):
+        X, y, labels, _, _ = _split_case("wide", 5)
+        target = y if task == "regression" else labels
         drawn = []
 
         def sampler(rng, n, m):
             drawn.append(rng.integers(0, n, size=m))
             return drawn[-1]
 
-        m = fit_forest(X, target, n_trees=4, k_features=2, max_depth=5,
-                       task=task, seed=9, row_sampler=sampler)
+        m = fit_forest(X, target, n_trees=5, k_features=X.shape[1],
+                       max_depth=6, min_leaf=2, task=task, seed=2,
+                       row_sampler=sampler)
         n_classes = None if task == "regression" else 3
-        for tree, rows, feats in zip(m.trees, drawn, m.feature_subsets):
-            sub = X[np.ix_(rows, feats)]
-            ref = _ref_cart_grow(sub, target[rows], 0, 5, 1, n_classes)
-            assert tree.root == ref
-            assert _same_bits(tree.predict(Xt[:, feats]).astype(np.float64),
-                              _ref_values(ref, Xt[:, feats]).astype(np.float64))
+        for tree, rows in zip(m.trees, drawn):
+            assert tree.root == _ref_cart_grow(X[rows], target[rows], 0, 6, 2,
+                                               n_classes)
 
 
 class TestLevelwiseGrower:
@@ -645,20 +724,11 @@ class TestLevelwiseGrower:
         y = X[:, 0] - X[:, 3] + rng.normal(size=120) * 10.0 ** rng.integers(
             -3, 3, size=120)
         target = y if task == "regression" else rng.integers(0, 5, size=120)
-        drawn = []
-
-        def sampler(rng, n, m):
-            drawn.append(rng.integers(0, n, size=m))
-            return drawn[-1]
-
         m = fit_forest(X, target, n_trees=25, k_features=7, max_depth=10,
-                       min_leaf=2, task=task, seed=3, row_sampler=sampler)
+                       min_leaf=2, task=task, seed=3)
         n_classes = None if task == "regression" else 5
-        assert all(len(np.unique(rows)) < len(rows) for rows in drawn)
-        for tree, rows, feats in zip(m.trees, drawn, m.feature_subsets):
-            ref = _ref_cart_grow(X[np.ix_(rows, feats)], target[rows], 0, 10,
-                                 2, n_classes)
-            assert tree.root == ref
+        refs = _ref_forest(X, target, 25, 7, 10, 2, n_classes, 3)
+        assert [tree.root for tree in m.trees] == refs
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
@@ -706,6 +776,17 @@ class TestLevelwiseGrower:
                           in zip(start[which], n[which])] for v in values])
         assert _same_bits(node_sums(values, asc, start[which], n[which]),
                           want)
+
+
+    def test_segment_cumsums_equal_numpy_cumsums(self):
+        rng = np.random.default_rng(6)
+        n = np.concatenate([[560, 1, 1, 300], rng.integers(1, 40, size=200)])
+        a = rng.normal(size=(2, n.sum())) * 10.0 ** rng.integers(
+            -8, 9, size=n.sum())
+        runs = np.split(a, n.cumsum()[:-1], axis=1)
+        assert _same_bits(segment_cumsums(a, n),
+                          np.concatenate([np.cumsum(r, axis=1) for r in runs],
+                                         axis=1).T)
 
 
 class TestJointBoosting:

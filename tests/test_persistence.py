@@ -9,6 +9,7 @@ from dataprice.models import (ConstantScoreModel, ModelError, OvREnsemble,
                               fit_logistic, fit_mlp, fit_standardized,
                               fit_svm, fit_svr, load_model, one_vs_rest,
                               save_model)
+from dataprice.models.base import FORMAT_VERSION
 
 
 def data(seed=0, n=40, p=3):
@@ -58,6 +59,19 @@ class TestSaveLoad:
         self.roundtrip(fit_forest(X, y, n_trees=5, max_depth=3, seed=0), X,
                        tmp_path)
 
+    def test_format_1_forest_refused(self, tmp_path):
+        # format 1 kept a column subset per forest tree, and its trees split
+        # on the subset's own columns
+        X, y = data()
+        path = tmp_path / "v1.json"
+        save_model(fit_forest(X, y, n_trees=2, max_depth=2, seed=0), path)
+        env = json.loads(path.read_text())
+        env["format_version"] = 1
+        env["params"]["feature_subsets"] = [[0, 2], [1, 2]]
+        path.write_text(json.dumps(env))
+        with pytest.raises(ModelError, match="version 1"):
+            load_model(path)
+
     def test_gbt(self, tmp_path):
         X, y = data()
         self.roundtrip(fit_gbt(X, y, n_rounds=10), X, tmp_path)
@@ -89,7 +103,8 @@ class TestSaveLoad:
 
     def test_unknown_family(self, tmp_path):
         path = tmp_path / "f.json"
-        path.write_text(json.dumps({"format_version": 1, "family": "catboost"}))
+        path.write_text(json.dumps({"format_version": FORMAT_VERSION,
+                                    "family": "catboost"}))
         with pytest.raises(ModelError, match="family"):
             load_model(path)
 
