@@ -324,14 +324,18 @@ def cmd_annotate(cfg, out_dir: Path) -> int:
 
 def cmd_featurize(cfg, out_dir: Path) -> int:
     corpus = _corpus(out_dir)
+    # the representations that select and train read; evaluate and curve fit
+    # their own per fold
+    read = (cfg["select"]["representation"], cfg["train"]["representation"])
+    reps = [rep for rep in REPRESENTATIONS if rep in read]
 
     def body():
         products = load_products(corpus, format="jsonl")
-        _check_clusters(cfg, cfg["representations"], len(products), "the corpus")
+        _check_clusters(cfg, reps, len(products), "the corpus")
         texts = [compose_text(p) for p in products]
         mcfg = cfg["hyperparameters"]
         outputs = []
-        for rep in cfg["representations"]:
+        for rep in reps:
             seed = mix_seed(cfg["seed"], rep, "full")
             if rep == "word2vec":
                 # persist the embedding table for keyword back-mapping later
@@ -462,9 +466,8 @@ def cmd_explain(cfg, out_dir: Path) -> int:
         beeswarm_csv(phi, X, feats.columns, out_dir / "beeswarm.csv")
         outputs = ["importance.csv", "beeswarm.csv"]
 
-        table_path = out_dir / "embedding_word2vec.txt"
-        if rep == "word2vec" and table_path.exists():
-            table = EmbeddingTable.load(table_path)
+        if rep == "word2vec":
+            table = EmbeddingTable.load(out_dir / "embedding_word2vec.txt")
             top = [name for name, _ in importance.top(len(feats.columns))
                    if name.startswith("embedding_")][:e["keyword_dims"]]
             with open(out_dir / "embedding_keywords.csv", "w", encoding="utf-8") as fh:
@@ -479,8 +482,10 @@ def cmd_explain(cfg, out_dir: Path) -> int:
             outputs.append("embedding_keywords.csv")
         log.info("explain: wrote %s", ", ".join(outputs))
         return outputs
+    # word2vec's keywords come from featurize's embedding table
+    read = _feature_files(rep) + (["embedding_word2vec.txt"] if rep == "word2vec" else [])
     return run_stage("explain", cfg, out_dir, [], body,
-                     upstream={"train": [model_file], "featurize": _feature_files(rep)})
+                     upstream={"train": [model_file], "featurize": read})
 
 
 def cmd_curve(cfg, out_dir: Path) -> int:
@@ -499,26 +504,31 @@ def cmd_curve(cfg, out_dir: Path) -> int:
 
 
 def cmd_report(cfg, out_dir: Path) -> int:
-    task, c = cfg["target"]["task"], cfg["curve"]
+    task, c, chash = cfg["target"]["task"], cfg["curve"], config_hash(cfg)
     pieces = {"evaluate": ["report_%s.csv" % task, "report_%s.txt" % task],
               "curve": ["curve_%s_%s.csv" % (c["representation"], c["family"])]}
-    optional = [f for f in ["importance.csv", "beeswarm.csv", "embedding_keywords.csv",
-                            "descriptive_stats.csv"] if (out_dir / f).exists()]
-    sources = sum(pieces.values(), []) + optional
+    # an optional piece is read when this config's run of its stage wrote it
+    optional = {"explain": ["importance.csv", "beeswarm.csv", "embedding_keywords.csv"],
+                "ingest": ["descriptive_stats.csv"]}
+    for up, files in optional.items():
+        manifest = _read_manifest(out_dir, up) or {}
+        if manifest.get("config_hash") == chash:
+            pieces[up] = [f for f in files if f in manifest.get("outputs", [])]
+    sources = sum(pieces.values(), [])
 
     def body():
         report_dir = out_dir / "report"
-        report_dir.mkdir(parents=True, exist_ok=True)
+        shutil.rmtree(report_dir, ignore_errors=True)
+        report_dir.mkdir()
         for f in sources:
             shutil.copyfile(out_dir / f, report_dir / f)
         summary = ["run summary", "===========",
-                   "config hash: %s" % config_hash(cfg), "task: %s" % task,
+                   "config hash: %s" % chash, "task: %s" % task,
                    "artifacts: %s" % ", ".join(sorted(sources)), ""]
         (report_dir / "SUMMARY.txt").write_text("\n".join(summary), encoding="utf-8")
         log.info("report: assembled %d artifacts under %s", len(sources), report_dir)
         return ["report/" + f for f in sources] + ["report/SUMMARY.txt"]
-    return run_stage("report", cfg, out_dir, [out_dir / f for f in optional], body,
-                     upstream=pieces)
+    return run_stage("report", cfg, out_dir, [], body, upstream=pieces)
 
 
 _COMMANDS = {

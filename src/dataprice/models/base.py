@@ -43,6 +43,8 @@ class Model:
             raise ModelError(
                 "input has %d columns but the model was trained on %d (%s...)"
                 % (X.shape[1], len(self.manifest), ", ".join(self.manifest[:3])))
+        if not np.isfinite(X).all():
+            raise ModelError("non-finite value (NaN or inf) in the input")
         return X
 
     def predict(self, X):  # pragma: no cover - abstract

@@ -451,6 +451,43 @@ class TestPipeline:
         assert "report: up-to-date" not in caplog.text
         assert (out / "report" / "importance.csv").exists()
 
+    def test_report_leaves_out_another_configs_artifacts(self, tmp_path):
+        # keywords explained under word2vec are not this bow run's
+        small = {"word2vec": {"d": 8, "epochs": 1}, "gbt": {"n_rounds": 5}}
+        for rep in ["word2vec", "bow"]:
+            config, raw = write_config(tmp_path, hyperparameters=small,
+                                       representations=["bow", "word2vec"],
+                                       train={"representation": rep})
+            for stage in STAGES:
+                assert run(stage, config) == 0, "stage %s failed" % stage
+            report = Path(raw["out_dir"]) / "report"
+            assert ((report / "embedding_keywords.csv").exists()
+                    == (rep == "word2vec"))
+            assert (("embedding_keywords.csv" in (report / "SUMMARY.txt").read_text())
+                    == (rep == "word2vec"))
+        assert (report / "importance.csv").exists()
+
+    @pytest.mark.parametrize("select, train, written", [
+        ("tfidf", "word2vec", ["features_tfidf.csv", "embedding_word2vec.txt",
+                               "features_word2vec.csv"]),
+        ("bow", "bow", ["features_bow.csv"]),
+    ])
+    def test_featurize_writes_only_what_select_and_train_read(self, tmp_path, select,
+                                                              train, written):
+        config, raw = write_config(
+            tmp_path, representations=list(REPRESENTATIONS),
+            select={"representation": select}, train={"representation": train},
+            hyperparameters={"word2vec": {"d": 8, "epochs": 1}})
+        out = Path(raw["out_dir"])
+        for stage in ["ingest", "featurize"]:
+            assert run(stage, config) == 0
+        outputs = written + ["features_structured.csv"]
+        manifest = json.loads((out / "featurize.manifest.json").read_text())
+        assert manifest["outputs"] == outputs
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            outputs + ["descriptive_stats.csv", "featurize.manifest.json",
+                       "ingest.manifest.json", "products.jsonl"])
+
     def test_thread_cap_does_not_invalidate_artifacts(self, pipeline, caplog):
         _, config, out = pipeline
         with caplog.at_level(logging.INFO, logger="dataprice"):
@@ -560,6 +597,17 @@ class TestFailureModes:
                 "configuration; rerun `dataprice featurize`") in caplog.text
         assert not (Path(raw["out_dir"]) / "importance.csv").exists()
 
+    def test_explain_needs_the_embedding_table_of_word2vec(self, tmp_path, caplog):
+        config, raw = write_config(tmp_path, train={"representation": "word2vec"},
+                                   hyperparameters={"word2vec": {"d": 8, "epochs": 1}})
+        for st in ["ingest", "featurize", "train"]:
+            assert run(st, config) == 0
+        (Path(raw["out_dir"]) / "embedding_word2vec.txt").unlink()
+        with caplog.at_level(logging.ERROR, logger="dataprice"):
+            assert run("explain", config) == 1
+        assert "embedding_word2vec.txt; run `dataprice featurize` first" in caplog.text
+        assert not (Path(raw["out_dir"]) / "importance.csv").exists()
+
     def test_report_before_evaluate(self, tmp_path, caplog):
         config, _ = write_config(tmp_path)
         assert run("ingest", config) == 0
@@ -582,13 +630,16 @@ class TestFailureModes:
         ("featurize", ["bow", "bertopic"], 21, "the corpus, 20, got 21"),
         # a stage that fits no bertopic does not check its clusters
         ("evaluate", ["bow"], 17, None),
+        # featurize fits only what select and train read
+        ("featurize", ["bertopic", "bow"], 21, None),
     ])
     def test_bertopic_clusters_above_the_listings_they_fit(self, tmp_path, caplog,
                                                            stage, reps, clusters,
                                                            message):
+        # curve and train read the last representation
         config, _ = write_config(
             tmp_path, data={"synthetic": 20}, representations=reps,
-            curve={"representation": reps[-1]},
+            curve={"representation": reps[-1]}, train={"representation": reps[-1]},
             hyperparameters={"bertopic": {"n_clusters": clusters}})
         assert run("ingest", config) == 0
         with caplog.at_level(logging.ERROR, logger="dataprice"):

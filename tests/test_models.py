@@ -891,6 +891,25 @@ class TestSVRProx:
         assert np.max(np.abs(m.predict(Xt) - ref.predict(Xt))) < 1e-9
 
 
+@pytest.mark.parametrize("task", ["regression", "classification"])
+@pytest.mark.parametrize("family", ["linear", "mlp", "cart", "svm", "forest", "gbt"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_predict_rejects_non_finite_input(family, task, bad):
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(40, 3))
+    y = rng.integers(0, 3, size=40) if task == "classification" else X[:, 0]
+    cfg = merge_config({"gbt": {"n_rounds": 3}, "forest": {"n_trees": 3},
+                        "mlp": {"epochs": 5}, "svr": {"max_iter": 50}})
+    model = fit_family(family, X, y, task, 3, cfg, 0)
+    Xt = X[:4].copy()
+    Xt[2, 1] = bad
+    calls = [model.predict] + ([model.predict_scores]
+                               if task == "classification" else [])
+    for call in calls:
+        with pytest.raises(ModelError, match="non-finite"):
+            call(Xt)
+
+
 @pytest.mark.parametrize("package", ["dataprice.textrep", "dataprice.models"])
 def test_export_lists_resolve(package):
     module = importlib.import_module(package)
