@@ -340,6 +340,10 @@ def _map_units(fn, shared: tuple, units, workers: int) -> list:
         return list(pool.map(_run_unit, units))
 
 
+def _failure(exc: Exception) -> str:
+    return "%s: %s" % (type(exc).__name__, exc)
+
+
 def _fold_unit(data: CVData, cfg: dict, task: str, cells: list, unit):
     """One (representation, fold) unit. The representation is fitted once on
     the fold's training documents, and the structured columns are appended.
@@ -347,7 +351,8 @@ def _fold_unit(data: CVData, cfg: dict, task: str, cells: list, unit):
     on the first m of the fold's mRMR order. Returns (errors, {cell index:
     metrics}, whether an m exceeded the column count). A fit that fails with
     a ValueError (a model, metric, linear algebra or size error) is recorded
-    as an error; anything else raises."""
+    as an error, its message led by the exception's type; anything else
+    raises."""
     rep, fold = unit
     train, test = data.plan.train_test(fold)
     ms = [m for _, m in cells if m is not None]
@@ -360,7 +365,7 @@ def _fold_unit(data: CVData, cfg: dict, task: str, cells: list, unit):
             order = mrmr_select(ftr, data.y[train], max(ms),
                                 target_is_discrete=task == "classification").selected
     except ValueError as exc:
-        return [(rep, "*", fold, str(exc))], {}, False
+        return [(rep, "*", fold, _failure(exc))], {}, False
     errors, scores = [], {}
     for i, (family, m) in enumerate(cells):
         cols = slice(None) if m is None else order[:m]
@@ -370,7 +375,7 @@ def _fold_unit(data: CVData, cfg: dict, task: str, cells: list, unit):
                                       fte.values[:, cols], data.y[test], task, cfg,
                                       mix_seed(data.seed, *labels))
         except ValueError as exc:
-            errors.append((rep, family, fold, str(exc)))
+            errors.append((rep, family, fold, _failure(exc)))
     return errors, scores, bool(ms) and max(ms) > ftr.n_cols
 
 

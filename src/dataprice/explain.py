@@ -9,15 +9,19 @@ TreeSHAP's sums over all paths of the model in array operations, one pass
 per group of paths of equal length. Every other model, a standardized tree
 model included (its trees split on scaled columns), gets a sampling
 kernel-weighted least-squares approximation against a background dataset.
-For an SVR, or the SVM member of a one-vs-rest ensemble, that method scores
-its coalitions from each background row's kernel terms, updated by the
-columns where the row differs from the explained one, instead of
-predicting the imputed rows. Both methods satisfy local accuracy: the
-attributions plus the expected value sum to the model output for the
-explained row. Both explain a classifier's predicted class unless a class
-is named, and the kernel method draws one coalition design per call, so a
-row's attributions depend only on the row, the model, the background and
-the seed. Explained and background rows must be finite.
+That method draws its coalitions in array operations. Kernel machines,
+linear, logistic and MLP models (an SVR, a LinearModel, an MLPModel, and
+the SVM or logistic member of a one-vs-rest ensemble, each behind an
+optional standardizer) share one coalition routine: it scores the
+coalitions from each background row's first layer (its kernel terms, or
+its first affine layer), updated by the columns where the row differs from
+the explained one, instead of predicting the imputed rows. Both methods
+satisfy local accuracy: the attributions plus the expected value sum to
+the model output for the explained row. Both explain a classifier's
+predicted class unless a class is named, and the kernel method draws one
+coalition design per call, so a row's attributions depend only on the
+row, the model, the background and the seed. Explained and background
+rows must be finite.
 """
 
 from __future__ import annotations
@@ -29,8 +33,10 @@ from math import comb
 
 import numpy as np
 
-from .models import (CARTModel, ForestModel, GBTModel, LogisticModel,
-                     OvREnsemble, StandardizedModel, SVMModel, SVRModel)
+from .models import (CARTModel, ForestModel, GBTModel, LinearModel,
+                     LogisticModel, MLPModel, OvREnsemble, StandardizedModel,
+                     SVMModel, SVRModel)
+from .models.linear import sigmoid
 from .models.svm import rbf_in_place, sq_distances
 from .textrep.word2vec import EmbeddingTable
 
@@ -237,14 +243,15 @@ def kernel_shap(predict_fn, x, background, n_samples: int = 2048,
         sizes = np.arange(1, M)
         size_p = np.array([(M - 1) / (s * (M - s)) for s in sizes])
         size_p /= size_p.sum()
-        Z = np.zeros((n_samples, M))
-        for i in range(0, n_samples, 2):
-            s = int(rng.choice(sizes, p=size_p))
-            idx = rng.choice(M, size=s, replace=False)
-            Z[i, idx] = 1.0
-            if i + 1 < n_samples:
-                Z[i + 1] = 1.0 - Z[i]  # paired complement
-        w = np.ones(len(Z))
+        # each even row is a subset of a drawn size, the first s columns of
+        # a random order; the odd row after it is its complement
+        half = (n_samples + 1) // 2
+        s = rng.choice(sizes, size=half, p=size_p)
+        order = np.argsort(rng.random((half, M)), axis=1)
+        drawn = np.zeros((half, M))
+        np.put_along_axis(drawn, order, np.arange(M) < s[:, None], axis=1)
+        Z = np.stack([drawn, 1.0 - drawn], axis=1).reshape(-1, M)[:n_samples]
+        w = np.ones(n_samples)
 
     # model value of each coalition: present features from x, absent ones
     # imputed from every background row, averaged
@@ -267,45 +274,63 @@ def kernel_shap(predict_fn, x, background, n_samples: int = 2048,
     return phi, f0
 
 
-def _kernel_machine(model, class_index):
-    """(standardizer or None, SVM or SVR) when the explained output is a
-    kernel machine's decision value: an SVR's prediction, or the score of
-    the one-vs-rest member for the class. None for every other model."""
+def _first_layer(model, class_index):
+    """(standardizer or None, W, b, sq, head) when the explained output is
+    head(H) of a first layer H that, on a row r, is r @ W + b, or for an
+    rbf kernel machine (sq given) the squared distances from r to W's
+    columns, whose squared norms sq holds. That covers an SVR, a
+    LinearModel, an MLPModel, and a one-vs-rest ensemble's SVM or logistic
+    member for the class. None for every other model."""
     if isinstance(model, OvREnsemble):
         model = model.members[class_index]
     std = None
     if isinstance(model, StandardizedModel):
         std, model = model.standardizer, model.inner
-    return (std, model) if isinstance(model, (SVMModel, SVRModel)) else None
+    if isinstance(model, (SVMModel, SVRModel)):
+        rbf = model.kernel == "rbf"
+
+        def head(K):
+            if rbf:
+                rbf_in_place(K, model.gamma)
+            return K @ model.coef + model.b
+        return (std, np.ascontiguousarray(model.support_vectors.T), 0.0,
+                model.sv_sq if rbf else None, head)
+    if isinstance(model, LinearModel):
+        return std, model.w[:, None], model.b, None, lambda H: H[:, 0]
+    if isinstance(model, LogisticModel):
+        return std, model.w[:, None], model.b, None, lambda H: sigmoid(H[:, 0])
+    if isinstance(model, MLPModel):
+        scores = model.scores_from_first_layer
+        return (std, model.weights[0], model.biases[0], None,
+                scores if class_index is None
+                else lambda H: scores(H)[:, class_index])
+    return None
 
 
-def _kernel_machine_values(std, svm, x, background, Z):
-    """kernel_shap's coalition values for a kernel machine, computed without
-    the imputed rows. Such a row differs from its background row b only in
-    the columns J where x and b differ, so its squared distance to a
-    support vector s is |b - s|^2 + Z[:, J] @ ((x - b)(x + b - 2s))_J, and
-    its dot product with s is b.s + Z[:, J] @ ((x - b) s)_J. One background
-    row at a time keeps each temporary at coalitions x support vectors."""
+def _first_layer_values(std, W, b, sq, head, x, background, Z):
+    """kernel_shap's coalition values for a model that _first_layer takes,
+    computed without the imputed rows. Such a row differs from its
+    background row g only in the columns J where x and g differ, so its
+    first layer is g @ W + b + Z[:, J] @ ((x - g) W)_J, and its squared
+    distance to a column w of W is |g - w|^2 + Z[:, J] @ ((x - g)(x + g -
+    2w))_J. One background row at a time keeps each temporary at
+    coalitions x width."""
     if std is not None:  # elementwise, so it commutes with the imputation
         x, background = std.transform(x), std.transform(background)
-    rbf = svm.kernel == "rbf"
-    S_cols = np.ascontiguousarray(svm.support_vectors.T)
-    base = (sq_distances(background, svm.support_vectors, svm.sv_sq) if rbf
-            else background @ S_cols)
+    base = (background @ W + b if sq is None
+            else sq_distances(background, W.T, sq))
     total = np.zeros(len(Z))
-    for b, base_b in zip(background, base):
-        J = np.flatnonzero(x != b)
-        update = S_cols[J]
-        if rbf:
+    for g, base_g in zip(background, base):
+        J = np.flatnonzero(x != g)
+        update = W[J]
+        if sq is not None:
             update *= -2.0
-            update += (x + b)[J, None]
-        update *= (x - b)[J, None]
-        K = Z[:, J] @ update
-        K += base_b
-        if rbf:
-            rbf_in_place(K, svm.gamma)
-        total += K @ svm.coef
-    return total / len(background) + svm.b
+            update += (x + g)[J, None]
+        update *= (x - g)[J, None]
+        H = Z[:, J] @ update
+        H += base_g
+        total += head(H)
+    return total / len(background)
 
 
 # ---------------------------------------------------------- dispatching ----
@@ -317,15 +342,15 @@ def shap_values(model, X, background=None, n_samples: int = 2048,
     use the exact tree method; everything else, standardized models
     included, uses the kernel method and requires a background dataset.
     The kernel method scores every row against the coalitions drawn from
-    seed, an SVR's or a one-vs-rest SVM member's by _kernel_machine_values
-    and any other model's by predicting the imputed rows, so a row's
+    seed, the models that _first_layer takes by _first_layer_values and
+    any other model's by predicting the imputed rows, so a row's
     attributions do not depend on the other rows of X.
 
     For classifiers, class_index picks the score column to explain; it
-    defaults to each row's predicted class. A regression model's output and
-    a GBT's raw score name no class, so there class_index is ignored. A bare
-    binary SVM or logistic model has no score per class and raises
-    ExplainError."""
+    defaults to each row's predicted class, and one outside the model's
+    classes raises ExplainError. A regression model's output and a GBT's
+    raw score name no class, so there class_index is ignored. A bare binary
+    SVM or logistic model has no score per class and raises ExplainError."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if not np.isfinite(X).all():
         raise ExplainError("the explained rows hold a non-finite value")
@@ -342,6 +367,10 @@ def shap_values(model, X, background=None, n_samples: int = 2048,
     if model.task == "regression" or isinstance(model, GBTModel):
         classes = [None] * n
     elif class_index is not None:
+        k = len(inner.members) if isinstance(inner, OvREnsemble) else inner.n_classes
+        if not 0 <= class_index < k:
+            raise ExplainError("class_index %s is out of range: the model "
+                               "has classes 0 to %d" % (class_index, k - 1))
         classes = [class_index] * n
     else:
         classes = model.predict(X).tolist()
@@ -376,9 +405,9 @@ def shap_values(model, X, background=None, n_samples: int = 2048,
             fn = lambda rows: np.asarray(model.predict(rows), dtype=np.float64)
         else:
             fn = lambda rows: np.asarray(model.predict_scores(rows))[:, c]
-        machine = _kernel_machine(model, c)
-        values = (None if machine is None
-                  else partial(_kernel_machine_values, *machine))
+        layer = _first_layer(model, c)
+        values = (None if layer is None
+                  else partial(_first_layer_values, *layer))
         phi[i], expected[i] = kernel_shap(fn, X[i], background, n_samples,
                                           seed, coalition_values=values)
     return phi, expected

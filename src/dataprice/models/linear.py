@@ -7,6 +7,10 @@ import numpy as np
 from .base import Model, ModelError, register
 
 
+def sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
 @register
 class LinearModel(Model):
     family = "linear"
@@ -62,7 +66,7 @@ class LogisticModel(Model):
         return self._check_input(X) @ self.w + self.b
 
     def predict_proba(self, X):
-        return 1.0 / (1.0 + np.exp(-self.decision_function(X)))
+        return sigmoid(self.decision_function(X))
 
     def scores(self, X):
         return self.predict_proba(X)
@@ -86,8 +90,7 @@ def fit_logistic(X, y, lr: float = 0.5, epochs: int = 500) -> LogisticModel:
     w = np.zeros(p)
     b = 0.0
     for _ in range(epochs):
-        z = X @ w + b
-        prob = 1.0 / (1.0 + np.exp(-z))
+        prob = sigmoid(X @ w + b)
         err = prob - y
         gw = X.T @ err / n
         gb = float(np.mean(err))

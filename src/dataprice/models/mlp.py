@@ -31,19 +31,29 @@ class MLPModel(Model):
         self.n_classes = n_classes
 
     def _forward(self, X):
+        return self._forward_from([X], X @ self.weights[0] + self.biases[0])
+
+    def _forward_from(self, activations, z):
+        """Run the layers after the first from its pre-activation z,
+        appending each layer's output to activations; the last one is the
+        raw output, before any softmax."""
         act, _ = _ACTIVATIONS[self.activation]
-        activations = [X]
-        a = X
-        for W, b in zip(self.weights[:-1], self.biases[:-1]):
-            a = act(a @ W + b)
+        for W, b in zip(self.weights[1:], self.biases[1:]):
+            a = act(z)
             activations.append(a)
-        z = a @ self.weights[-1] + self.biases[-1]
+            z = a @ W + b
         activations.append(z)
         return activations
 
     def predict_scores(self, X):
         """Softmax class probabilities (classification) or raw outputs."""
-        z = self._forward(self._check_input(X))[-1]
+        X = self._check_input(X)
+        return self.scores_from_first_layer(X @ self.weights[0] + self.biases[0])
+
+    def scores_from_first_layer(self, z):
+        """predict_scores of the rows whose first-layer pre-activation
+        X @ W + b is z."""
+        z = self._forward_from([], z)[-1]
         if self.task == "classification":
             return _softmax(z)
         return z[:, 0]

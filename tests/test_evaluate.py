@@ -182,6 +182,21 @@ class TestGrid:
         assert rep.errors
         assert np.all(np.isnan(rep.values["MSE"]))
 
+    def test_failure_message_leads_with_its_type(self, products):
+        # a diverging cell raises ModelError, and a representation that
+        # cannot be fitted fails its whole unit with a plain ValueError
+        cfg = dict(self.CFG, mlp={"hidden": [4], "epochs": 30, "lr": 1e9},
+                   bertopic={"n_clusters": 50, "reduce_dims": 2})
+        rep = run_grid(products, ["bow", "bertopic"], ["mlp"],
+                       task="regression", config=cfg, seed=0, k=3)
+        assert sorted(e[:3] for e in rep.errors) == (
+            [("bertopic", "*", f) for f in range(3)]
+            + [("bow", "mlp", f) for f in range(3)])
+        for rep_name, _, _, msg in rep.errors:
+            assert msg.startswith("ValueError: n_clusters exceeds"
+                                  if rep_name == "bertopic"
+                                  else "ModelError: NaN/inf loss"), msg
+
     def test_empty_axes_rejected(self, products):
         with pytest.raises(ValueError):
             run_grid(products, [], ["linear"])
@@ -270,7 +285,8 @@ class TestPool:
                              task="regression", config=TestGrid.CFG, seed=0,
                              k=3, workers=w) for w in (1, 2))
         assert not multiprocessing.active_children()  # the pool is gone
-        assert one.errors == two.errors == [("tfidf", "linear", 2, "planted failure")]
+        assert one.errors == two.errors == [
+            ("tfidf", "linear", 2, "ModelError: planted failure")]
         for m in one.metrics:
             assert one.values[m].tobytes() == two.values[m].tobytes()
             assert one.mean[m].tobytes() == two.mean[m].tobytes()
@@ -300,7 +316,7 @@ class TestPool:
 
         monkeypatch.setattr(evaluate, "fit_family", fit_family)
         with pytest.raises(ValueError, match="tfidf / cart / fold 1 failed: "
-                                             "planted failure"):
+                                             "ModelError: planted failure"):
             feature_curve(products, "tfidf", "cart", [1, 3], task="classification",
                           config=TestGrid.CFG, seed=0, k=3)
 

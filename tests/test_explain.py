@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dataprice.explain import (ExplainError, _kernel_machine,
-                               _kernel_machine_values, beeswarm_csv,
+from dataprice.evaluate import fit_family, merge_config
+from dataprice.explain import (ExplainError, _first_layer,
+                               _first_layer_values, beeswarm_csv,
                                embedding_keywords, global_importance,
                                kernel_shap, shap_values, shapley_kernel_weight,
                                tree_expected, tree_shap)
@@ -555,25 +556,48 @@ class TestKernelShap:
             kernel_shap(fn, np.ones(12), np.zeros((4, 12)), n_samples=n_samples)
 
 
-# -------------------------------------------- kernel machine coalitions -----
-# shap_values scores an SVM's or SVR's coalitions from per-background-row
-# distance updates; kernel_shap's predict loop over the imputed rows is the
-# reference.
+# ------------------------------------------------- first-layer coalitions -----
+# shap_values scores the coalitions of kernel machines and of linear,
+# logistic and MLP models from per-background-row first-layer updates;
+# kernel_shap's predict loop over the imputed rows is the reference.
 
 def _kernel_machines(p, kernel):
     """A standardized SVR and a one-vs-rest ensemble of standardized SVMs on
     p columns. Column 1 holds one value in every row; the background's
     first row is the first explained row."""
+    X, y, yc = _coalition_data(p)
+    svr = fit_standardized(fit_svr, X, y, kernel=kernel, gamma=0.2)
+    svm = one_vs_rest(partial(fit_standardized, fit_svm, kernel=kernel,
+                              gamma=0.2), X, yc, labels="pm1")
+    return X, X[[0] + list(range(40, 52))], svr, svm
+
+
+def _coalition_data(p):
     rng = np.random.default_rng(p)
     X = rng.normal(size=(80, p)) * 3.0 + 1.0
     X[:, 1] = 2.5
     X[:, 2] = np.round(X[:, 2])  # ties between x and background rows
     y = X[:, 0] + np.sin(X[:, 3]) + 0.5 * X[:, 2]
-    yc = np.digitize(y, np.quantile(y, [1 / 3, 2 / 3]))
-    svr = fit_standardized(fit_svr, X, y, kernel=kernel, gamma=0.2)
-    svm = one_vs_rest(partial(fit_standardized, fit_svm, kernel=kernel,
-                              gamma=0.2), X, yc, labels="pm1")
-    return X, X[[0] + list(range(40, 52))], svr, svm
+    return X, y, np.digitize(y, np.quantile(y, [1 / 3, 2 / 3]))
+
+
+FIRST_LAYER_MODELS = ["linear", "mlp", "mlp_classifier", "ovr_logistic"]
+
+
+def _first_layer_model(name, p):
+    """(model, class index or None) of a first-layer-affine model on
+    _coalition_data(p), standardized as the pipeline fits it."""
+    X, y, yc = _coalition_data(p)
+    if name == "linear":
+        return fit_standardized(fit_linear, X, y), None
+    if name == "mlp":
+        return fit_standardized(fit_mlp, X, y, hidden=(4, 3), epochs=20,
+                                seed=0), None
+    if name == "mlp_classifier":
+        return fit_standardized(fit_mlp, X, yc, hidden=(5,), epochs=20,
+                                task="classification", seed=0), 1
+    return one_vs_rest(partial(fit_standardized, fit_logistic, epochs=40),
+                       X, yc), 2
 
 
 def _predict_loop(model, X, background, n_samples, seed, class_index=None):
@@ -610,10 +634,13 @@ class TestKernelMachineValues:
         # cancel it), so the values themselves are checked
         X, background, svr, svm = _kernel_machines(6, kernel)
         Z = (np.random.default_rng(0).random((40, 6)) < 0.5).astype(float)
-        for model, fn in ((svr, svr.predict),
-                          (svm, lambda rows: svm.predict_scores(rows)[:, 1])):
-            values = _kernel_machine_values(*_kernel_machine(model, 1), X[0],
-                                            background, Z)
+        models = [(svr, None), (svm, 1)] + [
+            _first_layer_model(name, 6) for name in FIRST_LAYER_MODELS]
+        for model, c in models:
+            fn = (model.predict if c is None
+                  else lambda rows: model.predict_scores(rows)[:, c])
+            values = _first_layer_values(*_first_layer(model, c), X[0],
+                                         background, Z)
             ref = [np.mean(fn(np.where(z > 0, X[0], background))) for z in Z]
             assert np.max(np.abs(values - ref)) < 1e-9
 
@@ -623,27 +650,77 @@ class TestKernelMachineValues:
                                                              class_index):
         # f0 and f(x); the predict loop made one more call per coalition
         X, background, svr, svm = _kernel_machines(6, "rbf")
-        model = svr if class_index is None else svm
-        calls, evaluate = [], getattr(model, method)
-        setattr(model, method,
-                lambda rows: calls.append(len(rows)) or evaluate(rows))
-        shap_values(model, X[:1], background, n_samples=64,
-                    class_index=class_index)
-        assert calls == [len(background), 1]
+        models = [svr if class_index is None else svm] + [
+            model for model, c in (_first_layer_model(name, 6)
+                                   for name in FIRST_LAYER_MODELS)
+            if (c is None) == (class_index is None)]
+        assert len(models) == 3
+        for model in models:
+            calls, evaluate = [], getattr(model, method)
+            setattr(model, method,
+                    lambda rows: calls.append(len(rows)) or evaluate(rows))
+            shap_values(model, X[:1], background, n_samples=64,
+                        class_index=class_index)
+            assert calls == [len(background), 1]
 
-    @pytest.mark.parametrize("family", ["linear", "mlp"])
-    def test_other_models_keep_the_predict_loop(self, family):
+    @pytest.mark.parametrize("name", FIRST_LAYER_MODELS)
+    def test_first_layer_models_match_the_predict_loop(self, name):
+        # the same coalitions, scored by updates instead of predictions
         X, background, _, _ = _kernel_machines(12, "rbf")
-        y = X[:, 0] - X[:, 3]
-        if family == "linear":
-            model = fit_standardized(fit_linear, X, y)
-        else:
-            model = fit_mlp(X, y, hidden=(4,), epochs=20, seed=0)
+        model, class_index = _first_layer_model(name, 12)
         phi, expected = shap_values(model, X[:2], background, n_samples=64,
-                                    seed=5)
-        ref_phi, ref_expected = _predict_loop(model, X[:2], background, 64, 5)
-        assert phi.tobytes() == ref_phi.tobytes()
-        assert expected.tobytes() == ref_expected.tobytes()
+                                    seed=5, class_index=class_index)
+        ref_phi, ref_expected = _predict_loop(model, X[:2], background, 64, 5,
+                                              class_index)
+        assert np.max(np.abs(phi - ref_phi)) < 1e-9
+        assert np.max(np.abs(expected - ref_expected)) < 1e-9
+        target = (model.predict(X[:2]) if class_index is None
+                  else model.predict_scores(X[:2])[:, class_index])
+        assert np.allclose(phi.sum(axis=1) + expected, target, atol=1e-6)
+
+
+class TestCoalitionDraw:
+    M = 10  # 1022 coalitions, more than the samples drawn
+
+    def _draws(self, n_samples, seeds):
+        designs = []
+        keep = lambda x, background, Z: designs.append(Z) or np.zeros(len(Z))
+        fn = lambda rows: np.atleast_2d(rows).sum(axis=1)
+        for seed in seeds:
+            kernel_shap(fn, np.ones(self.M), np.zeros((2, self.M)), n_samples,
+                        seed, coalition_values=keep)
+        return designs
+
+    @pytest.mark.parametrize("n_samples", [2, 7, 400, 401])
+    def test_sizes_and_complement_pairs(self, n_samples):
+        for Z in self._draws(n_samples, range(3)):
+            assert Z.shape == (n_samples, self.M)
+            assert set(np.unique(Z)) <= {0.0, 1.0}
+            sizes = Z.sum(axis=1)
+            assert sizes.min() >= 1 and sizes.max() <= self.M - 1
+            pairs = n_samples // 2  # an odd last row has no complement
+            assert np.array_equal(Z[1:2 * pairs:2], 1.0 - Z[0:2 * pairs:2])
+
+    def test_sizes_and_columns_follow_the_kernel(self):
+        # 20 designs of 1001 coalitions. The size of a coalition is drawn
+        # with probability proportional to (M - 1) / (s (M - s)), which its
+        # complement's size shares; the columns of a coalition of size s
+        # are a uniform subset, so each is in it with probability s / M
+        M = self.M
+        Z = np.concatenate(self._draws(1001, range(20)))
+        sizes = Z.sum(axis=1).astype(int)
+        size_p = np.array([(M - 1) / (s * (M - s)) for s in range(1, M)])
+        size_p /= size_p.sum()
+        freq = np.bincount(sizes, minlength=M)[1:] / len(Z)
+        # a frequency's standard deviation is below 0.004 here
+        assert np.max(np.abs(freq - size_p)) < 0.02
+        for s in range(1, M):
+            rows = Z[sizes == s]
+            rate = rows.mean(axis=0)
+            q = s / M
+            # five standard deviations of a rate over these rows
+            tol = 5 * np.sqrt(q * (1 - q) / len(rows))
+            assert np.max(np.abs(rate - q)) < tol, s
 
 
 # ------------------------------------------------------------ dispatch -------
@@ -683,6 +760,21 @@ class TestDispatch:
             with pytest.raises(ExplainError, match="one-vs-rest"):
                 shap_values(model, X[:2], X[:5], n_samples=16,
                             class_index=class_index)
+
+    @pytest.mark.parametrize("class_index", [-1, 3])
+    @pytest.mark.parametrize("family", ["linear", "mlp", "gbt", "cart"])
+    def test_class_index_out_of_range(self, family, class_index):
+        # a negative index explained the last class, one past the end
+        # raised a bare IndexError
+        X, _ = make_data(16, n=90, p=3)
+        y = np.digitize(X[:, 0], [-0.4, 0.4])
+        cfg = merge_config({"logistic": {"epochs": 20}, "mlp": {"epochs": 10},
+                            "gbt": {"n_rounds": 3}})
+        model = fit_family(family, X, y, "classification", 3, cfg, 0)
+        shap_values(model, X[:1], X[:5], n_samples=16, class_index=2)
+        with pytest.raises(ExplainError, match="out of range.* 0 to 2"):
+            shap_values(model, X[:1], X[:5], n_samples=16,
+                        class_index=class_index)
 
     def test_kernel_path_linear_model(self):
         X, y = make_data(13, n=60)
