@@ -21,7 +21,7 @@ from pathlib import Path
 
 import requests
 
-from .corpus import INDUSTRY_COLUMNS
+from .corpus import INDUSTRY_COLUMNS, industry_scores_of
 from .textrep.tokenizer import tokenize
 
 PROMPT_VERSION = "v1"
@@ -337,12 +337,8 @@ def annotate_file(in_path, out_path, format: str = "csv",
         for i, lvl in zip(refund_rows, levels):
             records[i]["refund_policy"] = int(lvl)
 
-    def has_scores(rec):
-        if rec.get("industry_scores"):
-            return True
-        return all(str(rec.get(c, "")).strip() != "" for c in INDUSTRY_COLUMNS)
-
-    industry_rows = [i for i, rec in enumerate(records) if not has_scores(rec)]
+    industry_rows = [i for i, rec in enumerate(records)
+                     if industry_scores_of(rec, i) is None]
     if industry_rows:
         texts = ["%s %s %s" % (records[i].get("name", ""),
                                records[i].get("detail", ""),
@@ -353,15 +349,10 @@ def annotate_file(in_path, out_path, format: str = "csv",
             records[i]["industry_scores"] = vec
 
     with open(out_path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            if "industry_scores" not in rec:
-                rec["industry_scores"] = [float(rec.pop(c)) for c in INDUSTRY_COLUMNS]
-            else:
-                if isinstance(rec["industry_scores"], str):
-                    rec["industry_scores"] = json.loads(rec["industry_scores"])
-                rec["industry_scores"] = [float(v) for v in rec["industry_scores"]]
-                for c in INDUSTRY_COLUMNS:
-                    rec.pop(c, None)
+        for i, rec in enumerate(records):
+            rec["industry_scores"] = industry_scores_of(rec, i)
+            for c in INDUSTRY_COLUMNS:
+                rec.pop(c, None)
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
     return {"refund_annotated": len(refund_rows),
             "industry_annotated": len(industry_rows),

@@ -144,6 +144,25 @@ _REQUIRED_FIELDS = ["id", "name", "detail", "description"] + STRUCTURED_COLUMNS 
 _INT_FIELDS = set(STRUCTURED_COLUMNS)
 
 
+def industry_scores_of(rec: dict, row_index: int) -> list[float] | None:
+    """The 12 industry scores of a raw record, or None when it has none: its
+    industry_scores list, or the JSON text of one as a CSV cell holds it,
+    else its industry_0..industry_11 columns when every one is filled."""
+    raw = rec.get("industry_scores")
+    if not raw:
+        raw = [rec.get(c) for c in INDUSTRY_COLUMNS]
+        if any(v is None or not str(v).strip() for v in raw):
+            return None
+    try:
+        scores = json.loads(raw) if isinstance(raw, str) else raw
+        if isinstance(scores, list) and len(scores) == 12:
+            return [float(s) for s in scores]
+    except (TypeError, ValueError):  # json.JSONDecodeError is a ValueError
+        pass
+    raise CorpusError("row %d: industry_scores must be 12 numbers, got %.80r"
+                      % (row_index, raw))
+
+
 def _product_from_record(rec: dict, row_index: int) -> DataProduct:
     missing = [f for f in _REQUIRED_FIELDS if f not in rec]
     if missing:
@@ -163,12 +182,9 @@ def _product_from_record(rec: dict, row_index: int) -> DataProduct:
                 raise CorpusError("row %d: non-numeric price %r" % (row_index, v))
         else:
             kwargs[f] = str(v)
-    scores = rec.get("industry_scores")
-    if scores is None and all(("industry_%d" % i) in rec and rec["industry_%d" % i] != ""
-                              for i in range(12)):
-        scores = [float(rec["industry_%d" % i]) for i in range(12)]
+    scores = industry_scores_of(rec, row_index)
     if scores is not None:
-        kwargs["industry_scores"] = [float(s) for s in scores]
+        kwargs["industry_scores"] = scores
     try:
         return DataProduct(**kwargs)
     except CorpusError as exc:

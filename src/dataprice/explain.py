@@ -228,14 +228,11 @@ def kernel_shap(predict_fn, x, background, n_samples: int = 2048,
     rng = np.random.default_rng(seed)
     total = 2 ** M - 2 if M <= 30 else n_samples + 1
     if total <= n_samples:
-        subsets = []
-        weights = []
-        for code in range(1, 2 ** M - 1):
-            z = np.array([(code >> b) & 1 for b in range(M)], dtype=np.float64)
-            subsets.append(z)
-            weights.append(shapley_kernel_weight(M, int(z.sum())))
-        Z = np.array(subsets)
-        w = np.array(weights)
+        # row code - 1 holds the bits of code, lowest bit in column 0
+        bits = (np.arange(1, 2 ** M - 1)[:, None] >> np.arange(M)) & 1
+        Z = bits.astype(np.float64)
+        size_w = np.array([shapley_kernel_weight(M, s) for s in range(M + 1)])
+        w = size_w[bits.sum(axis=1)]
     else:
         if n_samples < 2:
             raise ExplainError("n_samples must be >= 2 to sample coalitions, "

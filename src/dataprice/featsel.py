@@ -3,7 +3,10 @@
 Continuous columns are discretized into equal-frequency bins, mutual
 information is estimated by plug-in counts with natural log, and features
 are picked greedily: each step maximizes relevance to the target minus the
-average redundancy with the features already selected.
+average redundancy with the features already selected. Each candidate keeps
+one running sum of its mutual information with the picks so far, added to
+once per pick, so every (candidate, selected) pair is estimated once and
+summed in pick order: the traces are those of re-summing at every step.
 """
 
 from __future__ import annotations
@@ -79,19 +82,13 @@ def mutual_information(u: DiscretizedColumn, v: DiscretizedColumn) -> float:
     a, b = u.labels, v.labels
     if len(a) != len(b):
         raise ValueError("length mismatch")
-    n = len(a)
-    joint = np.zeros((u.n_bins, v.n_bins))
-    np.add.at(joint, (a, b), 1.0)
-    joint /= n
+    joint = np.bincount(a * v.n_bins + b, minlength=u.n_bins * v.n_bins)
+    joint = joint.reshape(u.n_bins, v.n_bins) / len(a)
     pu = joint.sum(axis=1)
     pv = joint.sum(axis=0)
     mask = joint > 0
     ratio = joint[mask] / (pu[:, None] * pv[None, :])[mask]
     return float(np.sum(joint[mask] * np.log(ratio)))
-
-
-def _discretize_matrix(values: np.ndarray, n_bins: int) -> list[DiscretizedColumn]:
-    return [discretize(values[:, j], n_bins) for j in range(values.shape[1])]
 
 
 def mrmr_select(features: FeatureMatrix, target, m: int, n_bins: int = 10,
@@ -114,32 +111,25 @@ def mrmr_select(features: FeatureMatrix, target, m: int, n_bins: int = 10,
     else:
         tcol = discretize(y, n_bins)
 
-    cols = _discretize_matrix(features.values, n_bins)
-    p = len(cols)
+    p = features.values.shape[1]
+    cols = [discretize(features.values[:, j], n_bins) for j in range(p)]
     m = min(m, p)
     relevance = np.array([mutual_information(c, tcol) for c in cols])
 
     trace = SelectionTrace(columns=list(features.columns))
-    selected: list[int] = []
-    remaining = list(range(p))
-    pair_mi: dict[tuple[int, int], float] = {}
-
-    def pmi(i, j):
-        key = (min(i, j), max(i, j))
-        if key not in pair_mi:
-            pair_mi[key] = mutual_information(cols[i], cols[j])
-        return pair_mi[key]
-
-    while len(selected) < m:
-        best_j, best = None, None
-        for j in remaining:
-            red = (sum(pmi(j, i) for i in selected) / len(selected)
-                   if selected else 0.0)
-            score = relevance[j] - red
-            if best is None or score > best[0]:
-                best, best_j = (score, relevance[j], red), j
-        score, rel, red = best
-        trace.steps.append(SelectionStep(best_j, float(rel), float(red), float(score)))
-        selected.append(best_j)
-        remaining.remove(best_j)
+    # redundancy[i] sums I(candidate i, pick j) over the picks so far, in pick
+    # order; the candidate goes first because the float estimate is not
+    # bitwise symmetric in its arguments
+    redundancy = np.zeros(p)
+    unselected = np.ones(p, dtype=bool)
+    for step in range(m):
+        red = redundancy / step if step else redundancy
+        score = np.where(unselected, relevance - red, -np.inf)
+        j = int(np.argmax(score))  # the first maximum: the lower column
+        trace.steps.append(SelectionStep(j, float(relevance[j]), float(red[j]),
+                                         float(score[j])))
+        unselected[j] = False
+        if step < m - 1:
+            for i in np.flatnonzero(unselected):
+                redundancy[i] += mutual_information(cols[i], cols[j])
     return trace

@@ -31,7 +31,7 @@ class ForestModel(Model):
         self.n_classes = n_classes
 
     def _vote_counts(self, X):
-        votes = np.array([tree.predict(X) for tree in self.trees])
+        votes = np.array([tree.flat.values(X) for tree in self.trees])
         return np.eye(self.n_classes)[votes].sum(axis=0)
 
     def predict(self, X):
@@ -40,7 +40,7 @@ class ForestModel(Model):
             # tree by tree, so that a row's sum does not depend on the batch
             total = np.zeros(len(X))
             for tree in self.trees:
-                total += tree.predict(X)
+                total += tree.flat.values(X)
             return total / len(self.trees)
         # argmax takes the lower class on ties
         return np.argmax(self._vote_counts(X), axis=1).astype(np.int64)

@@ -11,7 +11,7 @@ from dataprice.annotate import (AnnotationError, AnnotationRequest,
                                 build_prompt, call_llm, fallback_industry_vector,
                                 fallback_refund_level, parse_industry,
                                 parse_refund)
-from dataprice.corpus import INDUSTRIES
+from dataprice.corpus import INDUSTRIES, CorpusError
 
 COVID_TEXT = ("Coronavirus (COVID-19) data that has been gathered and unified "
               "from trusted sources. This data is provided to the public by "
@@ -347,6 +347,31 @@ class TestAnnotateFile:
         assert counts["rows"] == 2
         recs = [json.loads(l) for l in out.read_text().splitlines()]
         assert all(len(r["industry_scores"]) == 12 for r in recs)
+
+    def test_csv_industry_scores_cell(self, tmp_path):
+        import csv as _csv
+        src = tmp_path / "raw.csv"
+        rows = self.rows()
+        rows[0]["industry_scores"] = json.dumps([1.0] + [0.5] * 11)
+        rows[1]["industry_scores"] = ""
+        with open(src, "w", newline="") as fh:
+            w = _csv.DictWriter(fh, fieldnames=list(rows[0]))
+            w.writeheader()
+            w.writerows(rows)
+        out = tmp_path / "annotated.jsonl"
+        counts = annotate_file(src, out, format="csv")
+        assert counts["industry_annotated"] == 1
+        recs = [json.loads(l) for l in out.read_text().splitlines()]
+        assert recs[0]["industry_scores"] == [1.0] + [0.5] * 11
+        assert len(recs[1]["industry_scores"]) == 12
+
+        rows[0]["industry_scores"] = "[1.0, 0.5]"
+        with open(src, "w", newline="") as fh:
+            w = _csv.DictWriter(fh, fieldnames=list(rows[0]))
+            w.writeheader()
+            w.writerows(rows)
+        with pytest.raises(CorpusError, match="row 0: industry_scores"):
+            annotate_file(src, out, format="csv")
 
     def test_empty_input_rejected(self, tmp_path):
         src = tmp_path / "empty.jsonl"

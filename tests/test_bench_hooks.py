@@ -48,6 +48,9 @@ def test_traced_grid_and_curve_reach_every_hooked_layer():
     m = layer_metrics(rec.spans, 0, [])
     assert m["evaluate.cells"] == (len(reps) * k * len(FAMILIES), "count")
     assert m["featsel.mrmr_calls"] == (k * len(FAMILIES), "count")
+    # mRMR reaches the hooked featsel.mutual_information
+    assert m["featsel.mi_calls"][0] > 0
+    assert m["featsel.mi_s"][0] > 0
     for family in FAMILIES:
         # every grid cell and every curve cell fits once
         assert m["models.%s.fit_calls" % family] == (

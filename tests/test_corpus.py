@@ -78,6 +78,38 @@ class TestLoading:
         assert [p.id for p in back] == [p.id for p in prods]
         assert back[0].industry_scores == pytest.approx(prods[0].industry_scores)
 
+    def write_csv_with_score_cells(self, path, cells):
+        # the form annotate_file accepts: one industry_scores column holding
+        # a JSON list, in place of industry_0..industry_11
+        prods = [make_product(i) for i in range(len(cells))]
+        save_products(prods, path, format="csv")
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        with open(path, "w", newline="") as fh:
+            fields = [f for f in rows[0] if not f.startswith("industry_")]
+            w = csv.DictWriter(fh, fieldnames=fields + ["industry_scores"])
+            w.writeheader()
+            for row, cell in zip(rows, cells):
+                w.writerow({**{f: row[f] for f in fields},
+                            "industry_scores": cell})
+
+    def test_csv_industry_scores_as_json_list(self, tmp_path):
+        path = tmp_path / "p.csv"
+        scores = [1.0] + [0.25] * 11
+        self.write_csv_with_score_cells(path, [json.dumps(scores), ""])
+        back = load_products(path, format="csv")
+        assert back[0].industry_scores == scores
+        assert back[1].industry_scores is None  # an empty cell: not annotated
+
+    @pytest.mark.parametrize("cell", ["[1.0, 0.5]", "[1.0, 0.5", "1.0",
+                                      json.dumps(["x"] * 12),
+                                      json.dumps([1.0] + [None] * 11)])
+    def test_csv_industry_scores_not_twelve_numbers(self, tmp_path, cell):
+        path = tmp_path / "p.csv"
+        self.write_csv_with_score_cells(path, [json.dumps([1.0] * 12), cell])
+        with pytest.raises(CorpusError, match="row 1: industry_scores"):
+            load_products(path, format="csv")
+
     def test_missing_column_named(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("id,name\nx,y\n")

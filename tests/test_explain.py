@@ -503,6 +503,33 @@ class TestKernelShap:
         assert np.allclose(phi, w * (x - background.mean(axis=0)), atol=1e-8)
         assert f0 == pytest.approx(float(background.mean(axis=0) @ w + 7.0))
 
+    @pytest.mark.parametrize("M", [2, 4, 5])
+    def test_exhaustive_design_gives_exact_shapley_values(self, M):
+        # against one background row the coalition game is exact, and with
+        # every coalition enumerated kernel SHAP returns its Shapley values
+        rng = np.random.default_rng(M)
+        x, g = rng.normal(size=M), rng.normal(size=M)
+        fn = lambda rows: (np.prod(np.atleast_2d(rows), axis=1)
+                           + np.atleast_2d(rows)[:, 0] ** 2)
+        designs = []
+
+        def values(x, background, Z):
+            designs.append(Z)
+            return fn(np.where(Z > 0, x, background[0]))
+        phi, _ = kernel_shap(fn, x, g[None, :], coalition_values=values)
+        codes = range(1, 2 ** M - 1)
+        assert np.array_equal(designs[0], [[(c >> b) & 1 for b in range(M)]
+                                           for c in codes])
+
+        def value(present):
+            return float(fn(np.where(np.isin(np.arange(M), present), x, g))[0])
+        exact = np.zeros(M)
+        for perm in itertools.permutations(range(M)):
+            for k, j in enumerate(perm):
+                exact[j] += value(perm[:k + 1]) - value(perm[:k])
+        exact /= math.factorial(M)
+        assert np.allclose(phi, exact, atol=1e-10)
+
     def test_sampled_regime_keeps_local_accuracy(self):
         p = 12  # 2^12 - 2 coalitions exceeds the sample budget below
         rng = np.random.default_rng(1)

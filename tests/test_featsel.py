@@ -4,7 +4,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from dataprice.featsel import (DiscretizedColumn, discretize,
+from dataprice import featsel
+from dataprice.featsel import (DiscretizedColumn, SelectionStep, discretize,
                                mutual_information, mrmr_select)
 from dataprice.matrix import FeatureMatrix
 
@@ -53,6 +54,45 @@ def oracle_mrmr(values, y_labels, m, n_bins=10):
         scores.append(best_score)
         remaining.remove(best_j)
     return selected, scores
+
+
+def reference_mrmr(values, target, m, n_bins=10, target_is_discrete=False):
+    """mrmr_select's greedy loop as it was before the running redundancy: a
+    cache of pair estimates, and each step re-sums every candidate's
+    redundancy over the selected features. Same discretization and MI."""
+    y = np.asarray(target)
+    if target_is_discrete:
+        labels = y.astype(np.int64) - y.min()
+        tcol = DiscretizedColumn(labels, int(labels.max()) + 1,
+                                 np.arange(labels.max() + 2, dtype=np.float64))
+    else:
+        tcol = discretize(y, n_bins)
+    cols = [discretize(values[:, j], n_bins) for j in range(values.shape[1])]
+    p = len(cols)
+    m = min(m, p)
+    relevance = np.array([mutual_information(c, tcol) for c in cols])
+    steps, selected, remaining = [], [], list(range(p))
+    pair_mi = {}
+
+    def pmi(i, j):
+        key = (min(i, j), max(i, j))
+        if key not in pair_mi:
+            pair_mi[key] = mutual_information(cols[i], cols[j])
+        return pair_mi[key]
+
+    while len(selected) < m:
+        best_j, best = None, None
+        for j in remaining:
+            red = (sum(pmi(j, i) for i in selected) / len(selected)
+                   if selected else 0.0)
+            score = relevance[j] - red
+            if best is None or score > best[0]:
+                best, best_j = (score, relevance[j], red), j
+        score, rel, red = best
+        steps.append(SelectionStep(best_j, float(rel), float(red), float(score)))
+        selected.append(best_j)
+        remaining.remove(best_j)
+    return steps
 
 
 class TestDiscretize:
@@ -168,6 +208,43 @@ class TestMrmr:
         fm = FeatureMatrix(X, ["a", "b", "c"])
         trace = mrmr_select(fm, X[:, 0], 99)
         assert sorted(trace.selected) == [0, 1, 2]
+
+    @staticmethod
+    def bits(steps):
+        return [(s.feature, s.relevance.hex(), s.redundancy.hex(), s.score.hex())
+                for s in steps]
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("discrete", [False, True])
+    @pytest.mark.parametrize("m", [1, 4, 9, 30])
+    def test_matches_reference_loop_bit_for_bit(self, seed, discrete, m):
+        # few levels and copied columns, so that scores tie
+        rng = np.random.default_rng(seed)
+        n, p = 60, 12
+        X = rng.integers(0, 1 + seed % 4 + 1, size=(n, p)).astype(float)
+        X[:, 5] = X[:, 2]
+        X[:, 9] = X[:, 2]
+        X[:, 7] = 3.0
+        y = rng.integers(0, 4, n) if discrete else X[:, 2] + rng.normal(size=n)
+        fm = FeatureMatrix(X, ["f%d" % j for j in range(p)])
+        trace = mrmr_select(fm, y, m, n_bins=5, target_is_discrete=discrete)
+        ref = reference_mrmr(X, y, m, n_bins=5, target_is_discrete=discrete)
+        assert len(trace.steps) == min(m, p)
+        assert self.bits(trace.steps) == self.bits(ref)
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 12, 40])
+    def test_each_pair_is_estimated_once(self, m, monkeypatch):
+        X, y = self.make_data(p=12)
+        fm = FeatureMatrix(X, ["f%d" % j for j in range(X.shape[1])])
+        calls = []
+        monkeypatch.setattr(featsel, "mutual_information",
+                            lambda u, v: calls.append(1) or mutual_information(u, v))
+        trace = mrmr_select(fm, y, m)
+        p, m = 12, min(m, 12)
+        # relevance of every column, then each later step's candidates
+        # against the last pick
+        assert len(calls) == p + sum(p - s for s in range(1, m))
+        assert len(trace.steps) == m
 
     def test_trace_csv(self, tmp_path):
         X, y = self.make_data()

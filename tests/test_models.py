@@ -13,6 +13,7 @@ from dataprice.models import (ConstantScoreModel, ModelError, fit_cart,
                               fit_mlp, fit_svm, fit_svr, kernel_matrix,
                               one_vs_rest)
 from dataprice.models import svm
+from dataprice.models.base import Model
 from dataprice.models.forest import _tree_rng
 from dataprice.models.gbt import _leaf_weight
 from dataprice.models.tree import (node_sums, segment_cumsums,
@@ -348,6 +349,32 @@ class TestForest:
                     used.add(node["feature"])
                     stack += [node["left"], node["right"]]
             assert len(used) > 1
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_checks_its_input_once_and_matches_its_trees(self, task,
+                                                         monkeypatch):
+        X, y = self.make_data()
+        if task == "classification":
+            y = (y > 1).astype(int) + (y > 2)
+        m = fit_forest(X, y, n_trees=6, k_features=2, max_depth=4, seed=1,
+                       task=task)
+        votes = np.array([tree.predict(X) for tree in m.trees])
+        calls = []
+        check = Model._check_input
+        monkeypatch.setattr(Model, "_check_input",
+                            lambda self, X: calls.append(self) or check(self, X))
+        if task == "regression":
+            total = np.zeros(len(X))
+            for v in votes:
+                total += v
+            assert np.array_equal(m.predict(X), total / len(m.trees))
+            assert calls == [m]
+        else:
+            counts = np.eye(m.n_classes)[votes].sum(axis=0)
+            assert np.array_equal(m.predict(X), np.argmax(counts, axis=1))
+            assert m.predict(X).dtype == np.int64
+            assert np.array_equal(m.predict_scores(X), counts / len(m.trees))
+            assert calls == [m, m, m]
 
     def test_bad_dimensions(self):
         X, y = self.make_data()
