@@ -260,7 +260,8 @@ def run_stage(stage: str, cfg: dict, out_dir: Path, inputs: list, body,
     have a manifest with this hash; `inputs` are the files the stage reads
     besides those. The stage is up to date when its own manifest has this
     hash, the same digests of all the files it reads and all its outputs;
-    otherwise body() does the work and returns the output names."""
+    otherwise its manifest is deleted and body() does the work and returns
+    the output names."""
     chash = config_hash(cfg)
     inputs = list(inputs)
     for up, files in (upstream or {}).items():
@@ -274,6 +275,9 @@ def run_stage(stage: str, cfg: dict, out_dir: Path, inputs: list, body,
     if up_to_date(out_dir, stage, chash, inputs):
         log.info("%s: up-to-date", stage)
         return 0
+    # body() rewrites the outputs: an interrupted run leaves no manifest, so
+    # no later run takes them as up to date and no downstream stage reads them
+    _manifest_path(out_dir, stage).unlink(missing_ok=True)
     write_manifest(out_dir, stage, chash, inputs, body())
     return 0
 

@@ -19,7 +19,7 @@ from .corpus import (DataProduct, TargetSpec, compose_text, make_targets,
                      structured_matrix)
 from .featsel import mrmr_select
 from .matrix import FeatureMatrix
-from .models import (fit_cart, fit_forest, fit_gbt, fit_gbts, fit_linear,
+from .models import (fit_cart, fit_forest, fit_gbts, fit_linear,
                      fit_logistic, fit_mlp, fit_standardized, fit_svm, fit_svr,
                      one_vs_rest)
 from .textrep import (PCAReducer, build_vocabulary, bow, embedding_features,
@@ -217,6 +217,10 @@ class _Fitter(NamedTuple):
     fit: Callable
     takes: tuple = ()          # what else it takes, by keyword
     ovr: dict | None = None    # one_vs_rest's keywords over a binary fitter
+    # fit takes a list of targets and returns one model per target, and
+    # with n_cols fits target t on the first n_cols[t] columns of X; it
+    # takes no seed, so cells on column prefixes can share one call
+    joint: bool = False
 
 
 _TASKS = ("regression", "classification")
@@ -237,26 +241,36 @@ _FITTERS = {
                                       ("seed",), {"labels": "pm1"})},
     "forest": dict.fromkeys(_TASKS, _Fitter("forest", fit_forest,
                                             ("task", "seed", "k_features"))),
-    "gbt": {"regression": _Fitter("gbt", partial(fit_gbt, loss="squared")),
+    "gbt": {"regression": _Fitter("gbt", partial(fit_gbts, loss="squared"),
+                                  joint=True),
             "classification": _Fitter("gbt", partial(fit_gbts, loss="logistic"),
-                                      ovr={"joint": True})},
+                                      ovr={}, joint=True)},
 }
 
 
 def fit_family(family: str, X, y, task: str, n_classes: int, cfg: dict,
-               seed: int):
+               seed: int, n_cols=None):
     """Fit one learner family for the given task, as its _FITTERS entry
-    says; returns the fitted model."""
+    says; returns the fitted model. With n_cols, which needs a joint entry,
+    one call returns a model per count c, fitted on the first c columns of
+    X and equal to a fit on X[:, :c]."""
     if task not in _FITTERS.get(family, {}):
         raise ValueError("unknown family %r or task %r" % (family, task))
     f = _FITTERS[family][task]
+    if n_cols is not None and not f.joint:
+        raise ValueError("%s does not fit column prefixes in one call" % family)
     given = {"task": task, "n_classes": n_classes, "seed": seed,
              # each forest node draws about sqrt(p) of the p columns
              "k_features": max(1, int(np.sqrt(np.shape(X)[1])))}
     fit = partial(f.fit, **cfg[f.section], **{k: given[k] for k in f.takes})
-    if f.ovr is None:
+    if f.ovr is not None:
+        return one_vs_rest(fit, X, y, n_classes=n_classes, joint=f.joint,
+                           n_cols=n_cols, **f.ovr)
+    if not f.joint:
         return fit(X, y)
-    return one_vs_rest(fit, X, y, n_classes=n_classes, **f.ovr)
+    if n_cols is None:
+        return fit(X, [y])[0]
+    return fit(X, [y] * len(n_cols), n_cols=n_cols)
 
 
 def model_scores(model, X, task: str):
@@ -295,6 +309,12 @@ def evaluate_cell(family: str, X_train, y_train, X_test, y_test, task: str,
     """Fit one family on training rows and score it on test rows; returns
     {metric: value}. MAPE reads NaN when a test target is zero."""
     model = fit_family(family, X_train, y_train, task, N_TIERS, cfg, seed)
+    return cell_metrics(model, X_test, y_test, task)
+
+
+def cell_metrics(model, X_test, y_test, task: str) -> dict:
+    """{metric: value} of a fitted model on test rows; MAPE reads NaN when
+    a test target is zero."""
     pred, scores = model_scores(model, X_test, task)
     if task == "classification":
         return classification_metrics(y_test, scores, pred)
@@ -348,10 +368,13 @@ def _fold_unit(data: CVData, cfg: dict, task: str, cells: list, unit):
     """One (representation, fold) unit. The representation is fitted once on
     the fold's training documents, and the structured columns are appended.
     Then each (family, m) cell is scored on all columns when m is None, else
-    on the first m of the fold's mRMR order. Returns (errors, {cell index:
-    metrics}, whether an m exceeded the column count). A fit that fails with
-    a ValueError (a model, metric, linear algebra or size error) is recorded
-    as an error, its message led by the exception's type; anything else
+    on the first m of the fold's mRMR order. The m cells of a family whose
+    _FITTERS entry is joint share one fit_family call on the longest
+    prefix, which returns a model per cell; every other cell fits alone.
+    Returns (errors, {cell index: metrics}, whether an m exceeded the
+    column count). A fit or score that fails with a ValueError (a model,
+    metric, linear algebra or size error) is recorded as an error of each
+    cell it serves, its message led by the exception's type; anything else
     raises."""
     rep, fold = unit
     train, test = data.plan.train_test(fold)
@@ -366,16 +389,41 @@ def _fold_unit(data: CVData, cfg: dict, task: str, cells: list, unit):
                                 target_is_discrete=task == "classification").selected
     except ValueError as exc:
         return [(rep, "*", fold, _failure(exc))], {}, False
-    errors, scores = [], {}
+    # the cells of each fit_family call: a joint family's m cells share one,
+    # keyed by the family; every other cell has its own, keyed by its index
+    fits = {}
     for i, (family, m) in enumerate(cells):
-        cols = slice(None) if m is None else order[:m]
+        joint = m is not None and getattr(
+            _FITTERS.get(family, {}).get(task), "joint", False)
+        fits.setdefault(family if joint else i, []).append(i)
+    errors, scores = [], {}
+    for key, group in fits.items():
+        family, m = cells[group[0]]
+        cols = [slice(None) if cells[i][1] is None else order[:cells[i][1]]
+                for i in group]
         labels = (rep, fold, family) if m is None else (rep, fold, family, m)
         try:
-            scores[i] = evaluate_cell(family, ftr.values[:, cols], data.y[train],
-                                      fte.values[:, cols], data.y[test], task, cfg,
-                                      mix_seed(data.seed, *labels))
+            if key == family:
+                n_cols = [min(cells[i][1], len(order)) for i in group]
+                models = fit_family(family, ftr.values[:, order[:max(n_cols)]],
+                                    data.y[train], task, N_TIERS, cfg,
+                                    mix_seed(data.seed, *labels),
+                                    n_cols=n_cols)
+            else:
+                models = [fit_family(family, ftr.values[:, cols[0]],
+                                     data.y[train], task, N_TIERS, cfg,
+                                     mix_seed(data.seed, *labels))]
         except ValueError as exc:
-            errors.append((rep, family, fold, _failure(exc)))
+            errors += [(rep, family, fold, _failure(exc))] * len(group)
+            continue
+        for i, c in zip(group, cols):
+            try:
+                # popped, so that no model outlives its scoring into the
+                # next fit
+                scores[i] = cell_metrics(models.pop(0), fte.values[:, c],
+                                         data.y[test], task)
+            except ValueError as exc:
+                errors.append((rep, family, fold, _failure(exc)))
     return errors, scores, bool(ms) and max(ms) > ftr.n_cols
 
 
@@ -513,13 +561,15 @@ def feature_curve(products: list[DataProduct], representation: str,
                   config: dict | None = None, seed: int = 0,
                   k: int = 5, workers: int = 1) -> FeatureCurve:
     """Metric vs number of mRMR-selected features, averaged over CV folds.
-    m values beyond the feature count are clamped with a warning. Any
+    m values beyond the feature count are clamped with a warning. A family
+    whose _FITTERS entry is joint (gbt) fits all of a fold's m values in
+    one call, each model equal to its own fit on the first m columns. Any
     failed fold or cell raises a ValueError that names the first failed
     (representation, family, fold). The folds run on up to `workers`
     processes; the curve does not depend on how many."""
     m_values = list(m_values)
-    if not m_values or m_values != sorted(m_values):
-        raise ValueError("m_values must be non-empty and ascending")
+    if not m_values or m_values != sorted(m_values) or m_values[0] < 1:
+        raise ValueError("m_values must be non-empty, ascending and >= 1")
     cfg = merge_config(config)
     data = CVData.build(products, task, seed, k)
 

@@ -9,8 +9,10 @@ classification uses the logistic loss with g = p - y, h = p(1-p).
 Trees grow level by level in tree.py. fit_gbts boosts several targets on
 one X together, as one-vs-rest classification does: each round grows one
 tree per target in one batch, every target's rows standing for the rows of
-the one binned X. Each round updates the training predictions with the
-leaf values written while growing.
+the one binned X. A target may be held to a prefix of X's columns, which
+grow's draw hook gives its nodes, so one call also boosts the models of
+several column counts. Each round updates the training predictions with
+the leaf values written while growing.
 """
 
 from __future__ import annotations
@@ -125,9 +127,12 @@ def fit_gbt(X, y, n_rounds: int = 50, learning_rate: float = 0.3,
 
 def fit_gbts(X, targets, n_rounds: int = 50, learning_rate: float = 0.3,
              lam: float = 1.0, gamma_pen: float = 0.0, max_depth: int = 3,
-             min_leaf: int = 1, loss: str = "squared") -> list[GBTModel]:
+             min_leaf: int = 1, loss: str = "squared",
+             n_cols=None) -> list[GBTModel]:
     """One fit_gbt model per target, boosted together round by round: each
-    model equals fit_gbt on its own target."""
+    model equals fit_gbt on its own target. With n_cols, target t splits
+    only on the first n_cols[t] columns of X, and its model equals fit_gbt
+    on X[:, :n_cols[t]] tree for tree."""
     if n_rounds < 1:
         raise ModelError("n_rounds must be >= 1")
     if lam < 0:
@@ -137,6 +142,18 @@ def fit_gbts(X, targets, n_rounds: int = 50, learning_rate: float = 0.3,
         require_finite(X, y)
     y = np.array(targets, dtype=np.float64)  # (targets, rows)
     T, n = y.shape
+    draw = None
+    if n_cols is not None:
+        n_cols = np.asarray(n_cols, dtype=np.int64)
+        if n_cols.shape != (T,) or not (1 <= n_cols).all() \
+                or not (n_cols <= X.shape[1]).all():
+            raise ModelError("n_cols needs one count in 1..%d per target"
+                             % X.shape[1])
+        # target t's columns: its prefix, padded by repeating its last
+        # column; ties go to the first slot, so a padded slot never wins
+        table = np.minimum(np.arange(n_cols.max()), n_cols[:, None] - 1)
+        def draw(trees):  # a node's tree is its target
+            return table[trees]
     if loss == "squared":
         base = [float(np.mean(t)) for t in y]
     elif loss == "logistic":
@@ -155,7 +172,8 @@ def fit_gbts(X, targets, n_rounds: int = 50, learning_rate: float = 0.3,
             prob = 1.0 / (1.0 + np.exp(-raw))
             booster = _Booster((prob - y).ravel(),
                                (prob * (1.0 - prob)).ravel(), lam, gamma_pen)
-        roots = grow(binned, src, [n] * T, booster, max_depth, min_leaf)
+        roots = grow(binned, src, [n] * T, booster, max_depth, min_leaf,
+                     draw)
         for tree, root in zip(trees, roots):
             tree.append(root)
         raw += learning_rate * booster.step.reshape(T, n)

@@ -62,13 +62,18 @@ class OvREnsemble(Model):
 
 
 def one_vs_rest(fit_fn, X, y, n_classes: int | None = None,
-                labels: str = "01", joint: bool = False) -> OvREnsemble:
+                labels: str = "01", joint: bool = False, n_cols=None):
     """Fit one binary scorer per class with fit_fn(X, y_binary).
 
     labels="01" passes {0,1} targets, labels="pm1" passes {-1,+1} (for SVM
     members). With joint=True, fit_fn(X, targets) fits the targets of all
     present classes in one call and returns their members in class order.
     A class absent from y gets a constant always-negative member.
+
+    With n_cols (joint only), the one call fits every present class's
+    target once per count c, as fit_fn(X, targets, n_cols=...), and the
+    result is a list of ensembles, one per count, whose members split only
+    on the first c columns of X.
     """
     y = np.asarray(y, dtype=np.int64)
     if n_classes is None:
@@ -84,8 +89,17 @@ def one_vs_rest(fit_fn, X, y, n_classes: int | None = None,
             continue
         yk = (y == k).astype(np.int64)
         targets.append(2 * yk - 1 if labels == "pm1" else yk)
+    if n_cols is not None:
+        fitted = iter(fit_fn(X, targets * len(n_cols),
+                             n_cols=np.repeat(n_cols, len(targets))))
+        return [_ensemble(fitted, present, n_classes) for _ in n_cols]
     fitted = iter(fit_fn(X, targets) if joint
                   else [fit_fn(X, t) for t in targets])
+    return _ensemble(fitted, present, n_classes)
+
+
+def _ensemble(fitted, present, n_classes: int) -> OvREnsemble:
+    """The next member from fitted for each present class, in class order."""
     members = [next(fitted) if k in present else ConstantScoreModel()
                for k in range(n_classes)]
     return OvREnsemble(members, list(range(n_classes)))

@@ -10,6 +10,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dataprice import cli
 from dataprice.cli import (_RULES, DEFAULT_RUN, ConfigError, config_hash,
                            load_config, main, up_to_date)
 from dataprice.evaluate import DEFAULT_CONFIG, FAMILIES, REPRESENTATIONS
@@ -674,6 +675,34 @@ class TestUpToDate:
         with caplog.at_level(logging.INFO, logger="dataprice"):
             assert run("featurize", config) == 0
         assert "featurize: up-to-date" not in caplog.text
+
+    def test_interrupted_stage_is_not_up_to_date(self, tmp_path, caplog,
+                                                 monkeypatch):
+        config, raw = write_config(tmp_path, hyperparameters={"max_terms": 300})
+        out = Path(raw["out_dir"])
+        for stage in ["ingest", "featurize"]:
+            assert run(stage, config) == 0
+        features = (out / "features_bow.csv").read_bytes()
+        # featurize under another config is stopped after writing its outputs
+        (tmp_path / "other").mkdir()
+        other, _ = write_config(tmp_path / "other", out_dir=raw["out_dir"],
+                                hyperparameters={"max_terms": 20})
+
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "write_manifest", interrupt)
+            with pytest.raises(KeyboardInterrupt):
+                run("featurize", other)
+        assert (out / "features_bow.csv").read_bytes() != features
+        with caplog.at_level(logging.INFO, logger="dataprice"):
+            assert run("select", other) == 1
+            assert "missing featurize outputs" in caplog.text
+            caplog.clear()
+            assert run("featurize", config) == 0
+        assert "featurize: up-to-date" not in caplog.text
+        assert (out / "features_bow.csv").read_bytes() == features
 
 
 class TestThreadsInvariance:

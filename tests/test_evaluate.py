@@ -8,11 +8,13 @@ import pytest
 
 from dataprice import evaluate
 from dataprice.evaluate import (ERROR_METRICS, FAMILIES, SCORE_METRICS,
-                                ExperimentReport, MetricError, _map_units,
-                                _rank, binary_auc, classification_metrics,
-                                evaluate_cell, feature_curve, kfold_split,
+                                CVData, ExperimentReport, MetricError,
+                                _map_units, _rank, binary_auc,
+                                classification_metrics, evaluate_cell,
+                                feature_curve, fit_representation, kfold_split,
                                 merge_config, mix_seed, regression_metrics,
                                 run_grid)
+from dataprice.featsel import mrmr_select
 from dataprice.models import ModelError, OvREnsemble, StandardizedModel
 from dataprice.synth import generate_products
 
@@ -259,6 +261,44 @@ class TestCurve:
     def test_m_values_must_ascend(self):
         with pytest.raises(ValueError):
             feature_curve(generate_products(20, seed=0), "bow", "gbt", [5, 2])
+
+    @pytest.mark.parametrize("m_values", [[0, 2], []])
+    def test_m_values_must_be_positive(self, m_values):
+        with pytest.raises(ValueError, match="m_values"):
+            feature_curve(generate_products(20, seed=0), "bow", "gbt", m_values)
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_batched_gbt_rows_equal_one_cell_per_m(self, products, task):
+        """The curve fits a fold's gbt models in one call; its rows equal
+        the means of evaluate_cell run once per m on that fold's columns."""
+        m_values, k, seed = [1, 2, 2, 5, 10 ** 4], 3, 4
+        with pytest.warns(UserWarning, match="clamp"):
+            curve = feature_curve(products, "bow", "gbt", m_values, task=task,
+                                  config=TestGrid.CFG, seed=seed, k=k)
+        cfg = merge_config(TestGrid.CFG)
+        data = CVData.build(products, task, seed, k)
+        cells = [[] for _ in m_values]  # the folds' metrics of each m
+        for fold in range(k):
+            train, test = data.plan.train_test(fold)
+            feats, transform = fit_representation(
+                "bow", [data.texts[i] for i in train], cfg,
+                mix_seed(seed, "bow", fold))
+            ftr = feats.hstack(data.struct.rows(train))
+            fte = transform([data.texts[i] for i in test]).hstack(
+                data.struct.rows(test)).values
+            order = mrmr_select(ftr, data.y[train], max(m_values),
+                                target_is_discrete=task == "classification"
+                                ).selected
+            for m, folds in zip(m_values, cells):
+                cols = order[:m]
+                folds.append(evaluate_cell(
+                    "gbt", ftr.values[:, cols], data.y[train], fte[:, cols],
+                    data.y[test], task, cfg,
+                    mix_seed(seed, "bow", fold, "gbt", m)))
+        assert curve.rows == [
+            (m, {name: float(np.mean([c[name] for c in folds]))
+                 for name in data.metrics})
+            for m, folds in zip(m_values, cells)]
 
 
 def _pid(unit):

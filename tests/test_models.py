@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from dataprice.evaluate import fit_family, merge_config
 from dataprice.models import (ConstantScoreModel, ModelError, fit_cart,
-                              fit_forest, fit_gbt, fit_linear, fit_logistic,
-                              fit_mlp, fit_svm, fit_svr, kernel_matrix,
-                              one_vs_rest)
+                              fit_forest, fit_gbt, fit_gbts, fit_linear,
+                              fit_logistic, fit_mlp, fit_svm, fit_svr,
+                              kernel_matrix, one_vs_rest)
 from dataprice.models import svm
 from dataprice.models.base import Model
 from dataprice.models.forest import _tree_rng
@@ -845,6 +845,50 @@ class TestJointBoosting:
             assert isinstance(joint.members[absent], ConstantScoreModel)
             absent_warning = "class %d absent from training data" % absent
             assert sum(absent_warning in msg for msg in messages) == 2
+
+    @staticmethod
+    def _prefix_case(loss):
+        """Poisson and normal columns with a duplicate, so splits tie, and a
+        target of the loss."""
+        rng = np.random.default_rng(9)
+        X = np.column_stack([rng.poisson(0.8, size=(70, 6)),
+                             rng.normal(size=(70, 5))])
+        X[:, 3] = X[:, 1]
+        y = X[:, 0] - X[:, 7] + 0.5 * rng.normal(size=70)
+        return X, (y if loss == "squared" else (y > 0.3).astype(np.int64))
+
+    @pytest.mark.parametrize("loss", ["squared", "logistic"])
+    def test_column_prefixes_equal_fits_on_the_prefix(self, loss):
+        X, y = self._prefix_case(loss)
+        ms = [1, 2, 4, 4, 7, X.shape[1]]
+        batch = fit_gbts(X, [y] * len(ms), loss=loss, n_cols=ms, **self.PARAMS)
+        for m, model in zip(ms, batch):
+            solo = fit_gbt(X[:, :m], y, loss=loss, **self.PARAMS)
+            assert model.trees == solo.trees
+            assert model.base_score == solo.base_score
+            assert model.hyperparams == solo.hyperparams
+
+    def test_column_prefixes_of_one_vs_rest_equal_fits_on_the_prefix(self):
+        X, y = self._prefix_case("squared")
+        y = np.searchsorted(np.quantile(y, [0.25, 0.5, 0.75]), y)
+        cfg = merge_config({"gbt": self.PARAMS})
+        ms = [1, 3, 3, X.shape[1]]
+        batch = fit_family("gbt", X, y, "classification", 4, cfg, 0, n_cols=ms)
+        for m, model in zip(ms, batch):
+            solo = fit_family("gbt", X[:, :m], y, "classification", 4, cfg, 0)
+            assert model.params_dict() == solo.params_dict()
+
+    @pytest.mark.parametrize("n_cols", [[0, 2], [2, 13], [2]])
+    def test_column_counts_out_of_range_are_rejected(self, n_cols):
+        X, y = self._prefix_case("squared")
+        with pytest.raises(ModelError, match="n_cols"):
+            fit_gbts(X, [y, y], n_rounds=2, n_cols=n_cols)
+
+    def test_only_joint_families_fit_column_prefixes(self):
+        X, y = self._prefix_case("squared")
+        with pytest.raises(ValueError, match="column prefixes"):
+            fit_family("cart", X, y, "regression", 5, merge_config({}), 0,
+                       n_cols=[1, 2])
 
 
 # ------------------------------------------------------------ SVR prox ----
