@@ -9,19 +9,22 @@ TreeSHAP's sums over all paths of the model in array operations, one pass
 per group of paths of equal length. Every other model, a standardized tree
 model included (its trees split on scaled columns), gets a sampling
 kernel-weighted least-squares approximation against a background dataset.
-That method draws its coalitions in array operations. Kernel machines,
-linear, logistic and MLP models (an SVR, a LinearModel, an MLPModel, and
-the SVM or logistic member of a one-vs-rest ensemble, each behind an
-optional standardizer) share one coalition routine: it scores the
-coalitions from each background row's first layer (its kernel terms, or
-its first affine layer), updated by the columns where the row differs from
-the explained one, instead of predicting the imputed rows. Both methods
-satisfy local accuracy: the attributions plus the expected value sum to
-the model output for the explained row. Both explain a classifier's
-predicted class unless a class is named, and the kernel method draws one
-coalition design per call, so a row's attributions depend only on the
-row, the model, the background and the seed. Explained and background
-rows must be finite.
+That method draws its coalitions in array operations, as complement pairs.
+Kernel machines, linear, logistic and MLP models (an SVR, a LinearModel,
+an MLPModel, and the SVM or logistic member of a one-vs-rest ensemble,
+each behind an optional standardizer) share one coalition routine: it
+scores the coalitions from each background row's first layer (its kernel
+terms' exponents, or its first affine layer), updated by the columns where
+the row differs from the explained one, instead of predicting the imputed
+rows. One product gives the first layers of the first coalition of every
+pair, offset included, and each complement's follows by one subtraction;
+the product and the model's head run over blocks of coalitions sized to
+stay in cache. Both methods satisfy local accuracy: the attributions plus
+the expected value sum to the model output for the explained row. Both
+explain a classifier's predicted class unless a class is named, and the
+kernel method draws one coalition design per call, so a row's
+attributions depend only on the row, the model, the background and the
+seed. Explained and background rows must be finite.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .models import (CARTModel, ForestModel, GBTModel, LinearModel,
                      LogisticModel, MLPModel, OvREnsemble, StandardizedModel,
                      SVMModel, SVRModel)
 from .models.linear import sigmoid
-from .models.svm import rbf_in_place, sq_distances
+from .models.svm import sq_distances
 from .textrep.word2vec import EmbeddingTable
 
 
@@ -207,10 +210,16 @@ def kernel_shap(predict_fn, x, background, n_samples: int = 2048,
     """Sampling approximation of per-feature attributions for an arbitrary
     scalar-output model.
 
+    The coalition design is a list of complement pairs: a 0/1 row of
+    present columns, then the row of the columns it leaves out. When every
+    coalition fits in n_samples they are all listed, code c before its
+    complement 2^M - 1 - c for 0 < c < 2^(M - 1); otherwise n_samples rows
+    are drawn, and an odd n_samples drops the last pair's complement.
     Coalitions are scored by evaluating the model with absent features
     replaced by each background row in turn and averaging, or by
-    coalition_values(x, background, Z) when given, which must return the
-    same averages for the 0/1 coalition matrix Z. Attributions solve the
+    coalition_values(x, background, Z) when given: Z holds the first row
+    of every pair, and it must return those averages for the rows of Z and
+    for their complements, as two arrays. Attributions solve the
     kernel-weighted least squares with the local-accuracy constraint
     enforced exactly. Returns (phi, expected_value)."""
     x = np.asarray(x, dtype=np.float64).ravel()
@@ -228,11 +237,12 @@ def kernel_shap(predict_fn, x, background, n_samples: int = 2048,
     rng = np.random.default_rng(seed)
     total = 2 ** M - 2 if M <= 30 else n_samples + 1
     if total <= n_samples:
-        # row code - 1 holds the bits of code, lowest bit in column 0
-        bits = (np.arange(1, 2 ** M - 1)[:, None] >> np.arange(M)) & 1
-        Z = bits.astype(np.float64)
+        # the bits of each code, lowest bit in column 0; a coalition and
+        # its complement share their kernel weight
+        half = ((np.arange(1, 2 ** (M - 1))[:, None] >> np.arange(M)) & 1
+                ).astype(np.float64)
         size_w = np.array([shapley_kernel_weight(M, s) for s in range(M + 1)])
-        w = size_w[bits.sum(axis=1)]
+        w = np.repeat(size_w[half.sum(axis=1).astype(np.int64)], 2)
     else:
         if n_samples < 2:
             raise ExplainError("n_samples must be >= 2 to sample coalitions, "
@@ -240,20 +250,20 @@ def kernel_shap(predict_fn, x, background, n_samples: int = 2048,
         sizes = np.arange(1, M)
         size_p = np.array([(M - 1) / (s * (M - s)) for s in sizes])
         size_p /= size_p.sum()
-        # each even row is a subset of a drawn size, the first s columns of
-        # a random order; the odd row after it is its complement
-        half = (n_samples + 1) // 2
-        s = rng.choice(sizes, size=half, p=size_p)
-        order = np.argsort(rng.random((half, M)), axis=1)
-        drawn = np.zeros((half, M))
-        np.put_along_axis(drawn, order, np.arange(M) < s[:, None], axis=1)
-        Z = np.stack([drawn, 1.0 - drawn], axis=1).reshape(-1, M)[:n_samples]
+        # a pair's first row is a subset of a drawn size, the first s
+        # columns of a random order
+        s = rng.choice(sizes, size=(n_samples + 1) // 2, p=size_p)
+        order = np.argsort(rng.random((len(s), M)), axis=1)
+        half = np.zeros((len(s), M))
+        np.put_along_axis(half, order, np.arange(M) < s[:, None], axis=1)
         w = np.ones(n_samples)
+    Z = np.stack([half, 1.0 - half], axis=1).reshape(-1, M)[:len(w)]
 
     # model value of each coalition: present features from x, absent ones
     # imputed from every background row, averaged
     if coalition_values is not None:
-        fz = coalition_values(x, background, Z)
+        fz = np.stack(coalition_values(x, background, half),
+                      axis=1).ravel()[:len(Z)]
     else:
         fz = np.empty(len(Z))
         for i, z in enumerate(Z):
@@ -272,12 +282,13 @@ def kernel_shap(predict_fn, x, background, n_samples: int = 2048,
 
 
 def _first_layer(model, class_index):
-    """(standardizer or None, W, b, sq, head) when the explained output is
+    """(standardizer or None, W, b, rbf, head) when the explained output is
     head(H) of a first layer H that, on a row r, is r @ W + b, or for an
-    rbf kernel machine (sq given) the squared distances from r to W's
-    columns, whose squared norms sq holds. That covers an SVR, a
-    LinearModel, an MLPModel, and a one-vs-rest ensemble's SVM or logistic
-    member for the class. None for every other model."""
+    rbf kernel machine (rbf = (sq, gamma)) -gamma times the squared
+    distances from r to W's columns, whose squared norms sq holds. That
+    covers an SVR, a LinearModel, an MLPModel, and a one-vs-rest ensemble's
+    SVM or logistic member for the class. head may overwrite H. None for
+    every other model."""
     if isinstance(model, OvREnsemble):
         model = model.members[class_index]
     std = None
@@ -286,12 +297,13 @@ def _first_layer(model, class_index):
     if isinstance(model, (SVMModel, SVRModel)):
         rbf = model.kernel == "rbf"
 
-        def head(K):
-            if rbf:
-                rbf_in_place(K, model.gamma)
-            return K @ model.coef + model.b
+        def head(H):
+            if rbf:  # the kernel terms exp(-gamma max(D, 0))
+                np.minimum(H, 0.0, out=H)
+                np.exp(H, out=H)
+            return H @ model.coef + model.b
         return (std, np.ascontiguousarray(model.support_vectors.T), 0.0,
-                model.sv_sq if rbf else None, head)
+                (model.sv_sq, model.gamma) if rbf else None, head)
     if isinstance(model, LinearModel):
         return std, model.w[:, None], model.b, None, lambda H: H[:, 0]
     if isinstance(model, LogisticModel):
@@ -304,29 +316,53 @@ def _first_layer(model, class_index):
     return None
 
 
-def _first_layer_values(std, W, b, sq, head, x, background, Z):
-    """kernel_shap's coalition values for a model that _first_layer takes,
-    computed without the imputed rows. Such a row differs from its
-    background row g only in the columns J where x and g differ, so its
-    first layer is g @ W + b + Z[:, J] @ ((x - g) W)_J, and its squared
-    distance to a column w of W is |g - w|^2 + Z[:, J] @ ((x - g)(x + g -
-    2w))_J. One background row at a time keeps each temporary at
-    coalitions x width."""
+# bytes of the first layers of a block of coalitions and their complements,
+# so that a block's product and head run within a core's L2 cache
+_BLOCK_BYTES = 2 ** 20
+
+
+def _first_layer_values(std, W, b, rbf, head, x, background, Z):
+    """kernel_shap's coalition values, of the rows of Z and of their
+    complements, for a model that _first_layer takes, computed without the
+    imputed rows. Such a row differs from its background row g only in the
+    columns J where x and g differ, so its first layer is [Z_J | 1] @ [U;
+    H(g)], where H(g) is g's first layer and U = ((x - g) W)_J, or for an
+    rbf machine U = -gamma ((x - g)(x + g - 2w))_J on each column w of W.
+    The first layer of z's complement is then 2 H(g) + sum(U) - H(z). One
+    background row at a time, the product and the head run over blocks of
+    Z's rows and their complements of at most _BLOCK_BYTES."""
     if std is not None:  # elementwise, so it commutes with the imputation
         x, background = std.transform(x), std.transform(background)
-    base = (background @ W + b if sq is None
-            else sq_distances(background, W.T, sq))
-    total = np.zeros(len(Z))
+    n, M = Z.shape
+    if rbf is None:
+        scale, base = 1.0, background @ W + b
+    else:
+        scale, base = -rbf[1], sq_distances(background, W.T, rbf[0])
+        base *= scale
+    W1 = np.vstack([W, np.zeros(W.shape[1])])  # row M holds H(g)
+    Z1 = np.hstack([Z, np.ones((n, 1))])
+    rows = max(1, _BLOCK_BYTES // (16 * W.shape[1]))
+    H = np.empty((2 * min(rows, n), W.shape[1]))
+    total = np.zeros((2, n))
     for g, base_g in zip(background, base):
         J = np.flatnonzero(x != g)
-        update = W[J]
-        if sq is not None:
-            update *= -2.0
-            update += (x + g)[J, None]
-        update *= (x - g)[J, None]
-        H = Z[:, J] @ update
-        H += base_g
-        total += head(H)
+        cols = np.append(J, M)
+        update = W1[cols]
+        U = update[:-1]
+        if rbf is not None:
+            U *= -2.0
+            U += (x + g)[J, None]
+        U *= (scale * (x - g)[J])[:, None]
+        update[-1] = base_g
+        complement = update.sum(axis=0) + base_g
+        ZJ = Z1[:, cols]
+        for start in range(0, n, rows):
+            k = min(rows, n - start)
+            np.matmul(ZJ[start:start + k], update, out=H[:k])
+            np.subtract(complement, H[:k], out=H[k:2 * k])
+            out = head(H[:2 * k])
+            total[0, start:start + k] += out[:k]
+            total[1, start:start + k] += out[k:]
     return total / len(background)
 
 

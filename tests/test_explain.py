@@ -7,16 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dataprice import explain
 from dataprice.evaluate import fit_family, merge_config
 from dataprice.explain import (ExplainError, _first_layer,
                                _first_layer_values, beeswarm_csv,
                                embedding_keywords, global_importance,
                                kernel_shap, shap_values, shapley_kernel_weight,
                                tree_expected, tree_shap)
-from dataprice.models import (CARTModel, ForestModel, GBTModel, OvREnsemble,
-                              fit_cart, fit_forest, fit_gbt, fit_linear,
-                              fit_logistic, fit_mlp, fit_standardized, fit_svm,
-                              fit_svr, one_vs_rest)
+from dataprice.models import (CARTModel, ForestModel, GBTModel, LinearModel,
+                              LogisticModel, MLPModel, OvREnsemble,
+                              StandardizedModel, SVMModel, SVRModel, fit_cart,
+                              fit_forest, fit_gbt, fit_linear, fit_logistic,
+                              fit_mlp, fit_standardized, fit_svm, fit_svr,
+                              one_vs_rest)
+from dataprice.models.linear import sigmoid
+from dataprice.models.svm import rbf_in_place, sq_distances
 from dataprice.textrep.word2vec import EmbeddingTable
 
 
@@ -515,9 +520,11 @@ class TestKernelShap:
 
         def values(x, background, Z):
             designs.append(Z)
-            return fn(np.where(Z > 0, x, background[0]))
+            return (fn(np.where(Z > 0, x, background[0])),
+                    fn(np.where(Z > 0, background[0], x)))
         phi, _ = kernel_shap(fn, x, g[None, :], coalition_values=values)
-        codes = range(1, 2 ** M - 1)
+        # the first code of each complement pair, 2^M - 1 - c the second
+        codes = range(1, 2 ** (M - 1))
         assert np.array_equal(designs[0], [[(c >> b) & 1 for b in range(M)]
                                            for c in codes])
 
@@ -588,23 +595,25 @@ class TestKernelShap:
 # logistic and MLP models from per-background-row first-layer updates;
 # kernel_shap's predict loop over the imputed rows is the reference.
 
-def _kernel_machines(p, kernel):
+def _kernel_machines(p, kernel, gamma=0.2):
     """A standardized SVR and a one-vs-rest ensemble of standardized SVMs on
     p columns. Column 1 holds one value in every row; the background's
     first row is the first explained row."""
     X, y, yc = _coalition_data(p)
-    svr = fit_standardized(fit_svr, X, y, kernel=kernel, gamma=0.2)
+    svr = fit_standardized(fit_svr, X, y, kernel=kernel, gamma=gamma)
     svm = one_vs_rest(partial(fit_standardized, fit_svm, kernel=kernel,
-                              gamma=0.2), X, yc, labels="pm1")
+                              gamma=gamma), X, yc, labels="pm1")
     return X, X[[0] + list(range(40, 52))], svr, svm
 
 
 def _coalition_data(p):
+    """80 rows of p >= 2 columns and their regression and 3-class targets."""
     rng = np.random.default_rng(p)
     X = rng.normal(size=(80, p)) * 3.0 + 1.0
     X[:, 1] = 2.5
-    X[:, 2] = np.round(X[:, 2])  # ties between x and background rows
-    y = X[:, 0] + np.sin(X[:, 3]) + 0.5 * X[:, 2]
+    X[:, 2:3] = np.round(X[:, 2:3])  # ties between x and background rows
+    y = (X[:, 0] + np.sin(X[:, 3 if p > 3 else -1])
+         + 0.5 * X[:, 2:3].sum(axis=1))
     return X, y, np.digitize(y, np.quantile(y, [1 / 3, 2 / 3]))
 
 
@@ -627,14 +636,40 @@ def _first_layer_model(name, p):
                        X, yc), 2
 
 
-def _predict_loop(model, X, background, n_samples, seed, class_index=None):
+def _explained_output(model, class_index):
     if class_index is None:
-        fn = lambda rows: np.asarray(model.predict(rows), dtype=np.float64)
-    else:
-        fn = lambda rows: model.predict_scores(rows)[:, class_index]
+        return lambda rows: np.asarray(model.predict(rows), dtype=np.float64)
+    return lambda rows: model.predict_scores(rows)[:, class_index]
+
+
+def _predict_loop(model, X, background, n_samples, seed, class_index=None):
+    fn = _explained_output(model, class_index)
     rows = [kernel_shap(fn, X[i], background, n_samples, seed)
             for i in range(len(X))]
     return np.stack([r[0] for r in rows]), np.array([r[1] for r in rows])
+
+
+def _matches_predict_loop(model, class_index, X, background, n_samples, seed):
+    """shap_values of the rows X, checked against the predict loop (1e-9)
+    and for local accuracy (1e-6); returns (phi, expected)."""
+    phi, expected = shap_values(model, X, background, n_samples=n_samples,
+                                seed=seed, class_index=class_index)
+    ref_phi, ref_expected = _predict_loop(model, X, background, n_samples,
+                                          seed, class_index)
+    assert np.isfinite(phi).all()
+    assert np.max(np.abs(phi - ref_phi)) < 1e-9
+    assert np.max(np.abs(expected - ref_expected)) < 1e-9
+    target = _explained_output(model, class_index)(X)
+    assert np.allclose(phi.sum(axis=1) + expected, target, atol=1e-6)
+    return phi, expected
+
+
+def _first_layer_models(p, kernel="rbf", gamma=0.2):
+    """(model, class index or None) of every model kind that _first_layer
+    takes, fitted on _coalition_data(p)."""
+    _, _, svr, svm = _kernel_machines(p, kernel, gamma)
+    return [(svr, None), (svm, 0)] + [_first_layer_model(name, p)
+                                      for name in FIRST_LAYER_MODELS]
 
 
 class TestKernelMachineValues:
@@ -664,12 +699,13 @@ class TestKernelMachineValues:
         models = [(svr, None), (svm, 1)] + [
             _first_layer_model(name, 6) for name in FIRST_LAYER_MODELS]
         for model, c in models:
-            fn = (model.predict if c is None
-                  else lambda rows: model.predict_scores(rows)[:, c])
-            values = _first_layer_values(*_first_layer(model, c), X[0],
-                                         background, Z)
-            ref = [np.mean(fn(np.where(z > 0, X[0], background))) for z in Z]
-            assert np.max(np.abs(values - ref)) < 1e-9
+            fn = _explained_output(model, c)
+            values, complements = _first_layer_values(
+                *_first_layer(model, c), X[0], background, Z)
+            for got, design in ((values, Z), (complements, 1.0 - Z)):
+                ref = [np.mean(fn(np.where(z > 0, X[0], background)))
+                       for z in design]
+                assert np.max(np.abs(got - ref)) < 1e-9
 
     @pytest.mark.parametrize("method, class_index",
                              [("predict", None), ("predict_scores", 1)])
@@ -695,27 +731,173 @@ class TestKernelMachineValues:
         # the same coalitions, scored by updates instead of predictions
         X, background, _, _ = _kernel_machines(12, "rbf")
         model, class_index = _first_layer_model(name, 12)
-        phi, expected = shap_values(model, X[:2], background, n_samples=64,
-                                    seed=5, class_index=class_index)
-        ref_phi, ref_expected = _predict_loop(model, X[:2], background, 64, 5,
-                                              class_index)
-        assert np.max(np.abs(phi - ref_phi)) < 1e-9
-        assert np.max(np.abs(expected - ref_expected)) < 1e-9
-        target = (model.predict(X[:2]) if class_index is None
-                  else model.predict_scores(X[:2])[:, class_index])
-        assert np.allclose(phi.sum(axis=1) + expected, target, atol=1e-6)
+        _matches_predict_loop(model, class_index, X[:2], background, 64, 5)
+
+
+def reference_first_layer(model, class_index):
+    """_first_layer as it was before the offset and -gamma moved into the
+    product: (std, W, b, sq, head), where an rbf head takes the squared
+    distances themselves."""
+    if isinstance(model, OvREnsemble):
+        model = model.members[class_index]
+    std = None
+    if isinstance(model, StandardizedModel):
+        std, model = model.standardizer, model.inner
+    if isinstance(model, (SVMModel, SVRModel)):
+        rbf = model.kernel == "rbf"
+
+        def head(K):
+            if rbf:
+                rbf_in_place(K, model.gamma)
+            return K @ model.coef + model.b
+        return (std, np.ascontiguousarray(model.support_vectors.T), 0.0,
+                model.sv_sq if rbf else None, head)
+    if isinstance(model, LinearModel):
+        return std, model.w[:, None], model.b, None, lambda H: H[:, 0]
+    if isinstance(model, LogisticModel):
+        return std, model.w[:, None], model.b, None, lambda H: sigmoid(H[:, 0])
+    assert isinstance(model, MLPModel)
+    scores = model.scores_from_first_layer
+    return (std, model.weights[0], model.biases[0], None,
+            scores if class_index is None
+            else lambda H: scores(H)[:, class_index])
+
+
+def reference_first_layer_values(std, W, b, sq, head, x, background, Z):
+    """_first_layer_values as it was before complement pairs and blocks:
+    the values of the rows of Z alone, one full product per background
+    row, the offset added and the rbf kernel taken after it."""
+    if std is not None:
+        x, background = std.transform(x), std.transform(background)
+    base = (background @ W + b if sq is None
+            else sq_distances(background, W.T, sq))
+    total = np.zeros(len(Z))
+    for g, base_g in zip(background, base):
+        J = np.flatnonzero(x != g)
+        update = W[J]
+        if sq is not None:
+            update *= -2.0
+            update += (x + g)[J, None]
+        update *= (x - g)[J, None]
+        H = Z[:, J] @ update
+        H += base_g
+        total += head(H)
+    return total / len(background)
+
+
+class TestFirstLayerReference:
+    """The values of a half design and its complements against the
+    routine that scored the whole design, to 1e-12 of the largest value,
+    with blocks of one row, of a few rows and of the default size."""
+
+    def _check(self, models, X, background, monkeypatch):
+        Z = (np.random.default_rng(1).random((45, X.shape[1])) < 0.5) * 1.0
+        for block_bytes in (1, 1000, 2 ** 14, explain._BLOCK_BYTES):
+            monkeypatch.setattr(explain, "_BLOCK_BYTES", block_bytes)
+            for model, c in models:
+                layer = reference_first_layer(model, c)
+                for x in X[:3]:
+                    got = _first_layer_values(*_first_layer(model, c), x,
+                                              background, Z)
+                    ref = [reference_first_layer_values(*layer, x, background,
+                                                        design)
+                           for design in (Z, 1.0 - Z)]
+                    scale = np.max(np.abs(ref))
+                    assert np.max(np.abs(got - ref)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("kernel, gamma", [("rbf", 0.01), ("rbf", 1.0),
+                                               ("rbf", 10.0), ("linear", 1.0)])
+    def test_kernel_machines(self, kernel, gamma, monkeypatch):
+        X, background, svr, svm = _kernel_machines(12, kernel, gamma)
+        self._check([(svr, None), (svm, 0), (svm, 2)], X, background,
+                    monkeypatch)
+
+    @pytest.mark.parametrize("name", FIRST_LAYER_MODELS)
+    def test_first_layer_affine_models(self, name, monkeypatch):
+        X, background, _, _ = _kernel_machines(12, "linear")
+        self._check([_first_layer_model(name, 12)], X, background,
+                    monkeypatch)
+
+
+class TestFirstLayerEdgeCases:
+    """Every model kind that _first_layer takes matches the predict loop
+    and keeps local accuracy where the pairs or the blocks have an edge."""
+
+    @pytest.mark.parametrize("n_samples", [3, 7, 33])
+    def test_odd_n_samples(self, n_samples):
+        # the last pair's complement is scored and dropped
+        X, background, _, _ = _kernel_machines(12, "rbf")
+        for model, c in _first_layer_models(12):
+            _matches_predict_loop(model, c, X[:2], background, n_samples, 3)
+
+    @pytest.mark.parametrize("M", range(2, 9))
+    def test_exhaustive_designs_give_exact_shapley_values(self, M):
+        X, _, _, _ = _kernel_machines(M, "rbf")
+        background = X[40:45]
+        subsets = list(itertools.product([0, 1], repeat=M))
+        for model, c in _first_layer_models(M):
+            phi, _ = _matches_predict_loop(model, c, X[:1], background,
+                                           2048, 0)
+            fn = _explained_output(model, c)
+            value = {z: np.mean(fn(np.where(np.array(z) > 0, X[0],
+                                            background))) for z in subsets}
+            exact = np.zeros(M)
+            for z in subsets:
+                s = sum(z)
+                for j in np.flatnonzero(np.array(z) == 0):
+                    with_j = z[:j] + (1,) + z[j + 1:]
+                    exact[j] += (math.factorial(s) * math.factorial(M - s - 1)
+                                 / math.factorial(M)
+                                 * (value[with_j] - value[z]))
+            assert np.allclose(phi[0], exact, atol=1e-9)
+
+    def test_background_rows_equal_to_x(self):
+        # J is empty for such a row: its first layer is its offset alone
+        X, _, _, _ = _kernel_machines(12, "rbf")
+        for model, c in _first_layer_models(12):
+            _matches_predict_loop(model, c, X[:1], X[:1], 64, 2)
+            phi, expected = _matches_predict_loop(
+                model, c, X[:1], np.repeat(X[:1], 4, axis=0), 64, 2)
+            assert np.max(np.abs(phi)) < 1e-12
+            assert expected[0] == pytest.approx(
+                float(_explained_output(model, c)(X[:1])[0]), abs=1e-12)
+
+    def test_every_kernel_term_underflows(self):
+        # gamma = 100 on standardized columns: exp(-gamma D) is 0 for every
+        # support vector, so every coalition value is the offset
+        _, _, svr, svm = _kernel_machines(12, "rbf", gamma=100.0)
+        rows = np.random.default_rng(99).normal(size=(6, 12)) * 3.0 + 1.0
+        assert np.all(svr.predict(rows) == svr.inner.b)
+        for model, c in ((svr, None), (svm, 0)):
+            phi, _ = _matches_predict_loop(model, c, rows[:1], rows[1:], 64, 2)
+            assert np.all(phi == 0.0)
 
 
 class TestCoalitionDraw:
     M = 10  # 1022 coalitions, more than the samples drawn
 
     def _draws(self, n_samples, seeds):
+        """The design that the predict loop scores, per seed. x is all ones
+        and the background all zeros, so an imputed row is its coalition;
+        coalition_values must get the first row of each pair of it."""
         designs = []
-        keep = lambda x, background, Z: designs.append(Z) or np.zeros(len(Z))
-        fn = lambda rows: np.atleast_2d(rows).sum(axis=1)
+        x, background = np.ones(self.M), np.zeros((2, self.M))
         for seed in seeds:
-            kernel_shap(fn, np.ones(self.M), np.zeros((2, self.M)), n_samples,
-                        seed, coalition_values=keep)
+            scored, halves = [], []
+
+            def fn(rows):
+                scored.append(rows[0])
+                return np.zeros(len(rows))
+
+            def keep(x, background, Z):
+                halves.append(Z)
+                return np.zeros(len(Z)), np.zeros(len(Z))
+            kernel_shap(fn, x, background, n_samples, seed)
+            kernel_shap(fn, x, background, n_samples, seed,
+                        coalition_values=keep)
+            Z = np.array(scored[2:-2])  # after f0's and f(x)'s calls
+            assert np.array_equal(halves[0], Z[::2])
+            designs.append(Z)
         return designs
 
     @pytest.mark.parametrize("n_samples", [2, 7, 400, 401])

@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Seed sweep of the benchmark's grid_tiers checks.
+"""Seed sweeps of stochastic checks.
 
     python3 tools/sweep_seeds.py [--seeds 1-40] [--out sweep.json]
+    python3 tools/sweep_seeds.py --check lda [--seeds 0-19] [--out lda.json]
 
-For each seed the sweep runs
+The default check is the benchmark's grid_tiers workload. For each seed the
+sweep runs
 
     python3 bench/run.py --workload grid_tiers --seed S --seconds 0 --trace 0
 
@@ -13,6 +15,18 @@ own set-up, and reads every cell's accuracy from the report. The JSON it
 writes (to --out, else to standard output) holds the pass rate, the
 failing seeds with their check errors, and per cell (representation/
 family) the lowest accuracy over the seeds and the seed where it fell.
+
+`--check lda` runs, in this process, the two planted-topic LDA checks of
+the tier-1 tests at each seed S (0-19 by default):
+
+  criterion_3                     tests/test_acceptance.py's criterion 3 at
+                                  seed S (the test runs seeds 0, 1 and 2);
+  test_planted_topics_recovered   tests/test_lda.py's check with the corpus
+                                  of seed S + 2 and the sampler at seed S
+                                  (the test runs S = 0).
+
+For each it writes the pass rate against the test's bound, the failing
+seeds, and the quantiles of the topic-word TV distance.
 
 The sweep only measures: it changes no seed, bound or test. It runs the
 checkout it lies in, so a copy of it in another checkout sweeps that one.
@@ -33,6 +47,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOAD = "grid_tiers"
+LDA_TV_BOUND = 0.15  # both LDA checks' bound
 
 
 def bench_run(seed: int) -> dict:
@@ -102,6 +117,44 @@ def sweep(seeds) -> dict:
             "failing": failing, "min_accuracy": dict(sorted(lowest.items()))}
 
 
+def lda_sweep(seeds) -> dict:
+    """Pass rate, failing seeds and TV quantiles of the two LDA checks."""
+    import numpy as np  # after main() has pinned BLAS to one thread
+
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+    try:
+        from dataprice.textrep import train_lda
+        from test_acceptance import planted_topics_tv
+        from test_lda import best_aligned_tv, planted_corpus
+    finally:
+        del sys.path[:2]
+
+    def recovered_tv(seed):
+        model = train_lda(planted_corpus(200, seed + 2), 2, alpha=0.5,
+                          iterations=120, seed=seed)
+        return best_aligned_tv(model.phi, model.terms)
+
+    checks = {}
+    for name, tv_of in (("criterion_3", planted_topics_tv),
+                        ("test_planted_topics_recovered", recovered_tv)):
+        tv = []
+        for seed in seeds:
+            tv.append(float(tv_of(seed)))
+            print("%s seed %d: TV %.4f" % (name, seed, tv[-1]),
+                  file=sys.stderr, flush=True)
+        q = np.quantile(tv, [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0])
+        checks[name] = {
+            "pass_rate": float(np.mean(np.array(tv) < LDA_TV_BOUND)),
+            "failing_seeds": [s for s, t in zip(seeds, tv)
+                              if not t < LDA_TV_BOUND],
+            "tv_quantiles": dict(zip(["min", "q10", "q25", "median", "q75",
+                                      "q90", "max"], q.round(6).tolist())),
+            "tv": [round(t, 6) for t in tv]}
+    return {"check": "lda", "source_sha256": source_digest(),
+            "seed_range": [seeds[0], seeds[-1]], "runs": len(seeds),
+            "tv_bound": LDA_TV_BOUND, "checks": checks}
+
+
 def seed_range(text: str) -> list[int]:
     first, _, last = text.partition("-")
     seeds = list(range(int(first), int(last or first) + 1))
@@ -112,14 +165,21 @@ def seed_range(text: str) -> list[int]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--seeds", type=seed_range, default=seed_range("1-40"),
-                        help="first-last, inclusive (default 1-40)")
+    parser.add_argument("--check", choices=["grid_tiers", "lda"],
+                        default="grid_tiers", help="what to sweep")
+    parser.add_argument("--seeds", type=seed_range,
+                        help="first-last, inclusive (default 1-40 for "
+                             "grid_tiers, 0-19 for lda)")
     parser.add_argument("--out", type=Path, help="JSON file to write")
     args = parser.parse_args(argv)
     # the benchmark's workers run BLAS on one thread
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
-    text = json.dumps(sweep(args.seeds), indent=1) + "\n"
+    if args.check == "lda":
+        result = lda_sweep(args.seeds or seed_range("0-19"))
+    else:
+        result = sweep(args.seeds or seed_range("1-40"))
+    text = json.dumps(result, indent=1) + "\n"
     if args.out:
         args.out.write_text(text, encoding="utf-8")
     else:
