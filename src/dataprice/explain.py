@@ -221,7 +221,9 @@ def kernel_shap(predict_fn, x, background, n_samples: int = 2048,
     of every pair, and it must return those averages for the rows of Z and
     for their complements, as two arrays. Attributions solve the
     kernel-weighted least squares with the local-accuracy constraint
-    enforced exactly. Returns (phi, expected_value)."""
+    enforced exactly. A column where x equals every background row (a null
+    player) gets exactly 0, and the solve runs on the other columns; the
+    design is still drawn over all M. Returns (phi, expected_value)."""
     x = np.asarray(x, dtype=np.float64).ravel()
     background = np.atleast_2d(np.asarray(background, dtype=np.float64))
     M = len(x)
@@ -231,8 +233,14 @@ def kernel_shap(predict_fn, x, background, n_samples: int = 2048,
         raise ExplainError("the background dataset has no rows")
     f0 = float(np.mean(predict_fn(background)))
     fx = float(np.asarray(predict_fn(x.reshape(1, -1)))[0])
-    if M == 1:
-        return np.array([fx - f0]), f0
+    # a column where x equals every background row is a null player: no
+    # coalition value depends on it, so its attribution is exactly 0 and
+    # the solve runs on the other columns
+    active = np.flatnonzero((background != x).any(axis=0))
+    phi = np.zeros(M)
+    if len(active) <= 1:
+        phi[active] = fx - f0
+        return phi, f0
 
     rng = np.random.default_rng(seed)
     total = 2 ** M - 2 if M <= 30 else n_samples + 1
@@ -270,14 +278,15 @@ def kernel_shap(predict_fn, x, background, n_samples: int = 2048,
             rows = np.where(z[None, :] > 0, x[None, :], background)
             fz[i] = float(np.mean(predict_fn(rows)))
 
-    # eliminate the last attribution with the constraint sum(phi) = fx - f0
-    y = fz - f0 - Z[:, -1] * (fx - f0)
-    A = Z[:, :-1] - Z[:, [-1]]
+    # eliminate the last active attribution with the constraint
+    # sum(phi) = fx - f0
+    last, rest = active[-1], active[:-1]
+    y = fz - f0 - Z[:, last] * (fx - f0)
+    A = Z[:, rest] - Z[:, [last]]
     sw = np.sqrt(w)
     sol, *_ = np.linalg.lstsq(A * sw[:, None], y * sw, rcond=None)
-    phi = np.empty(M)
-    phi[:-1] = sol
-    phi[-1] = (fx - f0) - sol.sum()
+    phi[rest] = sol
+    phi[last] = (fx - f0) - sol.sum()
     return phi, f0
 
 

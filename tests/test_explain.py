@@ -549,6 +549,30 @@ class TestKernelShap:
         assert phi.sum() + f0 == pytest.approx(fx, abs=1e-8)
         assert np.allclose(phi, w * (x - background.mean(axis=0)), atol=0.15)
 
+    def test_null_players_read_zero(self):
+        # x equals every background row in columns 0 and 3, so no
+        # coalition value depends on them
+        w = np.array([2.0, -1.0, 0.5, 3.0, 1.5])
+        fn = lambda rows: np.atleast_2d(rows) @ w + 7.0
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=5)
+        background = rng.normal(size=(30, 5))
+        background[:, [0, 3]] = x[[0, 3]]
+        for n_samples in (2048, 8):  # every coalition, and a sample
+            phi, f0 = kernel_shap(fn, x, background, n_samples=n_samples)
+            assert phi[0] == 0.0 and phi[3] == 0.0
+            assert phi.sum() + f0 == pytest.approx(float(fn(x)[0]), abs=1e-8)
+        assert np.allclose(phi, w * (x - background.mean(axis=0)), atol=1e-8)
+        # one column that is not null takes the whole difference
+        one = np.repeat(x[None, :], 3, axis=0)
+        one[:, 2] += [1.0, 2.0, 3.0]
+        phi, f0 = kernel_shap(fn, x, one)
+        assert np.array_equal(phi == 0.0, [True, True, False, True, True])
+        assert phi[2] == pytest.approx(-1.0)
+        phi, f0 = kernel_shap(fn, x, np.repeat(x[None, :], 3, axis=0))
+        assert np.all(phi == 0.0)
+        assert f0 == pytest.approx(float(fn(x)[0]))
+
     def test_single_feature(self):
         fn = lambda rows: np.atleast_2d(rows)[:, 0] * 3.0
         phi, f0 = kernel_shap(fn, np.array([2.0]), np.zeros((5, 1)))
@@ -850,6 +874,21 @@ class TestFirstLayerEdgeCases:
                                  / math.factorial(M)
                                  * (value[with_j] - value[z]))
             assert np.allclose(phi[0], exact, atol=1e-9)
+
+    @pytest.mark.parametrize("p, n_samples", [(6, 2048), (12, 64)])
+    def test_null_player_reads_zero(self, p, n_samples):
+        # column 1 holds one value in every row, so x equals every
+        # background row there; p = 6 enumerates every coalition
+        X, background, svr, _ = _kernel_machines(p, "rbf")
+        models = [(svr, None), _first_layer_model("linear", p),
+                  _first_layer_model("mlp", p)]
+        for model, c in models:
+            phi, _ = _matches_predict_loop(model, c, X[:2], background,
+                                           n_samples, 1)
+            ref_phi, _ = _predict_loop(model, X[:2], background, n_samples,
+                                       1, c)
+            assert np.all(phi[:, 1] == 0.0) and np.all(ref_phi[:, 1] == 0.0)
+            assert np.all(phi[:, [0, 3]] != 0.0)
 
     def test_background_rows_equal_to_x(self):
         # J is empty for such a row: its first layer is its offset alone

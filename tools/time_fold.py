@@ -1,0 +1,149 @@
+#!/usr/bin/env python3
+"""Time one real-sized cross-validation fold, layer by layer.
+
+    python3 tools/time_fold.py [--task regression] [--fold 0]
+                               [--representations bow,lda] [--out fold.json]
+
+The corpus is the README's: `data.synthetic: 600` at seed 42, written and
+read back through the listings file as `ingest` and `evaluate` do, with
+`cv.k: 5` and the default hyperparameters (the README's `gbt.n_rounds: 30`
+and `forest.n_trees: 25` are the defaults). For the fold, each
+representation is fitted on its 480 training listings and transforms its
+120 test listings, and then each family's cell runs: fit, predict and
+metrics, on the text columns plus the structured ones. Seeds are those of
+`evaluate._fold_unit`. The JSON it writes (to --out, else to standard
+output) holds
+
+  representations   per representation: fit_s (fit plus the training
+                    features) and transform_s (the test features);
+  cells             per representation, per family: seconds and metrics;
+  lda               the LDA model's per-token log-likelihood,
+                    sum_k theta_dk phi_kw, on its training documents (theta
+                    of the fit) and on the test documents (theta of
+                    infer_theta), in nats per token.
+
+BLAS runs on one thread, as in the benchmark's workers. The log-likelihood
+reads only train_lda's TopicModel (phi, theta, terms, infer_theta), so the
+harness runs unchanged on earlier versions of the package. pytest does not
+collect it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import logging
+import os
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEED, LISTINGS, K = 42, 600, 5
+
+
+def log_likelihood(model, texts, theta) -> float:
+    """Mean over tokens of log sum_k theta_dk phi_kw, for the tokens in the
+    model's vocabulary."""
+    import numpy as np
+    from dataprice.textrep import tokenize
+
+    index = {t: i for i, t in enumerate(model.terms)}
+    total, count = 0.0, 0
+    for text, th in zip(texts, theta):
+        ids = [index[t] for t in tokenize(text) if t in index]
+        if ids:
+            total += float(np.log(th @ model.phi[:, ids]).sum())
+            count += len(ids)
+    return total / count
+
+
+def time_fold(task: str, fold: int, reps: list) -> dict:
+    from dataprice import evaluate as ev
+    from dataprice.corpus import load_products, save_products
+    from dataprice.synth import generate_products
+
+    # fit_representation keeps its TopicModel to itself, so note each one
+    fitted, train_lda = [], ev.train_lda
+
+    def noting_lda(*args, **kwargs):
+        fitted.append(train_lda(*args, **kwargs))
+        return fitted[-1]
+    ev.train_lda = noting_lda
+
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "products.jsonl"
+        save_products(generate_products(LISTINGS, ev.mix_seed(SEED, "synth")),
+                      path, format="jsonl")
+        products = load_products(path, format="jsonl")
+    data = ev.CVData.build(products, task, SEED, K)
+    cfg = ev.merge_config({})
+    train, test = data.plan.train_test(fold)
+    train_texts = [data.texts[i] for i in train]
+    test_texts = [data.texts[i] for i in test]
+    out = {"task": task, "fold": fold, "train_docs": len(train),
+           "test_docs": len(test), "representations": {}, "cells": {}}
+    for rep in reps:
+        seed = ev.mix_seed(data.seed, rep, fold)
+        t0 = time.perf_counter()
+        feats, transform = ev.fit_representation(rep, train_texts, cfg, seed)
+        t1 = time.perf_counter()
+        test_feats = transform(test_texts)
+        t2 = time.perf_counter()
+        out["representations"][rep] = {"fit_s": round(t1 - t0, 4),
+                                       "transform_s": round(t2 - t1, 4),
+                                       "columns": feats.n_cols}
+        print("%s: fit %.2f s, transform %.2f s" % (rep, t1 - t0, t2 - t1),
+              file=sys.stderr, flush=True)
+        ftr = feats.hstack(data.struct.rows(train)).values
+        fte = test_feats.hstack(data.struct.rows(test)).values
+        cells = out["cells"][rep] = {}
+        for family in ev.FAMILIES:
+            t0 = time.perf_counter()
+            cell_seed = ev.mix_seed(data.seed, rep, fold, family)
+            metrics = ev.evaluate_cell(family, ftr, data.y[train], fte,
+                                       data.y[test], task, cfg, cell_seed)
+            cells[family] = {"s": round(time.perf_counter() - t0, 4),
+                             **{m: round(v, 6) for m, v in metrics.items()}}
+        if rep == "lda":
+            model = fitted[-1]
+            out["lda"] = {
+                "train_loglik_per_token": round(
+                    log_likelihood(model, train_texts, model.theta), 6),
+                "heldout_loglik_per_token": round(
+                    log_likelihood(model, test_texts,
+                                   model.infer_theta(test_texts)), 6)}
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--task", choices=["regression", "classification"],
+                        default="regression")
+    parser.add_argument("--fold", type=int, default=0, choices=range(K))
+    parser.add_argument("--representations", default=None,
+                        help="comma-separated (default: all five)")
+    parser.add_argument("--out", type=Path, help="JSON file to write")
+    args = parser.parse_args(argv)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"  # before NumPy is imported
+    sys.path.insert(0, str(ROOT / "src"))
+    from dataprice.evaluate import REPRESENTATIONS
+
+    reps = (args.representations.split(",") if args.representations
+            else REPRESENTATIONS)
+    unknown = sorted(set(reps) - set(REPRESENTATIONS))
+    if unknown:
+        parser.error("unknown representation(s): %s" % ", ".join(unknown))
+    logging.disable(logging.INFO)
+    text = json.dumps(time_fold(args.task, args.fold, reps), indent=1) + "\n"
+    if args.out:
+        args.out.write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
