@@ -30,6 +30,7 @@ seed. Explained and background rows must be finite.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 from functools import partial
 from math import comb
@@ -223,7 +224,10 @@ def kernel_shap(predict_fn, x, background, n_samples: int = 2048,
     kernel-weighted least squares with the local-accuracy constraint
     enforced exactly. A column where x equals every background row (a null
     player) gets exactly 0, and the solve runs on the other columns; the
-    design is still drawn over all M. Returns (phi, expected_value)."""
+    design is still drawn over all M. A sampled design with fewer rows
+    than the active columns it solves for leaves the least squares
+    underdetermined, and draws a RuntimeWarning that gives both counts.
+    Returns (phi, expected_value)."""
     x = np.asarray(x, dtype=np.float64).ravel()
     background = np.atleast_2d(np.asarray(background, dtype=np.float64))
     M = len(x)
@@ -281,6 +285,11 @@ def kernel_shap(predict_fn, x, background, n_samples: int = 2048,
     # eliminate the last active attribution with the constraint
     # sum(phi) = fx - f0
     last, rest = active[-1], active[:-1]
+    if len(Z) < len(rest):
+        warnings.warn("kernel SHAP: the sampled design has %d rows for %d "
+                      "active columns, one of them fixed by local accuracy; "
+                      "its least squares is underdetermined"
+                      % (len(Z), len(active)), RuntimeWarning, stacklevel=2)
     y = fz - f0 - Z[:, last] * (fx - f0)
     A = Z[:, rest] - Z[:, [last]]
     sw = np.sqrt(w)

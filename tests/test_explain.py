@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from functools import partial
 
 import numpy as np
@@ -605,6 +606,28 @@ class TestKernelShap:
         with pytest.raises(ExplainError, match="no rows"):
             kernel_shap(lambda r: np.zeros(len(np.atleast_2d(r))),
                         np.zeros(3), np.zeros((0, 3)))
+
+    def test_underdetermined_design_warns(self):
+        # 16 sampled rows for 40 active columns
+        fn = lambda rows: np.atleast_2d(rows) @ np.arange(40.0)
+        rng = np.random.default_rng(5)
+        x, background = rng.normal(size=40), rng.normal(size=(4, 40))
+        with pytest.warns(RuntimeWarning, match="16 rows for 40 active"):
+            phi, f0 = kernel_shap(fn, x, background, n_samples=16)
+        assert phi.sum() + f0 == pytest.approx(float(fn(x)[0]), abs=1e-8)
+        # as many rows as the unknowns, one per active column but the last
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kernel_shap(fn, x, background, n_samples=39)
+
+    @pytest.mark.parametrize("M", [2, 3, 6, 10])
+    def test_exhaustive_design_never_warns(self, M):
+        fn = lambda rows: np.atleast_2d(rows) @ np.arange(1.0, M + 1)
+        rng = np.random.default_rng(M)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kernel_shap(fn, rng.normal(size=M), rng.normal(size=(3, M)),
+                        n_samples=2 ** M - 2)
 
     @pytest.mark.parametrize("n_samples", [-4, 0, 1])
     def test_too_few_samples_to_sample(self, n_samples):

@@ -1,13 +1,20 @@
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dataprice import featsel
+from dataprice.corpus import (TargetSpec, compose_text, make_targets,
+                              structured_matrix)
+from dataprice.evaluate import fit_representation, merge_config, mix_seed
 from dataprice.featsel import (DiscretizedColumn, SelectionStep, discretize,
                                mutual_information, mrmr_select)
 from dataprice.matrix import FeatureMatrix
+from dataprice.synth import generate_products
 
 
 # ------------------------- independent twin implementations (oracles) ----
@@ -54,6 +61,27 @@ def oracle_mrmr(values, y_labels, m, n_bins=10):
         scores.append(best_score)
         remaining.remove(best_j)
     return selected, scores
+
+
+def reference_discretize(x, n_bins=10):
+    """discretize as it was before matrices, one column at a time: (labels,
+    n_bins, edges)."""
+    qs = np.quantile(x, np.linspace(0, 1, n_bins + 1))
+    inner = np.unique(qs[1:-1])
+    uniq, labels = np.unique(np.searchsorted(inner, x, side="left"),
+                             return_inverse=True)
+    return labels, len(uniq), np.concatenate([[x.min()], inner, [x.max()]])
+
+
+def reference_mi(a, nu, b, nv):
+    """mutual_information as it was before stacks, one pair of columns at a
+    time: labels a with nu bins against labels b with nv bins."""
+    joint = np.bincount(a * nv + b, minlength=nu * nv).reshape(nu, nv) / len(a)
+    pu = joint.sum(axis=1)
+    pv = joint.sum(axis=0)
+    mask = joint > 0
+    ratio = joint[mask] / (pu[:, None] * pv[None, :])[mask]
+    return float(np.sum(joint[mask] * np.log(ratio)))
 
 
 def reference_mrmr(values, target, m, n_bins=10, target_is_discrete=False):
@@ -236,14 +264,16 @@ class TestMrmr:
     def test_each_pair_is_estimated_once(self, m, monkeypatch):
         X, y = self.make_data(p=12)
         fm = FeatureMatrix(X, ["f%d" % j for j in range(X.shape[1])])
-        calls = []
+        calls = []  # the columns of each call's stack
         monkeypatch.setattr(featsel, "mutual_information",
-                            lambda u, v: calls.append(1) or mutual_information(u, v))
+                            lambda u, v: calls.append(len(u.labels))
+                            or mutual_information(u, v))
         trace = mrmr_select(fm, y, m)
         p, m = 12, min(m, 12)
-        # relevance of every column, then each later step's candidates
-        # against the last pick
-        assert len(calls) == p + sum(p - s for s in range(1, m))
+        # one call for the relevance of every column, then one per later
+        # step for its candidates against the last pick
+        assert len(calls) == m
+        assert sum(calls) == p + sum(p - s for s in range(1, m))
         assert len(trace.steps) == m
 
     def test_trace_csv(self, tmp_path):
@@ -255,3 +285,149 @@ class TestMrmr:
         lines = path.read_text().splitlines()
         assert lines[0] == "step,feature_index,feature,relevance,redundancy,score"
         assert len(lines) == 4
+
+
+def random_stack(rng, n, bins):
+    """A stack of n-row columns with the given bin counts. Each column uses
+    a random number of its bins, so some have empty top bins and some are
+    constant."""
+    labels = np.stack([rng.integers(0, rng.integers(1, k + 1), n) for k in bins])
+    return DiscretizedColumn(labels, np.array(bins),
+                             [np.arange(k + 1.0) for k in bins])
+
+
+class TestStacks:
+    """A stack's estimates and bins have the bits of one column's, and those
+    of the estimator and binning as they were before stacks."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=1, max_value=400),
+           st.lists(st.integers(min_value=1, max_value=12), min_size=1,
+                    max_size=6),
+           st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_stack_mi_is_each_columns_bit_for_bit(self, n, bins, seed):
+        s = random_stack(np.random.default_rng(seed), n, bins)
+        # every ordered pair: each column against every column of the stack
+        for j in range(len(bins)):
+            v = s.take(j)
+            batch = mutual_information(s, v)
+            for i in range(len(bins)):
+                expect = reference_mi(s.labels[i], bins[i], s.labels[j], bins[j])
+                assert batch[i].hex() == expect.hex()
+                assert mutual_information(s.take(i), v).hex() == expect.hex()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_lone_v_bin(self, seed):
+        # against one v bin NumPy sums pairwise, where padding with zeros
+        # would move the bits; the stack mixes columns of fewer than 8 bins
+        # with wider ones
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(50, 900))
+        s = random_stack(rng, n, [3, 5, 7, 12, 10, 2, 6, 9, 4, 11])
+        v = DiscretizedColumn(np.zeros(n, dtype=np.int64), 1, np.zeros(2))
+        batch = mutual_information(s, v)
+        for i, k in enumerate(s.n_bins):
+            assert batch[i].hex() == reference_mi(s.labels[i], k, v.labels, 1).hex()
+
+    def test_stack_shapes(self):
+        s = random_stack(np.random.default_rng(0), 30, [2, 4, 3])
+        assert mutual_information(s, s.take(1)).shape == (3,)
+        assert isinstance(mutual_information(s.take(0), s.take(1)), float)
+        with pytest.raises(ValueError, match="length"):
+            mutual_information(s, DiscretizedColumn(np.zeros(29), 1, np.zeros(2)))
+        for labels in ([[0, 1], [0, 2]], [[0, 1], [-1, 0]]):
+            with pytest.raises(ValueError, match="out of range"):
+                DiscretizedColumn(labels, np.array([2, 2]), s.edges[:2])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=300),
+           st.integers(min_value=1, max_value=6),
+           st.integers(min_value=2, max_value=12),
+           st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_matrix_discretize_is_each_columns(self, n, c, n_bins, seed):
+        # ties: columns drawn from pools of 1 to 20 values, so with many
+        # duplicates, beside one continuous column
+        rng = np.random.default_rng(seed)
+        X = np.column_stack(
+            [rng.choice(np.round(rng.normal(size=rng.integers(1, 21)), 1), n)
+             for _ in range(c)] + [rng.normal(size=n)])
+        stack = discretize(X, n_bins)
+        assert stack.labels.shape == (c + 1, n)
+        for j in range(c + 1):
+            labels, nb, edges = reference_discretize(X[:, j], n_bins)
+            one = discretize(X[:, j], n_bins)
+            for got in (stack.take(j), one):
+                assert np.array_equal(got.labels, labels)
+                assert got.n_bins == nb and isinstance(got.n_bins, int)
+                assert np.array_equal(got.edges, edges)
+
+    def test_discretize_rejects(self):
+        with pytest.raises(ValueError, match="no rows"):
+            discretize(np.zeros((0, 3)))
+        with pytest.raises(ValueError, match="finite"):
+            discretize(np.array([[1.0, 2.0], [np.inf, 0.0]]))
+        with pytest.raises(ValueError, match="dimensions"):
+            discretize(np.zeros((2, 2, 2)))
+
+
+@pytest.fixture(scope="module")
+def readme_corpus():
+    """The README's corpus (600 synthetic listings at seed 42): bow plus the
+    structured columns, and the regression and classification targets."""
+    products = generate_products(600, mix_seed(42, "synth"))
+    bow, _ = fit_representation("bow", [compose_text(p) for p in products],
+                                merge_config({}), mix_seed(42, "bow"))
+    return (bow.hstack(structured_matrix(products)),
+            make_targets(products, TargetSpec("regression")),
+            make_targets(products, TargetSpec("classification")))
+
+
+class TestReadmeCorpus:
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_matches_reference_loop(self, readme_corpus, task):
+        feats, y_reg, y_cls = readme_corpus
+        discrete = task == "classification"
+        y = y_cls if discrete else y_reg
+        assert feats.values.shape == (600, 160)
+        m = 160
+        trace = mrmr_select(feats, y, m, target_is_discrete=discrete)
+        ref = reference_mrmr(feats.values, y, m, target_is_discrete=discrete)
+        assert trace.steps == ref
+
+
+class TestTargetChecks:
+    """A discrete target is checked where it enters mRMR."""
+
+    def fm(self, n=6):
+        X = np.random.default_rng(0).normal(size=(n, 3))
+        return FeatureMatrix(X, ["a", "b", "c"])
+
+    def test_fractional_target_rejected(self):
+        with pytest.raises(ValueError, match="whole numbers.*2.2"):
+            mrmr_select(self.fm(), [0.0, 1.0, 2.2, 0.0, 1.0, 3.0], 2,
+                        target_is_discrete=True)
+
+    def test_nan_target_rejected(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no cast warning first
+            with pytest.raises(ValueError, match="finite"):
+                mrmr_select(self.fm(), [0.0, 1.0, np.nan, 0.0, 1.0, 3.0], 2,
+                            target_is_discrete=True)
+
+    @pytest.mark.parametrize("discrete", [False, True])
+    def test_zero_rows_rejected(self, discrete):
+        fm = FeatureMatrix(np.zeros((0, 3)), ["a", "b", "c"])
+        with pytest.raises(ValueError, match="at least one row"):
+            mrmr_select(fm, np.zeros(0), 2, target_is_discrete=discrete)
+
+    def test_sparse_classes_cost_one_bin_each(self):
+        # a bin per class that occurs, not per value up to the largest
+        a = mrmr_select(self.fm(), np.array([0, 10 ** 12, 0, 10 ** 12, 5, 5]), 3)
+        b = mrmr_select(self.fm(), np.array([0, 2, 0, 2, 1, 1]), 3)
+        assert a.steps == b.steps
+
+    def test_whole_floats_are_classes(self):
+        y = np.array([0, 1, 2, 0, 1, 3])
+        a = mrmr_select(self.fm(), y, 3)
+        b = mrmr_select(self.fm(), y.astype(float), 3, target_is_discrete=True)
+        assert a.steps == b.steps

@@ -17,6 +17,11 @@ output) holds
   representations   per representation: fit_s (fit plus the training
                     features) and transform_s (the test features);
   cells             per representation, per family: seconds and metrics;
+  mrmr              per representation: mrmr_select's seconds on the
+                    fold's training columns, at the curve's m (the last of
+                    the default curve.m_values, 10) and at every column,
+                    and the SHA-1 of the every-column trace's steps (each
+                    value's float.hex), to compare selections bit for bit;
   lda               the LDA model's per-token log-likelihood,
                     sum_k theta_dk phi_kw, on its training documents (theta
                     of the fit) and on the test documents (theta of
@@ -24,13 +29,14 @@ output) holds
 
 BLAS runs on one thread, as in the benchmark's workers. The log-likelihood
 reads only train_lda's TopicModel (phi, theta, terms, infer_theta), so the
-harness runs unchanged on earlier versions of the package. pytest does not
-collect it.
+harness runs unchanged on earlier versions of the package, and so does
+the mRMR timing, which calls only mrmr_select. pytest does not collect it.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import logging
 import os
@@ -41,6 +47,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED, LISTINGS, K = 42, 600, 5
+CURVE_M = 10
 
 
 def log_likelihood(model, texts, theta) -> float:
@@ -62,6 +69,7 @@ def log_likelihood(model, texts, theta) -> float:
 def time_fold(task: str, fold: int, reps: list) -> dict:
     from dataprice import evaluate as ev
     from dataprice.corpus import load_products, save_products
+    from dataprice.featsel import mrmr_select
     from dataprice.synth import generate_products
 
     # fit_representation keeps its TopicModel to itself, so note each one
@@ -83,7 +91,8 @@ def time_fold(task: str, fold: int, reps: list) -> dict:
     train_texts = [data.texts[i] for i in train]
     test_texts = [data.texts[i] for i in test]
     out = {"task": task, "fold": fold, "train_docs": len(train),
-           "test_docs": len(test), "representations": {}, "cells": {}}
+           "test_docs": len(test), "representations": {}, "cells": {},
+           "mrmr": {}}
     for rep in reps:
         seed = ev.mix_seed(data.seed, rep, fold)
         t0 = time.perf_counter()
@@ -96,8 +105,19 @@ def time_fold(task: str, fold: int, reps: list) -> dict:
                                        "columns": feats.n_cols}
         print("%s: fit %.2f s, transform %.2f s" % (rep, t1 - t0, t2 - t1),
               file=sys.stderr, flush=True)
-        ftr = feats.hstack(data.struct.rows(train)).values
+        train_feats = feats.hstack(data.struct.rows(train))
+        ftr = train_feats.values
         fte = test_feats.hstack(data.struct.rows(test)).values
+        mrmr = out["mrmr"][rep] = {}
+        for key, m in (("m%d_s" % CURVE_M, CURVE_M),
+                       ("every_column_s", train_feats.n_cols)):
+            t0 = time.perf_counter()
+            trace = mrmr_select(train_feats, data.y[train], m,
+                                target_is_discrete=task == "classification")
+            mrmr[key] = round(time.perf_counter() - t0, 4)
+        mrmr["steps_sha1"] = hashlib.sha1(repr(
+            [(s.feature, s.relevance.hex(), s.redundancy.hex(), s.score.hex())
+             for s in trace.steps]).encode()).hexdigest()
         cells = out["cells"][rep] = {}
         for family in ev.FAMILIES:
             t0 = time.perf_counter()
