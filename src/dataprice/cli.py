@@ -30,9 +30,9 @@ from .annotate import AnnotationError, annotate_file
 from .corpus import (CorpusError, TargetSpec, compose_text, describe,
                      load_products, make_targets, save_products,
                      structured_matrix)
-from .evaluate import (DEFAULT_CONFIG, FAMILIES, N_TIERS, REPRESENTATIONS,
-                       feature_curve, fit_family, fit_representation,
-                       merge_config, mix_seed, run_grid)
+from .evaluate import (DEFAULT_CONFIG, EMBEDDED, FAMILIES, N_TIERS,
+                       REPRESENTATIONS, feature_curve, fit_family,
+                       fit_representation, merge_config, mix_seed, run_grid)
 from .evaluate import fit_embedding_table as _fit_embedding_table
 from .explain import beeswarm_csv, embedding_keywords, global_importance, shap_values
 from .featsel import mrmr_select
@@ -339,14 +339,20 @@ def cmd_featurize(cfg, out_dir: Path) -> int:
         texts = [compose_text(p) for p in products]
         mcfg = cfg["hyperparameters"]
         outputs = []
+        # word2vec and bertopic read one embedding table, under word2vec's seed
+        # label as in evaluate's folds
+        if any(rep in EMBEDDED for rep in reps):
+            table = _fit_embedding_table(texts, mcfg,
+                                         mix_seed(cfg["seed"], "word2vec", "full"))
         for rep in reps:
             seed = mix_seed(cfg["seed"], rep, "full")
             if rep == "word2vec":
                 # persist the embedding table for keyword back-mapping later
-                table = _fit_embedding_table(texts, mcfg, seed)
                 table.save(out_dir / "embedding_word2vec.txt")
                 outputs.append("embedding_word2vec.txt")
                 feats = embedding_features(texts, table)
+            elif rep == "bertopic":
+                feats, _ = fit_representation(rep, texts, mcfg, seed, table=table)
             else:
                 feats, _ = fit_representation(rep, texts, mcfg, seed)
             fname = "features_%s.csv" % rep

@@ -174,12 +174,22 @@ def fit_embedding_table(texts: list[str], config: dict, seed: int):
                           max_terms=cfg["max_terms"])
 
 
+# The representations that read a skip-gram embedding table: word2vec pools
+# its vectors, and bertopic clusters the pooled vectors (Grootendorst 2022).
+EMBEDDED = ("word2vec", "bertopic")
+
+
 def fit_representation(name: str, train_texts: list[str], config: dict,
-                       seed: int):
+                       seed: int, table=None):
     """Fit one text representation on training documents only. Returns
-    (train FeatureMatrix, transform(texts) -> FeatureMatrix)."""
+    (train FeatureMatrix, transform(texts) -> FeatureMatrix). word2vec and
+    bertopic read `table`, an embedding table fitted on the same documents;
+    without one they fit it here under seed. bertopic's k-means draws from
+    seed either way."""
     cfg = merge_config(config)
     max_terms = cfg["max_terms"]
+    if name in EMBEDDED and table is None:
+        table = fit_embedding_table(train_texts, cfg, seed)
     if name == "bow":
         vocab = build_vocabulary(train_texts, max_terms)
         return bow(train_texts, vocab), lambda texts: bow(texts, vocab)
@@ -187,7 +197,6 @@ def fit_representation(name: str, train_texts: list[str], config: dict,
         vocab = build_vocabulary(train_texts, max_terms)
         return tfidf(train_texts, vocab), lambda texts: tfidf(texts, vocab)
     if name == "word2vec":
-        table = fit_embedding_table(train_texts, cfg, seed)
         return (embedding_features(train_texts, table),
                 lambda texts: embedding_features(texts, table))
     if name == "lda":
@@ -197,18 +206,17 @@ def fit_representation(name: str, train_texts: list[str], config: dict,
                 lambda texts: topic_features(model.infer_theta(texts), "lda"))
     if name == "bertopic":
         b = cfg["bertopic"]
-        table = fit_embedding_table(train_texts, cfg, seed)
         train_vecs = embedding_features(train_texts, table).values
         reducer = PCAReducer.fit(train_vecs, b["reduce_dims"])
         _, centroids = kmeans(reducer.transform(train_vecs), b["n_clusters"],
                               seed=seed)
 
-        def transform(texts):
-            vecs = embedding_features(texts, table).values
+        def topics(vecs):
             member = membership_probabilities(reducer.transform(vecs), centroids)
             return topic_features(member, "bertopic")
 
-        return transform(train_texts), transform
+        return topics(train_vecs), lambda texts: topics(
+            embedding_features(texts, table).values)
     raise ValueError("unknown representation %r" % name)
 
 
@@ -365,8 +373,32 @@ def _failure(exc: Exception) -> str:
 
 
 def _fold_unit(data: CVData, cfg: dict, task: str, cells: list, unit):
-    """One (representation, fold) unit. The representation is fitted once on
-    the fold's training documents, and the structured columns are appended.
+    """One (representations, fold) unit. When any of the representations is
+    in EMBEDDED, the fold's embedding table is fitted once, under word2vec's
+    seed label whichever of them the unit holds, and read by each of them.
+    Returns _score_fold's result for each representation, in order; a
+    failed table fit is an error of each."""
+    reps, fold = unit
+    train, test = data.plan.train_test(fold)
+    train_texts = [data.texts[i] for i in train]
+    table = None
+    if any(rep in EMBEDDED for rep in reps):
+        try:
+            table = fit_embedding_table(train_texts, cfg,
+                                        mix_seed(data.seed, "word2vec", fold))
+        except ValueError as exc:
+            return [([(rep, "*", fold, _failure(exc))], {}, False)
+                    for rep in reps]
+    return [_score_fold(data, cfg, task, cells, rep, fold,
+                        {"table": table} if rep in EMBEDDED else {})
+            for rep in reps]
+
+
+def _score_fold(data: CVData, cfg: dict, task: str, cells: list, rep: str,
+                fold: int, shared: dict):
+    """One representation on one fold. The representation is fitted once on
+    the fold's training documents, with the fitted parts it shares (the
+    embedding table) as keywords, and the structured columns are appended.
     Then each (family, m) cell is scored on all columns when m is None, else
     on the first m of the fold's mRMR order. The m cells of a family whose
     _FITTERS entry is joint share one fit_family call on the longest
@@ -376,12 +408,12 @@ def _fold_unit(data: CVData, cfg: dict, task: str, cells: list, unit):
     metric, linear algebra or size error) is recorded as an error of each
     cell it serves, its message led by the exception's type; anything else
     raises."""
-    rep, fold = unit
     train, test = data.plan.train_test(fold)
     ms = [m for _, m in cells if m is not None]
     try:
         feats, transform = fit_representation(
-            rep, [data.texts[i] for i in train], cfg, mix_seed(data.seed, rep, fold))
+            rep, [data.texts[i] for i in train], cfg,
+            mix_seed(data.seed, rep, fold), **shared)
         ftr = feats.hstack(data.struct.rows(train))
         fte = transform([data.texts[i] for i in test]).hstack(data.struct.rows(test))
         if ms:
@@ -500,8 +532,13 @@ def run_grid(products: list[DataProduct], representations=None, families=None,
     fitted on training folds only. Regression targets are log prices;
     classification targets are five equal-frequency price tiers. A fold or
     cell that fails with a ValueError is recorded in the report's errors and
-    left out of the means; any other exception raises. The (representation, fold) units run on up to `workers`
-    processes; the report does not depend on how many.
+    left out of the means; any other exception raises.
+
+    Each fold of a representation is one unit, except that word2vec and
+    bertopic, when the grid holds both, share each fold's unit and its one
+    embedding table (_fold_unit). The units run on up to `workers`
+    processes; the report, its errors in (representation, fold) order, does
+    not depend on how many.
     """
     representations = list(REPRESENTATIONS if representations is None
                            else representations)
@@ -519,15 +556,25 @@ def run_grid(products: list[DataProduct], representations=None, families=None,
     acc = {m: np.full((len(representations), len(families), k), np.nan)
            for m in data.metrics}
 
-    units = [(rep, fold) for rep in representations for fold in range(k)]
+    # the grid's embedded representations share one unit per fold, in the
+    # place of the first of them; a repeated representation runs once
+    reps = list(dict.fromkeys(representations))
+    embedded = tuple(rep for rep in reps if rep in EMBEDDED)
+    groups = [embedded if rep in EMBEDDED else (rep,)
+              for rep in reps if rep not in embedded[1:]]
+    units = [(group, fold) for group in groups for fold in range(k)]
     cells = [(family, None) for family in families]
-    results = _map_units(_fold_unit, (data, cfg, task, cells), units, workers)
-    for u, (errors, scores, _) in enumerate(results):
-        ri, fold = divmod(u, k)
-        report.errors += errors
-        for fi, cell in scores.items():
-            for m in data.metrics:
-                acc[m][ri, fi, fold] = cell[m]
+    results = {}
+    for (group, fold), out in zip(units, _map_units(
+            _fold_unit, (data, cfg, task, cells), units, workers)):
+        results.update(((rep, fold), r) for rep, r in zip(group, out))
+    for ri, rep in enumerate(representations):
+        for fold in range(k):
+            errors, scores, _ = results[rep, fold]
+            report.errors += errors
+            for fi, cell in scores.items():
+                for m in data.metrics:
+                    acc[m][ri, fi, fold] = cell[m]
 
     for m in data.metrics:
         with warnings.catch_warnings():
@@ -574,8 +621,9 @@ def feature_curve(products: list[DataProduct], representation: str,
     data = CVData.build(products, task, seed, k)
 
     cells = [(family, m) for m in m_values]
-    folds = _map_units(_fold_unit, (data, cfg, task, cells),
-                       [(representation, fold) for fold in range(k)], workers)
+    folds = [out for out, in _map_units(
+        _fold_unit, (data, cfg, task, cells),
+        [((representation,), fold) for fold in range(k)], workers)]
     errors = [e for errs, _, _ in folds for e in errs]
     if errors:
         raise ValueError("curve cell %s / %s / fold %s failed: %s" % errors[0])

@@ -42,12 +42,17 @@ class DiscretizedColumn:
             raise ValueError("bin labels out of range")
 
     def take(self, index):
-        """Column index of a stack, or the stack of the columns in index."""
+        """Column index of a stack, or the stack of the columns in index.
+        The cut's labels were checked with the stack's, so it is built
+        without the range check."""
         if np.ndim(index) == 0:
-            return DiscretizedColumn(self.labels[index], int(self.n_bins[index]),
-                                     self.edges[index])
-        return DiscretizedColumn(self.labels[index], self.n_bins[index],
-                                 [self.edges[i] for i in index.tolist()])
+            parts = self.labels[index], int(self.n_bins[index]), self.edges[index]
+        else:
+            parts = (self.labels[index], self.n_bins[index],
+                     [self.edges[i] for i in index.tolist()])
+        cut = object.__new__(DiscretizedColumn)
+        cut.labels, cut.n_bins, cut.edges = parts
+        return cut
 
 
 @dataclass
@@ -150,13 +155,16 @@ def mutual_information(u: DiscretizedColumn, v: DiscretizedColumn):
     return mi if u.labels.ndim == 2 else float(mi[0])
 
 
-def _target_column(target, n_bins: int, discrete: bool) -> DiscretizedColumn:
+def _target_column(target, n_bins: int,
+                   discrete: bool | None) -> DiscretizedColumn:
     """The target's bins: one per class that occurs, in class order, when it
-    is discrete or of an integer type; else equal-frequency bins. Classes
-    that do not occur get no bin, so sparse class values such as 0 and 10**6
-    cost two bins, not a million."""
+    is discrete (None: when it is of an integer type); else equal-frequency
+    bins. Classes that do not occur get no bin, so sparse class values such
+    as 0 and 10**6 cost two bins, not a million."""
     y = np.asarray(target)
-    if not (discrete or np.issubdtype(y.dtype, np.integer)):
+    if discrete is None:
+        discrete = np.issubdtype(y.dtype, np.integer)
+    if not discrete:
         return discretize(y, n_bins)
     if not np.issubdtype(y.dtype, np.integer):
         y = np.asarray(y, dtype=np.float64)
@@ -172,14 +180,16 @@ def _target_column(target, n_bins: int, discrete: bool) -> DiscretizedColumn:
 
 
 def mrmr_select(features: FeatureMatrix, target, m: int, n_bins: int = 10,
-                target_is_discrete: bool = False) -> SelectionTrace:
+                target_is_discrete: bool | None = None) -> SelectionTrace:
     """Greedy incremental selection: the first feature maximizes mutual
     information with the target; each later step maximizes
 
         I(candidate, target) - mean over selected of I(candidate, selected)
 
     Ties break toward the lower column index. Asking for more features than
-    exist selects all of them."""
+    exist selects all of them. The target is discrete when
+    target_is_discrete says so, or by default when it is of an integer type;
+    a target that is not is cut into n_bins equal-frequency bins."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if len(features.values) == 0:

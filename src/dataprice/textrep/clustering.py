@@ -4,8 +4,12 @@ The bertopic representation (`evaluate.fit_representation`) projects
 average-pooled skip-gram document vectors onto their top centered
 principal components (`PCAReducer`), clusters them by seeded k-means
 (`kmeans`), and gives each document the softmax of its negative centroid
-distances (`membership_probabilities`). `ctfidf` weighs terms per cluster
-by class-based TF-IDF over cluster-merged documents.
+distances (`membership_probabilities`). The vectors come from word2vec's
+embedding table: `evaluate` runs word2vec and bertopic of a fold in one
+unit, which fits the table once under word2vec's seed label (and so does a
+grid or curve with bertopic alone), and `featurize` fits one table for
+both. `ctfidf` weighs terms per cluster by class-based TF-IDF over
+cluster-merged documents.
 """
 
 from __future__ import annotations

@@ -489,6 +489,29 @@ class TestPipeline:
             outputs + ["descriptive_stats.csv", "featurize.manifest.json",
                        "ingest.manifest.json", "products.jsonl"])
 
+    def test_featurize_fits_one_table_for_word2vec_and_bertopic(self, tmp_path,
+                                                              monkeypatch):
+        config, raw = write_config(
+            tmp_path, select={"representation": "word2vec"},
+            train={"representation": "bertopic"},
+            hyperparameters={"word2vec": {"d": 8, "epochs": 1},
+                             "bertopic": {"n_clusters": 3}})
+        calls, real = [], cli._fit_embedding_table
+
+        def fit_embedding_table(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "_fit_embedding_table", fit_embedding_table)
+        for stage in ["ingest", "featurize"]:
+            assert run(stage, config) == 0
+        assert len(calls) == 1
+        manifest = json.loads((Path(raw["out_dir"]) / "featurize.manifest.json")
+                              .read_text())
+        assert manifest["outputs"] == [
+            "embedding_word2vec.txt", "features_word2vec.csv",
+            "features_bertopic.csv", "features_structured.csv"]
+
     def test_thread_cap_does_not_invalidate_artifacts(self, pipeline, caplog):
         _, config, out = pipeline
         with caplog.at_level(logging.INFO, logger="dataprice"):

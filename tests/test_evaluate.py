@@ -2,6 +2,7 @@ import faulthandler
 import multiprocessing
 import os
 from concurrent.futures.process import BrokenProcessPool
+from functools import partial
 
 import numpy as np
 import pytest
@@ -209,6 +210,67 @@ class TestGrid:
         r2 = run_grid(products, ["bow"], ["gbt"], task="regression",
                       config=self.CFG, seed=3, k=5)
         assert np.array_equal(r1.values["MSE"], r2.values["MSE"])
+
+
+class TestSharedTable:
+    """word2vec and bertopic read one skip-gram table per fold, fitted under
+    word2vec's seed label whatever else the grid holds."""
+
+    def test_one_skipgram_per_fold(self, products, monkeypatch):
+        seeds, real = [], evaluate.train_skipgram
+
+        def train_skipgram(*args, **kwargs):
+            seeds.append(kwargs["seed"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "train_skipgram", train_skipgram)
+        k = 3
+        run_grid(products, ["word2vec", "bertopic"], ["linear"],
+                 config=TestGrid.CFG, seed=0, k=k)
+        assert seeds == [mix_seed(0, "word2vec", f) for f in range(k)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cells_do_not_depend_on_the_grid(self, products, workers):
+        grid = partial(run_grid, products, families=["linear", "cart"],
+                       config=TestGrid.CFG, seed=0, k=3, workers=workers)
+        both = grid(["word2vec", "bertopic"])
+        repeated = grid(["bertopic", "word2vec", "bertopic"])
+        for i, rep in enumerate(both.representations):
+            alone = grid([rep])
+            for m in both.metrics:
+                assert alone.values[m][0].tobytes() == both.values[m][i].tobytes()
+                for j in np.flatnonzero(np.array(repeated.representations) == rep):
+                    assert (repeated.values[m][j].tobytes()
+                            == both.values[m][i].tobytes())
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_errors_merge_in_representation_and_fold_order(self, products,
+                                                           workers):
+        cfg = dict(TestGrid.CFG, mlp={"hidden": [4], "epochs": 30, "lr": 1e9},
+                   bertopic={"n_clusters": 50, "reduce_dims": 2})
+        rep = run_grid(products, ["bertopic", "bow", "word2vec"], ["mlp"],
+                       config=cfg, seed=0, k=3, workers=workers)
+        assert [e[:3] for e in rep.errors] == (
+            [("bertopic", "*", f) for f in range(3)]
+            + [(r, "mlp", f) for r in ("bow", "word2vec") for f in range(3)])
+
+    def test_curve_fold_uses_the_grids_bertopic_features(self, products,
+                                                         monkeypatch):
+        seen, real = [], evaluate.fit_representation
+
+        def fit_representation(name, *args, **kwargs):
+            feats, transform = real(name, *args, **kwargs)
+            if name == "bertopic":
+                seen.append(feats.values.tobytes())
+            return feats, transform
+
+        monkeypatch.setattr(evaluate, "fit_representation", fit_representation)
+        run_grid(products, ["word2vec", "bertopic"], ["linear"],
+                 config=TestGrid.CFG, seed=0, k=3)
+        grid, seen[:] = list(seen), []
+        feature_curve(products, "bertopic", "linear", [1, 2],
+                      config=TestGrid.CFG, seed=0, k=3)
+        assert len(grid) == 3 and seen == grid
 
 
 class TestEvaluateCell:

@@ -339,6 +339,17 @@ class TestStacks:
             with pytest.raises(ValueError, match="out of range"):
                 DiscretizedColumn(labels, np.array([2, 2]), s.edges[:2])
 
+    def test_take_skips_the_range_check(self, monkeypatch):
+        s = random_stack(np.random.default_rng(0), 30, [2, 4, 3])
+        checks = []
+        monkeypatch.setattr(DiscretizedColumn, "__post_init__",
+                            lambda col: checks.append(col))
+        one, two = s.take(1), s.take(np.array([2, 0]))
+        assert not checks
+        assert np.array_equal(one.labels, s.labels[1]) and one.n_bins == 4
+        assert np.array_equal(two.labels, s.labels[[2, 0]])
+        assert two.n_bins.tolist() == [3, 2] and len(two.edges) == 2
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=1, max_value=300),
            st.integers(min_value=1, max_value=6),
@@ -425,6 +436,19 @@ class TestTargetChecks:
         a = mrmr_select(self.fm(), np.array([0, 10 ** 12, 0, 10 ** 12, 5, 5]), 3)
         b = mrmr_select(self.fm(), np.array([0, 2, 0, 2, 1, 1]), 3)
         assert a.steps == b.steps
+
+    def test_integer_target_binned_when_not_discrete(self):
+        # whole-number prices, say: an explicit False bins them by
+        # frequency, where classes would make each relevance log(10)
+        rng = np.random.default_rng(0)
+        fm = FeatureMatrix(rng.normal(size=(200, 5)), list("abcde"))
+        y = rng.integers(0, 100000, 200)
+        a = mrmr_select(fm, y, 5, target_is_discrete=False)
+        b = mrmr_select(fm, y.astype(float), 5)
+        assert a.steps == b.steps
+        assert all(s.relevance < 1.0 for s in a.steps)
+        c = mrmr_select(fm, y, 5)  # by default an integer type is classes
+        assert [s.relevance for s in c.steps] == pytest.approx([math.log(10)] * 5)
 
     def test_whole_floats_are_classes(self):
         y = np.array([0, 1, 2, 0, 1, 3])

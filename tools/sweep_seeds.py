@@ -3,6 +3,7 @@
 
     python3 tools/sweep_seeds.py [--seeds 1-40] [--out sweep.json]
     python3 tools/sweep_seeds.py --check lda [--seeds 0-19] [--out lda.json]
+    python3 tools/sweep_seeds.py --check word2vec [--seeds 0-19]
 
 The default check is the benchmark's grid_tiers workload. For each seed the
 sweep runs
@@ -27,6 +28,12 @@ the tier-1 tests at each seed S (0-19 by default):
 
 For each it writes the pass rate against the test's bound, the failing
 seeds, and the quantiles of the topic-word TV distance.
+
+`--check word2vec` trains, in this process, the skip-gram of
+tests/test_word2vec.py's test_related_words_closer_than_unrelated at each
+seed S (0-19 by default; the test runs S = 1) and writes the pass rate,
+the failing seeds and the quantiles of the test's margin,
+sim(apple, fruit) - sim(apple, engine), which passes above 0.
 
 The sweep only measures: it changes no seed, bound or test. It runs the
 checkout it lies in, so a copy of it in another checkout sweeps that one.
@@ -117,6 +124,15 @@ def sweep(seeds) -> dict:
             "failing": failing, "min_accuracy": dict(sorted(lowest.items()))}
 
 
+def quantiles(values) -> dict:
+    """The minimum, deciles 1 and 9, quartiles, median and maximum."""
+    import numpy as np
+
+    q = np.quantile(values, [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0])
+    return dict(zip(["min", "q10", "q25", "median", "q75", "q90", "max"],
+                    q.round(6).tolist()))
+
+
 def lda_sweep(seeds) -> dict:
     """Pass rate, failing seeds and TV quantiles of the two LDA checks."""
     import numpy as np  # after main() has pinned BLAS to one thread
@@ -142,17 +158,50 @@ def lda_sweep(seeds) -> dict:
             tv.append(float(tv_of(seed)))
             print("%s seed %d: TV %.4f" % (name, seed, tv[-1]),
                   file=sys.stderr, flush=True)
-        q = np.quantile(tv, [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0])
         checks[name] = {
             "pass_rate": float(np.mean(np.array(tv) < LDA_TV_BOUND)),
             "failing_seeds": [s for s, t in zip(seeds, tv)
                               if not t < LDA_TV_BOUND],
-            "tv_quantiles": dict(zip(["min", "q10", "q25", "median", "q75",
-                                      "q90", "max"], q.round(6).tolist())),
+            "tv_quantiles": quantiles(tv),
             "tv": [round(t, 6) for t in tv]}
     return {"check": "lda", "source_sha256": source_digest(),
             "seed_range": [seeds[0], seeds[-1]], "runs": len(seeds),
             "tv_bound": LDA_TV_BOUND, "checks": checks}
+
+
+def word2vec_sweep(seeds) -> dict:
+    """Pass rate, failing seeds and margin quantiles of the word2vec check."""
+    import numpy as np  # after main() has pinned BLAS to one thread
+
+    sys.path.insert(0, str(ROOT / "src"))
+    try:
+        from dataprice.textrep import train_skipgram
+    finally:
+        del sys.path[0]
+    # test_related_words_closer_than_unrelated's corpus and settings
+    corpus = (["red apple sweet fruit tasty apple fruit"] * 10
+              + ["fast car engine wheel motor car engine"] * 10)
+
+    def margin(seed):
+        table = train_skipgram(corpus, d=12, window=3, epochs=10, seed=seed)
+
+        def sim(a, b):
+            va, vb = table.vector(a), table.vector(b)
+            return float(va @ vb / (np.linalg.norm(va) * np.linalg.norm(vb)))
+
+        return sim("apple", "fruit") - sim("apple", "engine")
+
+    margins = []
+    for seed in seeds:
+        margins.append(margin(seed))
+        print("word2vec seed %d: margin %.4f" % (seed, margins[-1]),
+              file=sys.stderr, flush=True)
+    return {"check": "word2vec", "source_sha256": source_digest(),
+            "seed_range": [seeds[0], seeds[-1]], "runs": len(seeds),
+            "pass_rate": float(np.mean(np.array(margins) > 0)),
+            "failing_seeds": [s for s, m in zip(seeds, margins) if not m > 0],
+            "margin_quantiles": quantiles(margins),
+            "margin": [round(m, 6) for m in margins]}
 
 
 def seed_range(text: str) -> list[int]:
@@ -165,11 +214,11 @@ def seed_range(text: str) -> list[int]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--check", choices=["grid_tiers", "lda"],
+    parser.add_argument("--check", choices=["grid_tiers", "lda", "word2vec"],
                         default="grid_tiers", help="what to sweep")
     parser.add_argument("--seeds", type=seed_range,
                         help="first-last, inclusive (default 1-40 for "
-                             "grid_tiers, 0-19 for lda)")
+                             "grid_tiers, 0-19 for lda and word2vec)")
     parser.add_argument("--out", type=Path, help="JSON file to write")
     args = parser.parse_args(argv)
     # the benchmark's workers run BLAS on one thread
@@ -177,6 +226,8 @@ def main(argv=None) -> int:
         os.environ[var] = "1"
     if args.check == "lda":
         result = lda_sweep(args.seeds or seed_range("0-19"))
+    elif args.check == "word2vec":
+        result = word2vec_sweep(args.seeds or seed_range("0-19"))
     else:
         result = sweep(args.seeds or seed_range("1-40"))
     text = json.dumps(result, indent=1) + "\n"

@@ -14,8 +14,12 @@ metrics, on the text columns plus the structured ones. Seeds are those of
 `evaluate._fold_unit`. The JSON it writes (to --out, else to standard
 output) holds
 
+  skipgram_s        the fold's embedding table, fitted once under
+                    word2vec's seed label as `_fold_unit` does, and read
+                    by word2vec and bertopic (absent when neither runs);
   representations   per representation: fit_s (fit plus the training
-                    features) and transform_s (the test features);
+                    features; for word2vec and bertopic, on the fitted
+                    table) and transform_s (the test features);
   cells             per representation, per family: seconds and metrics;
   mrmr              per representation: mrmr_select's seconds on the
                     fold's training columns, at the curve's m (the last of
@@ -30,7 +34,10 @@ output) holds
 BLAS runs on one thread, as in the benchmark's workers. The log-likelihood
 reads only train_lda's TopicModel (phi, theta, terms, infer_theta), so the
 harness runs unchanged on earlier versions of the package, and so does
-the mRMR timing, which calls only mrmr_select. pytest does not collect it.
+the mRMR timing, which calls only mrmr_select. On a version whose
+`fit_representation` takes no table (no `evaluate.EMBEDDED`), word2vec and
+bertopic each fit their own skip-gram inside fit_s, as that version's
+grid does. pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -93,10 +100,20 @@ def time_fold(task: str, fold: int, reps: list) -> dict:
     out = {"task": task, "fold": fold, "train_docs": len(train),
            "test_docs": len(test), "representations": {}, "cells": {},
            "mrmr": {}}
+    embedded = getattr(ev, "EMBEDDED", ())
+    if any(rep in embedded for rep in reps):
+        t0 = time.perf_counter()
+        table = ev.fit_embedding_table(train_texts, cfg,
+                                       ev.mix_seed(data.seed, "word2vec", fold))
+        out["skipgram_s"] = round(time.perf_counter() - t0, 4)
+        print("skipgram: %.2f s" % out["skipgram_s"], file=sys.stderr,
+              flush=True)
     for rep in reps:
         seed = ev.mix_seed(data.seed, rep, fold)
+        shared = {"table": table} if rep in embedded else {}
         t0 = time.perf_counter()
-        feats, transform = ev.fit_representation(rep, train_texts, cfg, seed)
+        feats, transform = ev.fit_representation(rep, train_texts, cfg, seed,
+                                                 **shared)
         t1 = time.perf_counter()
         test_feats = transform(test_texts)
         t2 = time.perf_counter()
