@@ -10,6 +10,10 @@ error. Logs go to standard error.
 
 One rule, kept by `run_stage` for every stage: an artifact's identity is
 the config hash, and a stage refuses upstream artifacts with another hash.
+Each stage's body writes every file through the `output(name)` it is
+passed, which returns `out_dir / name` and records the name; the manifest's
+`outputs` is that record, in call order. So `report` takes the files it
+copies from the upstream manifests, not from their names.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ from .featsel import mrmr_select
 from .matrix import FeatureMatrix
 from .models import load_model, save_model
 from .synth import generate_products
-from .textrep import embedding_features
 from .textrep.word2vec import EmbeddingTable
 
 log = logging.getLogger("dataprice")
@@ -260,8 +263,10 @@ def run_stage(stage: str, cfg: dict, out_dir: Path, inputs: list, body,
     have a manifest with this hash; `inputs` are the files the stage reads
     besides those. The stage is up to date when its own manifest has this
     hash, the same digests of all the files it reads and all its outputs;
-    otherwise its manifest is deleted and body() does the work and returns
-    the output names."""
+    otherwise its manifest is deleted and body(output) does the work. It
+    writes each file to `output(name)`, which returns `out_dir / name` and
+    records the name: the manifest lists the recorded names, in call order,
+    as the stage's outputs."""
     chash = config_hash(cfg)
     inputs = list(inputs)
     for up, files in (upstream or {}).items():
@@ -278,7 +283,15 @@ def run_stage(stage: str, cfg: dict, out_dir: Path, inputs: list, body,
     # body() rewrites the outputs: an interrupted run leaves no manifest, so
     # no later run takes them as up to date and no downstream stage reads them
     _manifest_path(out_dir, stage).unlink(missing_ok=True)
-    write_manifest(out_dir, stage, chash, inputs, body())
+    outputs = []
+
+    def output(name: str) -> Path:
+        outputs.append(name)
+        return out_dir / name
+
+    body(output)
+    log.info("%s: wrote %s", stage, ", ".join(outputs))
+    write_manifest(out_dir, stage, chash, inputs, outputs)
     return 0
 
 
@@ -295,16 +308,15 @@ def cmd_ingest(cfg, out_dir: Path) -> int:
     if synthetic is None and not data["path"]:
         raise ConfigError("data.path: required unless data.synthetic is set")
 
-    def body():
+    def body(output):
         if synthetic:
             products = generate_products(synthetic, mix_seed(cfg["seed"], "synth"))
             log.info("ingest: generated %d synthetic listings", len(products))
         else:
             products = load_products(data["path"], format=data["format"])
             log.info("ingest: loaded %d listings from %s", len(products), data["path"])
-        save_products(products, out_dir / "products.jsonl", format="jsonl")
-        describe(products).to_csv(out_dir / "descriptive_stats.csv")
-        return ["products.jsonl", "descriptive_stats.csv"]
+        save_products(products, output("products.jsonl"), format="jsonl")
+        describe(products).to_csv(output("descriptive_stats.csv"))
     inputs = [] if synthetic else [data["path"]]
     return run_stage("ingest", cfg, out_dir, inputs, body)
 
@@ -314,15 +326,14 @@ def cmd_annotate(cfg, out_dir: Path) -> int:
     if not a["input"]:
         raise ConfigError("annotate.input: a raw listings file is required")
 
-    def body():
-        stats = annotate_file(a["input"], out_dir / "products.jsonl",
+    def body(output):
+        stats = annotate_file(a["input"], output("products.jsonl"),
                               format=a["format"], endpoint=a["endpoint"],
                               model=a["model"], timeout=a["timeout"],
                               retries=a["retries"], cache_dir=a["cache_dir"],
                               batch_size=a["batch_size"])
         log.info("annotate: %(refund_annotated)d refund levels, "
                  "%(industry_annotated)d industry vectors over %(rows)d rows", stats)
-        return ["products.jsonl"]
     return run_stage("annotate", cfg, out_dir, [a["input"]], body)
 
 
@@ -333,34 +344,28 @@ def cmd_featurize(cfg, out_dir: Path) -> int:
     read = (cfg["select"]["representation"], cfg["train"]["representation"])
     reps = [rep for rep in REPRESENTATIONS if rep in read]
 
-    def body():
+    def body(output):
         products = load_products(corpus, format="jsonl")
         _check_clusters(cfg, reps, len(products), "the corpus")
         texts = [compose_text(p) for p in products]
         mcfg = cfg["hyperparameters"]
-        outputs = []
         # word2vec and bertopic read one embedding table, under word2vec's seed
-        # label as in evaluate's folds
+        # label as in evaluate's folds; the other representations ignore it
+        table = None
         if any(rep in EMBEDDED for rep in reps):
             table = _fit_embedding_table(texts, mcfg,
                                          mix_seed(cfg["seed"], "word2vec", "full"))
         for rep in reps:
-            seed = mix_seed(cfg["seed"], rep, "full")
             if rep == "word2vec":
-                # persist the embedding table for keyword back-mapping later
-                table.save(out_dir / "embedding_word2vec.txt")
-                outputs.append("embedding_word2vec.txt")
-                feats = embedding_features(texts, table)
-            elif rep == "bertopic":
-                feats, _ = fit_representation(rep, texts, mcfg, seed, table=table)
-            else:
-                feats, _ = fit_representation(rep, texts, mcfg, seed)
-            fname = "features_%s.csv" % rep
-            feats.to_csv(out_dir / fname)
-            outputs.append(fname)
+                # explain maps word2vec's dimensions back to words through it
+                table.save(output("embedding_word2vec.txt"))
+            feats, _ = fit_representation(rep, texts, mcfg,
+                                          mix_seed(cfg["seed"], rep, "full"),
+                                          table=table)
+            text_file, struct_file = _feature_files(rep)
+            feats.to_csv(output(text_file))
             log.info("featurize: %s -> %d columns", rep, feats.n_cols)
-        structured_matrix(products).to_csv(out_dir / "features_structured.csv")
-        return outputs + ["features_structured.csv"]
+        structured_matrix(products).to_csv(output(struct_file))
     return run_stage("featurize", cfg, out_dir, [corpus], body)
 
 
@@ -405,16 +410,14 @@ def cmd_select(cfg, out_dir: Path) -> int:
     rep = cfg["select"]["representation"]
     corpus = _corpus(out_dir)
 
-    def body():
+    def body(output):
         feats = _full_features(out_dir, rep)
         trace = mrmr_select(feats, _targets(cfg, corpus), cfg["select"]["m"],
                             n_bins=cfg["select"]["n_bins"],
                             target_is_discrete=cfg["target"]["task"] == "classification")
-        fname = "selection_%s.csv" % rep
-        trace.to_csv(out_dir / fname)
+        trace.to_csv(output("selection_%s.csv" % rep))
         log.info("select: kept %d of %d features (first: %s)", len(trace.steps),
                  feats.n_cols, feats.columns[trace.selected[0]])
-        return [fname]
     return run_stage("select", cfg, out_dir, [corpus], body,
                      upstream={"featurize": _feature_files(rep)})
 
@@ -423,17 +426,15 @@ def cmd_train(cfg, out_dir: Path) -> int:
     rep, family = cfg["train"]["representation"], cfg["train"]["family"]
     corpus = _corpus(out_dir)
 
-    def body():
+    def body(output):
         feats = _full_features(out_dir, rep)
         task = cfg["target"]["task"]
         model = fit_family(family, feats.values, _targets(cfg, corpus), task, N_TIERS,
                            merge_config(cfg["hyperparameters"]),
                            mix_seed(cfg["seed"], rep, family, "train"))
         model.manifest = list(feats.columns)
-        fname = "model_%s_%s.json" % (rep, family)
-        save_model(model, out_dir / fname)
-        log.info("train: saved %s (%s, %s)", fname, family, task)
-        return [fname]
+        save_model(model, output("model_%s_%s.json" % (rep, family)))
+        log.info("train: fitted %s on %s (%s)", family, rep, task)
     return run_stage("train", cfg, out_dir, [corpus], body,
                      upstream={"featurize": _feature_files(rep)})
 
@@ -441,18 +442,15 @@ def cmd_train(cfg, out_dir: Path) -> int:
 def cmd_evaluate(cfg, out_dir: Path) -> int:
     corpus, task = _corpus(out_dir), cfg["target"]["task"]
 
-    def body():
+    def body(output):
         reps = cfg["representations"]
         report = run_grid(_listings(cfg, corpus, reps), reps,
                           cfg["families"], task=task, config=cfg["hyperparameters"],
                           seed=cfg["seed"], k=cfg["cv"]["k"], workers=cfg["threads"])
-        report.to_csv(out_dir / ("report_%s.csv" % task))
-        (out_dir / ("report_%s.txt" % task)).write_text(report.to_text(),
-                                                        encoding="utf-8")
+        report.to_csv(output("report_%s.csv" % task))
+        output("report_%s.txt" % task).write_text(report.to_text(), encoding="utf-8")
         for rep, fam, fold, msg in report.errors:
             log.warning("evaluate: cell (%s, %s) fold %s failed: %s", rep, fam, fold, msg)
-        log.info("evaluate: wrote report_%s.{csv,txt}", task)
-        return ["report_%s.csv" % task, "report_%s.txt" % task]
     return run_stage("evaluate", cfg, out_dir, [corpus], body)
 
 
@@ -460,7 +458,7 @@ def cmd_explain(cfg, out_dir: Path) -> int:
     rep, family = cfg["train"]["representation"], cfg["train"]["family"]
     model_file = "model_%s_%s.json" % (rep, family)
 
-    def body():
+    def body(output):
         model = load_model(out_dir / model_file)
         feats = _full_features(out_dir, rep)
         e = cfg["explain"]
@@ -472,15 +470,14 @@ def cmd_explain(cfg, out_dir: Path) -> int:
         phi, _ = shap_values(model, X, background, n_samples=e["n_samples"],
                              seed=mix_seed(cfg["seed"], "explain", "kernel"))
         importance = global_importance(phi, feats.columns)
-        importance.to_csv(out_dir / "importance.csv")
-        beeswarm_csv(phi, X, feats.columns, out_dir / "beeswarm.csv")
-        outputs = ["importance.csv", "beeswarm.csv"]
+        importance.to_csv(output("importance.csv"))
+        beeswarm_csv(phi, X, feats.columns, output("beeswarm.csv"))
 
         if rep == "word2vec":
             table = EmbeddingTable.load(out_dir / "embedding_word2vec.txt")
             top = [name for name, _ in importance.top(len(feats.columns))
                    if name.startswith("embedding_")][:e["keyword_dims"]]
-            with open(out_dir / "embedding_keywords.csv", "w", encoding="utf-8") as fh:
+            with open(output("embedding_keywords.csv"), "w", encoding="utf-8") as fh:
                 fh.write("dimension,direction,rank,term,loading\n")
                 for name in top:
                     dim = int(name.split("_")[1])
@@ -489,9 +486,6 @@ def cmd_explain(cfg, out_dir: Path) -> int:
                         for r, (term, loading) in enumerate(words[direction], 1):
                             fh.write("%d,%s,%d,%s,%.6g\n"
                                      % (dim, direction, r, term, loading))
-            outputs.append("embedding_keywords.csv")
-        log.info("explain: wrote %s", ", ".join(outputs))
-        return outputs
     # word2vec's keywords come from featurize's embedding table
     read = _feature_files(rep) + (["embedding_word2vec.txt"] if rep == "word2vec" else [])
     return run_stage("explain", cfg, out_dir, [], body,
@@ -501,43 +495,36 @@ def cmd_explain(cfg, out_dir: Path) -> int:
 def cmd_curve(cfg, out_dir: Path) -> int:
     corpus, c = _corpus(out_dir), cfg["curve"]
 
-    def body():
+    def body(output):
         curve = feature_curve(_listings(cfg, corpus, [c["representation"]]),
                               c["representation"], c["family"], c["m_values"],
                               task=cfg["target"]["task"], config=cfg["hyperparameters"],
                               seed=cfg["seed"], k=cfg["cv"]["k"], workers=cfg["threads"])
-        fname = "curve_%s_%s.csv" % (c["representation"], c["family"])
-        curve.to_csv(out_dir / fname)
-        log.info("curve: wrote %s", fname)
-        return [fname]
+        curve.to_csv(output("curve_%s_%s.csv" % (c["representation"], c["family"])))
     return run_stage("curve", cfg, out_dir, [corpus], body)
 
 
 def cmd_report(cfg, out_dir: Path) -> int:
-    task, c, chash = cfg["target"]["task"], cfg["curve"], config_hash(cfg)
-    pieces = {"evaluate": ["report_%s.csv" % task, "report_%s.txt" % task],
-              "curve": ["curve_%s_%s.csv" % (c["representation"], c["family"])]}
-    # an optional piece is read when this config's run of its stage wrote it
-    optional = {"explain": ["importance.csv", "beeswarm.csv", "embedding_keywords.csv"],
-                "ingest": ["descriptive_stats.csv"]}
-    for up, files in optional.items():
+    task, chash = cfg["target"]["task"], config_hash(cfg)
+    # every output of evaluate and curve, whose manifests run_stage requires;
+    # explain's, and ingest's statistics, when this config's run wrote them
+    pieces = {}
+    for up in ("evaluate", "curve", "explain", "ingest"):
         manifest = _read_manifest(out_dir, up) or {}
-        if manifest.get("config_hash") == chash:
-            pieces[up] = [f for f in files if f in manifest.get("outputs", [])]
+        if up in ("evaluate", "curve") or manifest.get("config_hash") == chash:
+            pieces[up] = [f for f in manifest.get("outputs", [])
+                          if f != "products.jsonl"]
     sources = sum(pieces.values(), [])
 
-    def body():
-        report_dir = out_dir / "report"
-        shutil.rmtree(report_dir, ignore_errors=True)
-        report_dir.mkdir()
+    def body(output):
+        shutil.rmtree(out_dir / "report", ignore_errors=True)
+        (out_dir / "report").mkdir()
         for f in sources:
-            shutil.copyfile(out_dir / f, report_dir / f)
+            shutil.copyfile(out_dir / f, output("report/" + f))
         summary = ["run summary", "===========",
                    "config hash: %s" % chash, "task: %s" % task,
                    "artifacts: %s" % ", ".join(sorted(sources)), ""]
-        (report_dir / "SUMMARY.txt").write_text("\n".join(summary), encoding="utf-8")
-        log.info("report: assembled %d artifacts under %s", len(sources), report_dir)
-        return ["report/" + f for f in sources] + ["report/SUMMARY.txt"]
+        output("report/SUMMARY.txt").write_text("\n".join(summary), encoding="utf-8")
     return run_stage("report", cfg, out_dir, [], body, upstream=pieces)
 
 

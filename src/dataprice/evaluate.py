@@ -312,14 +312,6 @@ class CVData:
                    seed)
 
 
-def evaluate_cell(family: str, X_train, y_train, X_test, y_test, task: str,
-                  cfg: dict, seed: int) -> dict:
-    """Fit one family on training rows and score it on test rows; returns
-    {metric: value}. MAPE reads NaN when a test target is zero."""
-    model = fit_family(family, X_train, y_train, task, N_TIERS, cfg, seed)
-    return cell_metrics(model, X_test, y_test, task)
-
-
 def cell_metrics(model, X_test, y_test, task: str) -> dict:
     """{metric: value} of a fitted model on test rows; MAPE reads NaN when
     a test target is zero."""

@@ -466,13 +466,21 @@ def shap_values(model, X, background=None, n_samples: int = 2048,
 
 # ------------------------------------------------------------- summaries ----
 
+def _rank_order(mean_abs: np.ndarray) -> np.ndarray:
+    """Column indices by mean |attribution| as printed (.8g), descending,
+    ties to the lower index: columns that print alike rank alike whatever
+    their last bits."""
+    printed = np.array([float(format(v, ".8g")) for v in mean_abs])
+    return np.argsort(-printed, kind="stable")
+
+
 @dataclass
 class ImportanceReport:
     columns: list[str]
     mean_abs: np.ndarray  # per-feature mean |attribution|
 
     def top(self, k: int = 20):
-        order = np.argsort(-self.mean_abs, kind="stable")
+        order = _rank_order(self.mean_abs)
         return [(self.columns[i], float(self.mean_abs[i])) for i in order[:k]]
 
     def to_csv(self, path) -> None:
@@ -498,7 +506,7 @@ def beeswarm_csv(phi: np.ndarray, X: np.ndarray, columns: list[str],
     X = np.atleast_2d(X)
     if phi.shape != X.shape or phi.shape[1] != len(columns):
         raise ExplainError("shape mismatch between attributions and data")
-    order = np.argsort(-np.mean(np.abs(phi), axis=0), kind="stable")
+    order = _rank_order(np.mean(np.abs(phi), axis=0))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["feature", "sample", "feature_value", "attribution"])

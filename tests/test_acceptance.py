@@ -368,6 +368,76 @@ def test_criterion_8_tree_attributions():
 
 
 # --------------------------------------------------------------------------
+def end_to_end_stats(seed: int) -> dict:
+    """Criterion 9's statistics on 600 synthetic listings, with the corpus
+    and the master seed both `seed`: bow/gbt on mRMR's top 10 over 5 folds
+    gives the pooled log-space R^2 (`r2`) and the five-tier accuracy
+    (`tier_accuracy`); `signal_position` is the largest mRMR position of a
+    planted signal word over the folds (27 when one is not among the first
+    26); `curve_change` is the bow/gbt curve's largest relative MSE change
+    between consecutive m from that position on."""
+    products = generate_products(600, seed=seed)
+    texts = [compose_text(p) for p in products]
+    struct = structured_matrix(products)
+    cfg = merge_config({"max_terms": 150})
+    plan = kfold_split(len(products), 5, mix_seed(seed, "folds"))
+
+    def pipeline(task):
+        y = make_targets(products, TargetSpec(task))
+        pooled_pred = np.empty(len(products))
+        for fold in range(5):
+            train, test = plan.train_test(fold)
+            feats_tr, transform = fit_representation(
+                "bow", [texts[i] for i in train], cfg,
+                mix_seed(seed, "bow", fold))
+            feats_te = transform([texts[i] for i in test])
+            ftr = FeatureMatrix(
+                np.hstack([feats_tr.values, struct.values[train]]),
+                feats_tr.columns + struct.columns,
+                feats_tr.provenance + struct.provenance)
+            trace = mrmr_select(ftr, y[train], 10,
+                                target_is_discrete=task == "classification")
+            sel = trace.selected
+            Xte = np.hstack([feats_te.values, struct.values[test]])[:, sel]
+            model = fit_family("gbt", ftr.values[:, sel], y[train], task,
+                               5, cfg, mix_seed(seed, "bow", fold, "gbt"))
+            pooled_pred[test] = model.predict(Xte)
+        return y, pooled_pred
+
+    y_log, pred_log = pipeline("regression")
+    sse = float(np.sum((y_log - pred_log) ** 2))
+    sst = float(np.sum((y_log - y_log.mean()) ** 2))
+    y_tier, pred_tier = pipeline("classification")
+
+    # the error curve flattens once the planted signal words are all in;
+    # replay the per-fold selections the curve will use to locate that
+    # point (same fold plan and seeds, so the greedy prefixes agree)
+    covered = 0
+    for fold in range(5):
+        train, _ = plan.train_test(fold)
+        feats_tr, _ = fit_representation("bow", [texts[i] for i in train],
+                                         cfg, mix_seed(seed, "bow", fold))
+        ftr = feats_tr.hstack(
+            FeatureMatrix(struct.values[train], struct.columns,
+                          struct.provenance))
+        trace = mrmr_select(ftr, y_log[train], 26)
+        names = [ftr.columns[j] for j in trace.selected]
+        positions = [names.index("bow_%s" % w) + 1 if "bow_%s" % w in names
+                     else len(names) + 1 for w in SIGNAL_WORDS]
+        covered = max(covered, max(positions))
+
+    m_values = sorted({2, 5, covered, covered + 3, covered + 6})
+    curve = feature_curve(products, "bow", "gbt", m_values,
+                          task="regression", config=cfg, seed=seed, k=5)
+    mse = {m: vals["MSE"] for m, vals in curve.rows}
+    flat = [m for m in m_values if m >= covered]
+    return {"r2": 1.0 - sse / sst,
+            "tier_accuracy": float(np.mean(y_tier == pred_tier)),
+            "signal_position": covered,
+            "curve_change": max(abs(mse[nxt] - mse[prev]) / mse[prev]
+                                for prev, nxt in zip(flat, flat[1:]))}
+
+
 def test_criterion_9_end_to_end_synthetic():
     with criterion(9, "end-to-end on 600 synthetic listings: pooled "
                       "log-space R^2 > 0.8, five-tier accuracy >= 0.60, "
@@ -375,46 +445,17 @@ def test_criterion_9_end_to_end_synthetic():
                       "flattens (< 5% relative change) once the planted "
                       "signal words are in, all < 5 min"):
         start = time.monotonic()
-        products = generate_products(600, seed=0)
-        texts = [compose_text(p) for p in products]
-        struct = structured_matrix(products)
-        cfg = merge_config({"max_terms": 150})
-
-        def pipeline(task):
-            y = make_targets(products, TargetSpec(task))
-            plan = kfold_split(len(products), 5, mix_seed(0, "folds"))
-            pooled_pred = np.empty(len(products))
-            for fold in range(5):
-                train, test = plan.train_test(fold)
-                feats_tr, transform = fit_representation(
-                    "bow", [texts[i] for i in train], cfg,
-                    mix_seed(0, "bow", fold))
-                feats_te = transform([texts[i] for i in test])
-                ftr = FeatureMatrix(
-                    np.hstack([feats_tr.values, struct.values[train]]),
-                    feats_tr.columns + struct.columns,
-                    feats_tr.provenance + struct.provenance)
-                trace = mrmr_select(ftr, y[train], 10,
-                                    target_is_discrete=task == "classification")
-                sel = trace.selected
-                Xte = np.hstack([feats_te.values, struct.values[test]])[:, sel]
-                model = fit_family("gbt", ftr.values[:, sel], y[train], task,
-                                   5, cfg, mix_seed(0, "bow", fold, "gbt"))
-                pooled_pred[test] = model.predict(Xte)
-            return y, pooled_pred
-
-        y_log, pred_log = pipeline("regression")
-        sse = float(np.sum((y_log - pred_log) ** 2))
-        sst = float(np.sum((y_log - y_log.mean()) ** 2))
-        r2 = 1.0 - sse / sst
-        assert r2 > 0.8, "pooled R^2 = %.4f" % r2
-
-        y_tier, pred_tier = pipeline("classification")
-        acc = float(np.mean(y_tier == pred_tier))
-        assert acc >= 0.60, "tier accuracy = %.4f" % acc
+        stats = end_to_end_stats(0)
+        assert stats["r2"] > 0.8, "pooled R^2 = %.4f" % stats["r2"]
+        assert stats["tier_accuracy"] >= 0.60, (
+            "tier accuracy = %.4f" % stats["tier_accuracy"])
+        assert stats["signal_position"] <= 20
+        assert stats["curve_change"] < 0.05, (
+            "MSE moved %.1f%% past m=%d" % (100 * stats["curve_change"],
+                                            stats["signal_position"]))
 
         # report layout and rank validity on a reduced grid
-        small = products[:60]
+        small = generate_products(600, seed=0)[:60]
         grid_cfg = {"max_terms": 60, "word2vec": {"d": 8, "epochs": 1},
                     "mlp": {"hidden": [4], "epochs": 30},
                     "forest": {"n_trees": 5}, "gbt": {"n_rounds": 5}}
@@ -430,35 +471,6 @@ def test_criterion_9_end_to_end_synthetic():
         assert (header_probe.read_text().splitlines()[0]
                 == "metric,method,linear,gbt,ME,Rank")
         header_probe.unlink()
-
-        # the error curve flattens once the planted signal words are all in;
-        # replay the per-fold selections the curve will use to locate that
-        # point (same fold plan and seeds, so the greedy prefixes agree)
-        y_reg = make_targets(products, TargetSpec("regression"))
-        plan = kfold_split(len(products), 5, mix_seed(0, "folds"))
-        covered = 0
-        for fold in range(5):
-            train, _ = plan.train_test(fold)
-            feats_tr, _ = fit_representation("bow", [texts[i] for i in train],
-                                             cfg, mix_seed(0, "bow", fold))
-            ftr = feats_tr.hstack(
-                FeatureMatrix(struct.values[train], struct.columns,
-                              struct.provenance))
-            trace = mrmr_select(ftr, y_reg[train], 26)
-            names = [ftr.columns[j] for j in trace.selected]
-            positions = [names.index("bow_%s" % w) + 1 for w in SIGNAL_WORDS]
-            covered = max(covered, max(positions))
-        assert covered <= 20
-
-        m_values = sorted({2, 5, covered, covered + 3, covered + 6})
-        curve = feature_curve(products, "bow", "gbt", m_values,
-                              task="regression", config=cfg, seed=0, k=5)
-        mse = {m: vals["MSE"] for m, vals in curve.rows}
-        flat = [m for m in m_values if m >= covered]
-        for prev, nxt in zip(flat, flat[1:]):
-            change = abs(mse[nxt] - mse[prev]) / mse[prev]
-            assert change < 0.05, "MSE moved %.1f%% from m=%d to m=%d" % (
-                100 * change, prev, nxt)
 
         assert time.monotonic() - start < 300.0
 

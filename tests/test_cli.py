@@ -541,6 +541,67 @@ def test_explain_classifier_with_kernel_method(tmp_path, family):
     assert len((out / "beeswarm.csv").read_text().splitlines()) > 1
 
 
+# ------------------------------------------------------ outputs and manifests ---
+
+@pytest.fixture(scope="module")
+def word2vec_pipeline(tmp_path_factory):
+    """Every stage, training on word2vec: featurize saves the embedding
+    table and explain writes keywords. Returns the output directory and
+    each stage's manifest."""
+    tmp = tmp_path_factory.mktemp("word2vec_pipeline")
+    config, raw = write_config(
+        tmp, train={"representation": "word2vec"},
+        hyperparameters={"word2vec": {"d": 8, "epochs": 1}, "gbt": {"n_rounds": 5}})
+    for stage in STAGES:
+        assert run(stage, config) == 0, "stage %s failed" % stage
+    out = Path(raw["out_dir"])
+    return out, {stage: json.loads((out / ("%s.manifest.json" % stage)).read_text())
+                 for stage in STAGES}
+
+
+class TestOutputs:
+    def test_every_file_is_a_manifest_or_one_stages_output(self, word2vec_pipeline):
+        out, manifests = word2vec_pipeline
+        listed = [f for m in manifests.values() for f in m["outputs"]]
+        assert len(listed) == len(set(listed))
+        assert "embedding_word2vec.txt" in manifests["featurize"]["outputs"]
+        assert "embedding_keywords.csv" in manifests["explain"]["outputs"]
+        files = [p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()]
+        assert sorted(f for f in files if not f.endswith(".manifest.json")) == sorted(listed)
+        assert sorted(f for f in files if f.endswith(".manifest.json")) == sorted(
+            "%s.manifest.json" % stage for stage in STAGES)
+
+    def test_report_copies_what_the_upstream_manifests_list(self, word2vec_pipeline):
+        out, manifests = word2vec_pipeline
+        sources = [f for stage in ("evaluate", "curve", "explain")
+                   for f in manifests[stage]["outputs"]] + ["descriptive_stats.csv"]
+        copied = [p.relative_to(out / "report").as_posix()
+                  for p in (out / "report").rglob("*") if p.is_file()]
+        assert sorted(copied) == sorted(sources + ["SUMMARY.txt"])
+        assert manifests["report"]["outputs"] == [
+            "report/" + f for f in sources + ["SUMMARY.txt"]]
+        for f in sources:
+            assert (out / "report" / f).read_bytes() == (out / f).read_bytes()
+
+    def test_run_stage_records_the_names_given_to_output_in_call_order(self, tmp_path):
+        names = ["b.txt", "a.txt", "c.txt"]
+
+        def body(output):
+            for name in names:
+                path = output(name)
+                assert path == tmp_path / name
+                path.write_text(name, encoding="utf-8")
+
+        assert cli.run_stage("demo", {"seed": 1}, tmp_path, [], body) == 0
+        manifest = json.loads((tmp_path / "demo.manifest.json").read_text())
+        assert manifest["outputs"] == names
+
+    def test_a_body_that_names_no_output_lists_none(self, tmp_path):
+        assert cli.run_stage("demo", {"seed": 1}, tmp_path, [], lambda output: None) == 0
+        manifest = json.loads((tmp_path / "demo.manifest.json").read_text())
+        assert manifest["outputs"] == []
+
+
 class TestFailureModes:
     def test_missing_artifact_names_prior_stage(self, tmp_path, caplog):
         config, _ = write_config(tmp_path)

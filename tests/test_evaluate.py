@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from dataprice import evaluate
-from dataprice.evaluate import (ERROR_METRICS, FAMILIES, SCORE_METRICS,
+from dataprice.evaluate import (ERROR_METRICS, FAMILIES, N_TIERS, SCORE_METRICS,
                                 CVData, ExperimentReport, MetricError,
-                                _map_units, _rank, binary_auc,
-                                classification_metrics, evaluate_cell,
-                                feature_curve, fit_representation, kfold_split,
+                                _map_units, _rank, binary_auc, cell_metrics,
+                                classification_metrics, feature_curve,
+                                fit_family, fit_representation, kfold_split,
                                 merge_config, mix_seed, regression_metrics,
                                 run_grid)
 from dataprice.featsel import mrmr_select
@@ -282,8 +282,9 @@ class TestEvaluateCell:
         y = 3.0 + X @ np.array([1.0, -0.5, 0.25, 0.0]) + 0.1 * rng.normal(size=60)
         if task == "classification":
             y = np.searchsorted(np.quantile(y, [0.2, 0.4, 0.6, 0.8]), y)
-        cell = evaluate_cell(family, X[:45], y[:45], X[45:], y[45:], task,
-                             merge_config(TestGrid.CFG), seed=1)
+        model = fit_family(family, X[:45], y[:45], task, N_TIERS,
+                           merge_config(TestGrid.CFG), 1)
+        cell = cell_metrics(model, X[45:], y[45:], task)
         expected = ERROR_METRICS if task == "regression" else SCORE_METRICS
         assert set(cell) == set(expected)
         assert all(np.isfinite(v) for v in cell.values())
@@ -332,7 +333,7 @@ class TestCurve:
     @pytest.mark.parametrize("task", ["regression", "classification"])
     def test_batched_gbt_rows_equal_one_cell_per_m(self, products, task):
         """The curve fits a fold's gbt models in one call; its rows equal
-        the means of evaluate_cell run once per m on that fold's columns."""
+        the means of one fit and score per m on that fold's columns."""
         m_values, k, seed = [1, 2, 2, 5, 10 ** 4], 3, 4
         with pytest.warns(UserWarning, match="clamp"):
             curve = feature_curve(products, "bow", "gbt", m_values, task=task,
@@ -353,10 +354,10 @@ class TestCurve:
                                 ).selected
             for m, folds in zip(m_values, cells):
                 cols = order[:m]
-                folds.append(evaluate_cell(
-                    "gbt", ftr.values[:, cols], data.y[train], fte[:, cols],
-                    data.y[test], task, cfg,
-                    mix_seed(seed, "bow", fold, "gbt", m)))
+                model = fit_family("gbt", ftr.values[:, cols], data.y[train],
+                                   task, N_TIERS, cfg,
+                                   mix_seed(seed, "bow", fold, "gbt", m))
+                folds.append(cell_metrics(model, fte[:, cols], data.y[test], task))
         assert curve.rows == [
             (m, {name: float(np.mean([c[name] for c in folds]))
                  for name in data.metrics})

@@ -1103,6 +1103,24 @@ class TestSummaries:
         assert lines[1].split(",")[0] == "v"
         assert len(lines) == 1 + 4
 
+    def test_columns_that_print_alike_rank_by_index(self, tmp_path):
+        # equal at .8g, but the later column's mean is larger in its last bits
+        low, high = 0.3, 0.3 * (1 + 1e-15)
+        assert high > low and format(high, ".8g") == format(low, ".8g")
+        phi = np.array([[0.1, low, high], [-0.1, -low, -high]])
+        X = np.zeros_like(phi)
+        columns = ["small", "tie_first", "tie_second"]
+        rep = global_importance(phi, columns)
+        assert [name for name, _ in rep.top(3)] == ["tie_first", "tie_second", "small"]
+        rep.to_csv(tmp_path / "imp.csv")
+        ranked = [line.split(",")[1]
+                  for line in (tmp_path / "imp.csv").read_text().splitlines()[1:]]
+        assert ranked == ["tie_first", "tie_second", "small"]
+        beeswarm_csv(phi, X, columns, tmp_path / "b.csv")
+        order = [line.split(",")[0]
+                 for line in (tmp_path / "b.csv").read_text().splitlines()[1::2]]
+        assert order == ["tie_first", "tie_second", "small"]
+
     def test_beeswarm_shape_mismatch(self, tmp_path):
         with pytest.raises(ExplainError):
             beeswarm_csv(np.zeros((2, 2)), np.zeros((3, 2)), ["a", "b"],

@@ -4,6 +4,7 @@
     python3 tools/sweep_seeds.py [--seeds 1-40] [--out sweep.json]
     python3 tools/sweep_seeds.py --check lda [--seeds 0-19] [--out lda.json]
     python3 tools/sweep_seeds.py --check word2vec [--seeds 0-19]
+    python3 tools/sweep_seeds.py --check pipeline [--seeds 0-19]
 
 The default check is the benchmark's grid_tiers workload. For each seed the
 sweep runs
@@ -34,6 +35,20 @@ tests/test_word2vec.py's test_related_words_closer_than_unrelated at each
 seed S (0-19 by default; the test runs S = 1) and writes the pass rate,
 the failing seeds and the quantiles of the test's margin,
 sim(apple, fruit) - sim(apple, engine), which passes above 0.
+
+`--check pipeline` runs, in this process, tests/test_acceptance.py's
+criterion 9 (end to end on 600 synthetic listings, about 4 s) at each seed
+S (0-19 by default; the test runs S = 0), with the corpus and the master
+seed both S. For each of its statistics it writes the pass rate against
+the test's bound, the failing seeds and the quantiles:
+
+  r2                pooled log-space R^2 of bow/gbt          > 0.8
+  tier_accuracy     five-tier accuracy of bow/gbt            >= 0.60
+  signal_position   mRMR position covering every signal word <= 20
+  curve_change      the curve's largest relative MSE change
+                    after that position                      < 0.05
+
+and the share of seeds where all four pass.
 
 The sweep only measures: it changes no seed, bound or test. It runs the
 checkout it lies in, so a copy of it in another checkout sweeps that one.
@@ -204,6 +219,44 @@ def word2vec_sweep(seeds) -> dict:
             "margin": [round(m, 6) for m in margins]}
 
 
+# criterion 9's bounds: whether a statistic's value passes
+PIPELINE_BOUNDS = {"r2": ("> 0.8", lambda v: v > 0.8),
+                   "tier_accuracy": (">= 0.60", lambda v: v >= 0.60),
+                   "signal_position": ("<= 20", lambda v: v <= 20),
+                   "curve_change": ("< 0.05", lambda v: v < 0.05)}
+
+
+def pipeline_sweep(seeds) -> dict:
+    """Pass rates, failing seeds and quantiles of criterion 9's statistics."""
+    import numpy as np  # after main() has pinned BLAS to one thread
+
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+    try:
+        from test_acceptance import end_to_end_stats
+    finally:
+        del sys.path[:2]
+    runs = []
+    for seed in seeds:
+        runs.append(end_to_end_stats(seed))
+        print("pipeline seed %d: %s" % (seed, ", ".join(
+            "%s %.4g" % item for item in runs[-1].items())),
+            file=sys.stderr, flush=True)
+    checks = {}
+    for name, (bound, passes) in PIPELINE_BOUNDS.items():
+        values = [float(run[name]) for run in runs]
+        checks[name] = {
+            "bound": bound,
+            "pass_rate": float(np.mean([passes(v) for v in values])),
+            "failing_seeds": [s for s, v in zip(seeds, values) if not passes(v)],
+            "quantiles": quantiles(values),
+            "values": [round(v, 6) for v in values]}
+    all_pass = [all(passes(run[name]) for name, (_, passes) in PIPELINE_BOUNDS.items())
+                for run in runs]
+    return {"check": "pipeline", "source_sha256": source_digest(),
+            "seed_range": [seeds[0], seeds[-1]], "runs": len(seeds),
+            "pass_rate": float(np.mean(all_pass)), "checks": checks}
+
+
 def seed_range(text: str) -> list[int]:
     first, _, last = text.partition("-")
     seeds = list(range(int(first), int(last or first) + 1))
@@ -214,11 +267,12 @@ def seed_range(text: str) -> list[int]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--check", choices=["grid_tiers", "lda", "word2vec"],
+    parser.add_argument("--check",
+                        choices=["grid_tiers", "lda", "word2vec", "pipeline"],
                         default="grid_tiers", help="what to sweep")
     parser.add_argument("--seeds", type=seed_range,
                         help="first-last, inclusive (default 1-40 for "
-                             "grid_tiers, 0-19 for lda and word2vec)")
+                             "grid_tiers, 0-19 for the others)")
     parser.add_argument("--out", type=Path, help="JSON file to write")
     args = parser.parse_args(argv)
     # the benchmark's workers run BLAS on one thread
@@ -228,6 +282,8 @@ def main(argv=None) -> int:
         result = lda_sweep(args.seeds or seed_range("0-19"))
     elif args.check == "word2vec":
         result = word2vec_sweep(args.seeds or seed_range("0-19"))
+    elif args.check == "pipeline":
+        result = pipeline_sweep(args.seeds or seed_range("0-19"))
     else:
         result = sweep(args.seeds or seed_range("1-40"))
     text = json.dumps(result, indent=1) + "\n"

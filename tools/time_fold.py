@@ -139,8 +139,9 @@ def time_fold(task: str, fold: int, reps: list) -> dict:
         for family in ev.FAMILIES:
             t0 = time.perf_counter()
             cell_seed = ev.mix_seed(data.seed, rep, fold, family)
-            metrics = ev.evaluate_cell(family, ftr, data.y[train], fte,
-                                       data.y[test], task, cfg, cell_seed)
+            model = ev.fit_family(family, ftr, data.y[train], task, ev.N_TIERS,
+                                  cfg, cell_seed)
+            metrics = ev.cell_metrics(model, fte, data.y[test], task)
             cells[family] = {"s": round(time.perf_counter() - t0, 4),
                              **{m: round(v, 6) for m, v in metrics.items()}}
         if rep == "lda":
