@@ -246,7 +246,7 @@ _FITTERS = {
     "cart": dict.fromkeys(_TASKS, _Fitter("cart", fit_cart, ("task", "n_classes"))),
     "svm": {"regression": _Fitter("svr", partial(fit_standardized, fit_svr)),
             "classification": _Fitter("svm", partial(fit_standardized, fit_svm),
-                                      ("seed",), {"labels": "pm1"})},
+                                      ovr={"labels": "pm1"})},
     "forest": dict.fromkeys(_TASKS, _Fitter("forest", fit_forest,
                                             ("task", "seed", "k_features"))),
     "gbt": {"regression": _Fitter("gbt", partial(fit_gbts, loss="squared"),

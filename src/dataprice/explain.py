@@ -206,6 +206,13 @@ def shapley_kernel_weight(n_features: int, subset_size: int) -> float:
     return (M - 1) / (comb(M, s) * s * (M - s))
 
 
+def _mean(v, axis=None):
+    """The mean of v refined once by the mean of its residuals, so that
+    equal values average to exactly themselves."""
+    m = np.mean(v, axis=axis)
+    return m + np.mean(v - m, axis=axis)
+
+
 def kernel_shap(predict_fn, x, background, n_samples: int = 2048,
                 seed: int = 0, *, coalition_values=None):
     """Sampling approximation of per-feature attributions for an arbitrary
@@ -235,7 +242,7 @@ def kernel_shap(predict_fn, x, background, n_samples: int = 2048,
         raise ExplainError("background column count mismatch")
     if len(background) == 0:
         raise ExplainError("the background dataset has no rows")
-    f0 = float(np.mean(predict_fn(background)))
+    f0 = float(_mean(predict_fn(background)))
     fx = float(np.asarray(predict_fn(x.reshape(1, -1)))[0])
     # a column where x equals every background row is a null player: no
     # coalition value depends on it, so its attribution is exactly 0 and
@@ -280,7 +287,7 @@ def kernel_shap(predict_fn, x, background, n_samples: int = 2048,
         fz = np.empty(len(Z))
         for i, z in enumerate(Z):
             rows = np.where(z[None, :] > 0, x[None, :], background)
-            fz[i] = float(np.mean(predict_fn(rows)))
+            fz[i] = float(_mean(predict_fn(rows)))
 
     # eliminate the last active attribution with the constraint
     # sum(phi) = fx - f0
@@ -348,7 +355,8 @@ def _first_layer_values(std, W, b, rbf, head, x, background, Z):
     rbf machine U = -gamma ((x - g)(x + g - 2w))_J on each column w of W.
     The first layer of z's complement is then 2 H(g) + sum(U) - H(z). One
     background row at a time, the product and the head run over blocks of
-    Z's rows and their complements of at most _BLOCK_BYTES."""
+    Z's rows and their complements of at most _BLOCK_BYTES; the values are
+    the _mean of the background rows' head outputs."""
     if std is not None:  # elementwise, so it commutes with the imputation
         x, background = std.transform(x), std.transform(background)
     n, M = Z.shape
@@ -361,8 +369,8 @@ def _first_layer_values(std, W, b, rbf, head, x, background, Z):
     Z1 = np.hstack([Z, np.ones((n, 1))])
     rows = max(1, _BLOCK_BYTES // (16 * W.shape[1]))
     H = np.empty((2 * min(rows, n), W.shape[1]))
-    total = np.zeros((2, n))
-    for g, base_g in zip(background, base):
+    values = np.empty((len(background), 2, n))
+    for g, base_g, value in zip(background, base, values):
         J = np.flatnonzero(x != g)
         cols = np.append(J, M)
         update = W1[cols]
@@ -378,10 +386,8 @@ def _first_layer_values(std, W, b, rbf, head, x, background, Z):
             k = min(rows, n - start)
             np.matmul(ZJ[start:start + k], update, out=H[:k])
             np.subtract(complement, H[:k], out=H[k:2 * k])
-            out = head(H[:2 * k])
-            total[0, start:start + k] += out[:k]
-            total[1, start:start + k] += out[k:]
-    return total / len(background)
+            value[:, start:start + k] = head(H[:2 * k]).reshape(2, k)
+    return _mean(values, axis=0)
 
 
 # ---------------------------------------------------------- dispatching ----

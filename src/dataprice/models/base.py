@@ -113,8 +113,9 @@ def load_model(path) -> Model:
 
 
 def require_finite(X: np.ndarray, y) -> None:
-    """Reject NaN or inf, which a split search would sort and place, and a
-    kernel solver carry into its multipliers, silently."""
+    """Reject NaN or inf, which a split search would sort and place, a
+    kernel solver carry into its multipliers and a least-squares or
+    gradient fit into its weights, silently."""
     if not (np.isfinite(X).all() and np.isfinite(np.asarray(y, float)).all()):
         raise ModelError("non-finite value (NaN or inf) in the training data")
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Model, ModelError, register
+from .base import Model, ModelError, register, require_finite
 
 
 def sigmoid(z):
@@ -34,6 +34,7 @@ def fit_linear(X, y, ridge: float = 0.0) -> LinearModel:
     intercept). With ridge=0 a rank-deficient system falls back to the
     pseudo-inverse solution and the model is flagged."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    require_finite(X, y)
     y = np.asarray(y, dtype=np.float64)
     n, p = X.shape
     if n < 2:
@@ -82,6 +83,7 @@ def fit_logistic(X, y, lr: float = 0.5, epochs: int = 500) -> LogisticModel:
     """Binary logistic regression trained by full-batch gradient descent on
     the cross-entropy loss."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    require_finite(X, y)
     y = np.asarray(y, dtype=np.float64)
     classes = np.unique(y)
     if len(classes) < 2:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Model, ModelError, register
+from .base import Model, ModelError, register, require_finite
 
 _ACTIVATIONS = {
     "tanh": (np.tanh, lambda a: 1.0 - a ** 2),
@@ -112,6 +112,7 @@ def fit_mlp(X, y, hidden=(16,), activation="tanh", lr: float = 0.1,
     if not hidden:
         raise ModelError("need at least one hidden layer")
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    require_finite(X, y)
     n, p = X.shape
     if task == "classification":
         y = np.asarray(y, dtype=np.int64)

@@ -934,6 +934,18 @@ class TestFirstLayerEdgeCases:
             phi, _ = _matches_predict_loop(model, c, rows[:1], rows[1:], 64, 2)
             assert np.all(phi == 0.0)
 
+    def test_constant_model_reads_exactly_zero(self):
+        # the plain mean of five copies of c is not c; the refined one is
+        c = -0.49056603773588486
+        rows = np.random.default_rng(98).normal(size=(6, 4))
+        x, background = rows[0], rows[1:]
+        phi, expected = kernel_shap(lambda r: np.full(len(r), c), x,
+                                    background, 64, 0)
+        assert np.all(phi == 0.0) and expected == c
+        model = LinearModel(np.zeros(4), c)
+        phi, expected = shap_values(model, rows[:1], background, 64, 0)
+        assert np.all(phi == 0.0) and expected[0] == c
+
 
 class TestCoalitionDraw:
     M = 10  # 1022 coalitions, more than the samples drawn

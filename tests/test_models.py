@@ -35,6 +35,18 @@ def dual_objective(alpha, y, K) -> float:
     return float(np.sum(alpha) - 0.5 * ay @ K @ ay)
 
 
+def rejects_non_finite(fit):
+    """fit raises ModelError on a NaN in X and on an inf in y."""
+    X = np.random.default_rng(14).normal(size=(10, 3))
+    y = (X[:, 0] > 0).astype(float)
+    X_nan = X.copy()
+    X_nan[4, 1] = np.nan
+    with pytest.raises(ModelError, match="non-finite"):
+        fit(X_nan, y)
+    with pytest.raises(ModelError, match="non-finite"):
+        fit(X, np.where(np.arange(10) == 2, np.inf, y))
+
+
 def epsilon_loss(z, epsilon: float):
     """The epsilon-insensitive loss of residuals z."""
     return np.maximum(np.abs(np.asarray(z, dtype=np.float64)) - epsilon, 0.0)
@@ -93,6 +105,12 @@ class TestLinear:
         with pytest.raises(ModelError):
             fit_logistic(np.ones((5, 1)), np.zeros(5))
 
+    @pytest.mark.parametrize("fit", [partial(fit_linear, ridge=0.0),
+                                     partial(fit_linear, ridge=1.0),
+                                     fit_logistic])
+    def test_rejects_non_finite_input(self, fit):
+        rejects_non_finite(fit)
+
 
 class TestMLP:
     def test_solves_xor(self):
@@ -140,6 +158,10 @@ class TestMLP:
         m1 = fit_mlp(X, y, hidden=(4,), epochs=10, seed=2)
         m2 = fit_mlp(X, y, hidden=(4,), epochs=10, seed=2)
         assert all(np.array_equal(a, b) for a, b in zip(m1.weights, m2.weights))
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_rejects_non_finite_input(self, task):
+        rejects_non_finite(partial(fit_mlp, hidden=(4,), epochs=5, task=task))
 
 
 class TestCART:
@@ -216,7 +238,7 @@ class TestSVM:
         X = np.vstack([rng.normal(-1, 1, (30, 2)), rng.normal(1, 1, (30, 2))])
         y = np.array([-1.0] * 30 + [1.0] * 30)
         C, tol = 1.0, 1e-3
-        m = fit_svm(X, y, C=C, kernel="rbf", gamma=0.5, tol=tol, seed=0)
+        m = fit_svm(X, y, C=C, kernel="rbf", gamma=0.5, tol=tol)
         # rebuild the full alpha vector from the stored support coefficients
         f = m.decision_function(X)
         K = kernel_matrix(X, m.support_vectors, "rbf", 0.5)
@@ -267,6 +289,49 @@ class TestSVM:
             fit_svm(X, y)
         with pytest.raises(ModelError, match="non-finite"):
             fit_svm(np.nan_to_num(X), np.where(np.arange(10) == 2, np.inf, y))
+
+    @staticmethod
+    def duality_gap(m, X, y, C):
+        """(primal - dual) / primal at the fitted multipliers, which are
+        |coef| on the support vectors and 0 elsewhere."""
+        K = kernel_matrix(m.support_vectors, m.support_vectors, m.kernel,
+                          m.gamma)
+        norm = float(m.coef @ K @ m.coef)
+        hinge = np.maximum(0.0, 1.0 - y * m.decision_function(X))
+        primal = 0.5 * norm + C * float(hinge.sum())
+        dual = float(np.abs(m.coef).sum()) - 0.5 * norm
+        return (primal - dual) / primal
+
+    @staticmethod
+    def noisy_linear(seed):
+        """120 rows of 20 columns, labelled by the sign of column 0 plus
+        noise."""
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(120, 20))
+        return X, np.where(X[:, 0] + 0.8 * rng.normal(size=120) > 0, 1.0, -1.0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_linear_kernel_reaches_the_optimum(self, seed):
+        X, y = self.noisy_linear(seed)
+        m = fit_svm(X, y, C=1.0, kernel="linear")
+        assert self.duality_gap(m, X, y, 1.0) <= 1e-3
+
+    def test_rbf_kernel_reaches_the_optimum(self):
+        rng = np.random.default_rng(8)
+        X = np.vstack([rng.normal(-1, 1, (30, 2)), rng.normal(1, 1, (30, 2))])
+        y = np.array([-1.0] * 30 + [1.0] * 30)
+        m = fit_svm(X, y, C=1.0, kernel="rbf", gamma=0.5)
+        assert self.duality_gap(m, X, y, 1.0) <= 1e-3
+
+    def test_zero_tol_ends_inside_the_box(self):
+        X, y = self.noisy_linear(0)
+        C = 1.0
+        m = fit_svm(X, y, C=C, kernel="linear", tol=0.0)
+        rows = [np.flatnonzero((X == sv).all(axis=1))[0]
+                for sv in m.support_vectors]
+        alpha = m.coef * y[rows]
+        assert np.all((alpha >= 0) & (alpha <= C))
+        assert abs(m.coef.sum()) <= 1e-9
 
 
 class TestSVR:

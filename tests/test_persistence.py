@@ -240,7 +240,7 @@ class TestOvR:
                        rng.normal(2, 0.3, (20, 2))])
         y = np.array([0] * 20 + [1] * 20 + [2] * 20)
         m = one_vs_rest(lambda Xb, yb: fit_svm(Xb, yb, C=2.0, kernel="rbf",
-                                               gamma=1.0, seed=0),
+                                               gamma=1.0),
                         X, y, labels="pm1")
         assert np.mean(m.predict(X) == y) > 0.9
 
