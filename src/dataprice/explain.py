@@ -6,22 +6,27 @@ fit time, all by one method that reads each model as a weighted sum of
 trees. The method splits the trees into their root-to-leaf paths once per
 model, on its first explain, and keeps them on the model; a row then runs
 TreeSHAP's sums over all paths of the model in array operations, one pass
-per group of paths of equal length. Every other model, a standardized tree
+per group of paths of equal length. A linear regression model, behind an
+optional standardizer, gets its exact interventional values against a
+background dataset in closed form. Every other model, a standardized tree
 model included (its trees split on scaled columns), gets a sampling
-kernel-weighted least-squares approximation against a background dataset.
-That method draws its coalitions in array operations, as complement pairs.
-Kernel machines, linear, logistic and MLP models (an SVR, a LinearModel,
-an MLPModel, and the SVM or logistic member of a one-vs-rest ensemble,
-each behind an optional standardizer) share one coalition routine: it
+kernel-weighted least-squares approximation against the background.
+That method draws its coalitions in array operations, as complement pairs,
+and solves the weighted least squares by a Cholesky factor of its normal
+equations, or by an SVD where the factor fails or is near singular.
+Kernel machines, logistic and MLP models (an SVR, an MLPModel, and the
+SVM or logistic member of a one-vs-rest ensemble, each behind an
+optional standardizer) share one coalition routine: it
 scores the coalitions from each background row's first layer (its kernel
 terms' exponents, or its first affine layer), updated by the columns where
 the row differs from the explained one, instead of predicting the imputed
 rows. One product gives the first layers of the first coalition of every
 pair, offset included, and each complement's follows by one subtraction;
 the product and the model's head run over blocks of coalitions sized to
-stay in cache. Both methods satisfy local accuracy: the attributions plus
-the expected value sum to the model output for the explained row. Both
-explain a classifier's predicted class unless a class is named, and the
+stay in cache. Every method satisfies local accuracy: the attributions
+plus the expected value sum to the model output for the explained row.
+The tree and kernel methods explain a classifier's predicted class unless
+a class is named, and the
 kernel method draws one coalition design per call, so a row's
 attributions depend only on the row, the model, the background and the
 seed. Explained and background rows must be finite.
@@ -229,12 +234,16 @@ def kernel_shap(predict_fn, x, background, n_samples: int = 2048,
     of every pair, and it must return those averages for the rows of Z and
     for their complements, as two arrays. Attributions solve the
     kernel-weighted least squares with the local-accuracy constraint
-    enforced exactly. A column where x equals every background row (a null
-    player) gets exactly 0, and the solve runs on the other columns; the
-    design is still drawn over all M. A sampled design with fewer rows
-    than the active columns it solves for leaves the least squares
-    underdetermined, and draws a RuntimeWarning that gives both counts.
-    Returns (phi, expected_value)."""
+    enforced exactly, by _least_squares: a Cholesky factor of its normal
+    equations, or np.linalg.lstsq where the factor fails or is near
+    singular. A column where x equals every background row (a null player)
+    gets exactly 0, and the solve runs on the other columns; the design is
+    still drawn over all M. A design whose rank falls below its unknowns
+    (the active columns but one) leaves the least squares underdetermined
+    and draws a RuntimeWarning that gives its rows, its rank and the
+    unknowns. A complement row adds no rank to its partner's, so a design
+    of fewer pairs than unknowns always warns. Returns (phi,
+    expected_value)."""
     x = np.asarray(x, dtype=np.float64).ravel()
     background = np.atleast_2d(np.asarray(background, dtype=np.float64))
     M = len(x)
@@ -292,18 +301,49 @@ def kernel_shap(predict_fn, x, background, n_samples: int = 2048,
     # eliminate the last active attribution with the constraint
     # sum(phi) = fx - f0
     last, rest = active[-1], active[:-1]
-    if len(Z) < len(rest):
-        warnings.warn("kernel SHAP: the sampled design has %d rows for %d "
-                      "active columns, one of them fixed by local accuracy; "
-                      "its least squares is underdetermined"
-                      % (len(Z), len(active)), RuntimeWarning, stacklevel=2)
     y = fz - f0 - Z[:, last] * (fx - f0)
     A = Z[:, rest] - Z[:, [last]]
     sw = np.sqrt(w)
-    sol, *_ = np.linalg.lstsq(A * sw[:, None], y * sw, rcond=None)
+    sol, rank = _least_squares(A * sw[:, None], y * sw)
+    if rank < len(rest):
+        warnings.warn("kernel SHAP: the design has %d rows of rank %d for %d "
+                      "unknowns (the active columns but one, which local "
+                      "accuracy fixes); its least squares is underdetermined"
+                      % (len(Z), rank, len(rest)), RuntimeWarning, stacklevel=2)
     phi[rest] = sol
     phi[last] = (fx - f0) - sol.sum()
     return phi, f0
+
+
+# the normal equations are solved only when the smallest squared pivot of
+# their Cholesky factor is at least this share of the largest
+_PIVOT_RATIO = 1e-10
+
+
+def _least_squares(A, y):
+    """(solution, rank) of the least squares A sol ~ y. The normal
+    equations A'A sol = A'y are solved by one Cholesky factor of A'A, and
+    the factor solves once more for the residual's correction, which takes
+    the error from about cond(A)^2 to about cond(A) rounding units (the
+    corrected semi-normal equations). A design whose factorization fails,
+    or whose smallest pivot is negligible against its largest, goes to the
+    SVD of np.linalg.lstsq, which returns the minimum-norm solution and the
+    numerical rank. The factor accepts only designs of full column rank.
+    The pivot check is needed: a drawn design repeats its singleton
+    coalitions, and an eliminated complement row is its partner's
+    negative, so it can lack rank with more pairs than unknowns."""
+    try:
+        L = np.linalg.cholesky(A.T @ A)
+    except np.linalg.LinAlgError:
+        L = None
+    if L is not None:
+        pivots = np.diagonal(L) ** 2
+        if pivots.min() >= _PIVOT_RATIO * pivots.max():
+            solve = lambda r: np.linalg.solve(L.T, np.linalg.solve(L, A.T @ r))
+            sol = solve(y)
+            return sol + solve(y - A @ sol), A.shape[1]
+    sol, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
+    return sol, int(rank)
 
 
 def _first_layer(model, class_index):
@@ -311,9 +351,9 @@ def _first_layer(model, class_index):
     head(H) of a first layer H that, on a row r, is r @ W + b, or for an
     rbf kernel machine (rbf = (sq, gamma)) -gamma times the squared
     distances from r to W's columns, whose squared norms sq holds. That
-    covers an SVR, a LinearModel, an MLPModel, and a one-vs-rest ensemble's
-    SVM or logistic member for the class. head may overwrite H. None for
-    every other model."""
+    covers an SVR, an MLPModel, and a one-vs-rest ensemble's SVM or
+    logistic member for the class. head may overwrite H. None for every
+    other model."""
     if isinstance(model, OvREnsemble):
         model = model.members[class_index]
     std = None
@@ -329,8 +369,6 @@ def _first_layer(model, class_index):
             return H @ model.coef + model.b
         return (std, np.ascontiguousarray(model.support_vectors.T), 0.0,
                 (model.sv_sq, model.gamma) if rbf else None, head)
-    if isinstance(model, LinearModel):
-        return std, model.w[:, None], model.b, None, lambda H: H[:, 0]
     if isinstance(model, LogisticModel):
         return std, model.w[:, None], model.b, None, lambda H: sigmoid(H[:, 0])
     if isinstance(model, MLPModel):
@@ -396,8 +434,12 @@ def shap_values(model, X, background=None, n_samples: int = 2048,
                 seed: int = 0, class_index: int | None = None):
     """Attribution matrix (one row per explained row) plus the expected
     value. CART, forest and GBT models, and one-vs-rest ensembles of them,
-    use the exact tree method; everything else, standardized models
-    included, uses the kernel method and requires a background dataset.
+    use the exact tree method. A LinearModel, behind an optional
+    standardizer, gets its exact interventional values against the
+    background, phi_j = w_j mean(x_j - g_j) over background rows g on the
+    scaled columns, and the expected value _mean(predict(background)).
+    Everything else, standardized models included, uses the kernel method.
+    Both need a background dataset.
     The kernel method scores every row against the coalitions drawn from
     seed, the models that _first_layer takes by _first_layer_values and
     any other model's by predicting the imputed rows, so a row's
@@ -457,6 +499,17 @@ def shap_values(model, X, background=None, n_samples: int = 2048,
 
     if background is None:
         raise ExplainError("a background dataset is required for this model")
+    if isinstance(inner, LinearModel):
+        # w'r + b is additive, so its interventional values are exact:
+        # phi_j = w_j mean_g(x_j - g_j) on the scaled row and background
+        expected[:] = _mean(np.asarray(model.predict(background),
+                                       dtype=np.float64))
+        if inner is not model:
+            X = model.standardizer.transform(X)
+            background = model.standardizer.transform(background)
+        for i, x in enumerate(X):
+            phi[i] = inner.w * np.mean(x - background, axis=0)
+        return phi, expected
     for i, c in enumerate(classes):
         if c is None:
             fn = lambda rows: np.asarray(model.predict(rows), dtype=np.float64)

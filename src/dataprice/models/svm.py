@@ -106,7 +106,9 @@ def fit_svm(X, y, C: float = 1.0, kernel: str = "linear", gamma: float = 1.0,
     Newton step (a curvature <= 0 counts as 1e-12), and beta_i rises and
     beta_j falls by that step, clipped to the box. It also stops after
     SMO_STEPS_PER_ROW steps per row. The bias is the mean F over free
-    multipliers, else the midpoint of the final gap.
+    multipliers, else the midpoint of the final gap. hyperparams record
+    the steps taken (iterations), the final gap and whether it fell within
+    tol (converged).
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     require_finite(X, y)
@@ -123,10 +125,12 @@ def fit_svm(X, y, C: float = 1.0, kernel: str = "linear", gamma: float = 1.0,
     lo, hi = np.minimum(0.0, C * y), np.maximum(0.0, C * y)
     beta = np.zeros(n)
     F = y.copy()
-    for _ in range(SMO_STEPS_PER_ROW * n):
+    cap = SMO_STEPS_PER_ROW * n
+    for steps in range(cap + 1):
         i = int(np.argmax(np.where(beta < hi, F, -np.inf)))
         gain = F[i] - np.where(beta > lo, F, np.inf)
-        if np.max(gain) <= tol:
+        gap = float(np.max(gain))
+        if gap <= tol or steps == cap:
             break
         curv = diag[i] + diag - 2.0 * K[i]
         curv[curv <= 0] = 1e-12
@@ -144,7 +148,8 @@ def fit_svm(X, y, C: float = 1.0, kernel: str = "linear", gamma: float = 1.0,
     sv = beta != 0
     return SVMModel(X[sv], beta[sv], b, kernel, gamma,
                     hyperparams={"C": C, "kernel": kernel, "gamma": gamma,
-                                 "tol": tol})
+                                 "tol": tol, "iterations": steps, "gap": gap,
+                                 "converged": bool(gap <= tol)})
 
 
 def _soft_box(s, thr: float, C: float):
@@ -193,7 +198,10 @@ def fit_svr(X, y, C: float = 1.0, epsilon: float = 0.1, kernel: str = "linear",
 
     by accelerated proximal gradient (FISTA); `svr_prox` handles the l1
     term, the box and the sum constraint jointly and exactly, by a
-    breakpoint search on the constraint multiplier.
+    breakpoint search on the constraint multiplier. It stops when an
+    iteration moves no multiplier by tol or more, or after max_iter
+    iterations; hyperparams record the iterations run and whether the tol
+    rule fired (converged).
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     require_finite(X, y)
@@ -210,14 +218,14 @@ def fit_svr(X, y, C: float = 1.0, epsilon: float = 0.1, kernel: str = "linear",
     z = beta.copy()
     t_prev = 1.0
     step = 1.0 / L
-    for _ in range(max_iter):
+    iterations, converged = 0, False
+    while iterations < max_iter and not converged:
+        iterations += 1
         grad = K @ z - y  # gradient of the smooth part (negated objective)
         beta_new = svr_prox(z - step * grad, step * epsilon, C)
         t = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_prev ** 2))
         z = beta_new + ((t_prev - 1.0) / t) * (beta_new - beta)
-        if np.max(np.abs(beta_new - beta)) < tol:
-            beta = beta_new
-            break
+        converged = bool(np.max(np.abs(beta_new - beta)) < tol)
         beta, t_prev = beta_new, t
 
     f_raw = K @ beta
@@ -231,4 +239,5 @@ def fit_svr(X, y, C: float = 1.0, epsilon: float = 0.1, kernel: str = "linear",
         sv = np.array([0])
     return SVRModel(X[sv], beta[sv], b, kernel, gamma,
                     hyperparams={"C": C, "epsilon": epsilon, "kernel": kernel,
-                                 "gamma": gamma, "tol": tol, "max_iter": max_iter})
+                                 "gamma": gamma, "tol": tol, "max_iter": max_iter,
+                                 "iterations": iterations, "converged": converged})

@@ -608,17 +608,24 @@ class TestKernelShap:
                         np.zeros(3), np.zeros((0, 3)))
 
     def test_underdetermined_design_warns(self):
-        # 16 sampled rows for 40 active columns
-        fn = lambda rows: np.atleast_2d(rows) @ np.arange(40.0)
+        # 40 active columns leave 39 unknowns. A complement row adds no rank
+        # to its partner's, so 39 rows (20 pairs) have rank 20 at most, and
+        # 78 rows repeat singletons: their estimates are off by 40.7 and 7.0
+        # of a largest |phi| of 53.5, so both must warn
+        w = np.arange(40.0)
+        fn = lambda rows: np.atleast_2d(rows) @ w
         rng = np.random.default_rng(5)
         x, background = rng.normal(size=40), rng.normal(size=(4, 40))
-        with pytest.warns(RuntimeWarning, match="16 rows for 40 active"):
-            phi, f0 = kernel_shap(fn, x, background, n_samples=16)
-        assert phi.sum() + f0 == pytest.approx(float(fn(x)[0]), abs=1e-8)
-        # as many rows as the unknowns, one per active column but the last
+        for n_samples, rank in ((16, 8), (39, 20), (78, 37)):
+            with pytest.warns(RuntimeWarning, match="%d rows of rank %d for 39 "
+                              "unknowns" % (n_samples, rank)):
+                phi, f0 = kernel_shap(fn, x, background, n_samples=n_samples)
+            assert phi.sum() + f0 == pytest.approx(float(fn(x)[0]), abs=1e-8)
+        # a design of full rank gets the exact values, and no warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            kernel_shap(fn, x, background, n_samples=39)
+            phi, _ = kernel_shap(fn, x, background, n_samples=120)
+        assert np.max(np.abs(phi - w * (x - background.mean(axis=0)))) < 1e-9
 
     @pytest.mark.parametrize("M", [2, 3, 6, 10])
     def test_exhaustive_design_never_warns(self, M):
@@ -635,6 +642,102 @@ class TestKernelShap:
         fn = lambda rows: np.atleast_2d(rows) @ np.arange(12.0)
         with pytest.raises(ExplainError, match="n_samples must be >= 2"):
             kernel_shap(fn, np.ones(12), np.zeros((4, 12)), n_samples=n_samples)
+
+
+# the solve that kernel_shap ran before the Cholesky factor
+_reference_lstsq = np.linalg.lstsq
+
+
+def reference_least_squares(A, y):
+    sol, _, rank, _ = _reference_lstsq(A, y, rcond=None)
+    return sol, int(rank)
+
+
+def _nonlinear_game(M, seed):
+    """(predict_fn, coalition_values, x, background) of a nonlinear model
+    on M columns and three background rows; coalition_values scores a
+    whole half design in one predict."""
+    rng = np.random.default_rng(seed)
+    a, c = rng.normal(size=M), rng.normal(size=M)
+
+    def fn(rows):
+        rows = np.atleast_2d(rows)
+        return np.sin(rows @ a) + rows[:, 0] * rows[:, -1] + rows ** 2 @ c
+
+    def values(x, background, Z):
+        return [fn(np.where(D[:, None, :] > 0, x, background).reshape(-1, M))
+                .reshape(len(D), -1).mean(axis=1) for D in (Z, 1.0 - Z)]
+    return fn, values, rng.normal(size=M), rng.normal(size=(3, M))
+
+
+class TestLeastSquares:
+    """The Cholesky solve against the SVD solve it replaced: within 1e-10
+    of the largest |phi| where the factor runs, and the same bits where
+    the solve falls back to np.linalg.lstsq."""
+
+    @staticmethod
+    def _solve(M, n_samples, seed, monkeypatch):
+        """(phi, reference phi, fell back, warned) of one design."""
+        fn, values, x, background = _nonlinear_game(M, 1000 * M + n_samples)
+        fallbacks = []
+        with monkeypatch.context() as m, warnings.catch_warnings(
+                record=True) as warned:
+            m.setattr(np.linalg, "lstsq", lambda *a, **k: (
+                fallbacks.append(1) or _reference_lstsq(*a, **k)))
+            warnings.simplefilter("always")
+            phi, _ = kernel_shap(fn, x, background, n_samples, seed,
+                                 coalition_values=values)
+        with monkeypatch.context() as m:
+            m.setattr(explain, "_least_squares", reference_least_squares)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                ref, _ = kernel_shap(fn, x, background, n_samples, seed,
+                                     coalition_values=values)
+        return phi, ref, bool(fallbacks), bool(warned)
+
+    def test_matches_the_reference_solve(self, monkeypatch):
+        # sampled designs of n_samples from M to 6M, odd counts included,
+        # and for M <= 9 exhaustive ones
+        cases = [(M, n) for M in range(2, 71, 4)
+                 for n in sorted({M, M + 1, 2 * M - 1, 2 * M + 1, 3 * M,
+                                  4 * M + 1, 6 * M})]
+        cases += [(M, 2048) for M in range(2, 10)]
+        factored = fell_back = fell_back_with_pairs = 0
+        for M, n_samples in cases:
+            phi, ref, fallback, warned = self._solve(M, n_samples, n_samples,
+                                                     monkeypatch)
+            if fallback:
+                fell_back += 1
+                # more pairs than unknowns, but repeated singletons
+                fell_back_with_pairs += n_samples // 2 > M - 1
+                assert phi.tobytes() == ref.tobytes(), (M, n_samples)
+            else:
+                factored += 1
+                assert not warned, (M, n_samples)  # the factor has full rank
+                assert (np.max(np.abs(phi - ref))
+                        <= 1e-10 * np.max(np.abs(ref))), (M, n_samples)
+        assert factored > 50 and fell_back > 20 and fell_back_with_pairs
+
+    def test_exhaustive_designs_take_the_factor(self, monkeypatch):
+        for M in range(2, 10):
+            _, _, fallback, warned = self._solve(M, 2048, 0, monkeypatch)
+            assert not fallback and not warned
+
+    def test_repeated_singletons_fall_back(self, monkeypatch):
+        # four pairs for three unknowns, but the singletons {0} and {1}
+        # each come twice, so the eliminated design has rank 2
+        half = np.array([[1, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0],
+                         [0, 1, 0, 0.0]])
+        Z = np.stack([half, 1.0 - half], axis=1).reshape(-1, 4)
+        A = Z[:, :3] - Z[:, [3]]
+        y = np.random.default_rng(0).normal(size=len(Z))
+        fallbacks = []
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: (
+            fallbacks.append(1) or _reference_lstsq(*a, **k)))
+        sol, rank = explain._least_squares(A, y)
+        assert fallbacks and rank == 2
+        ref, _ = reference_least_squares(A, y)
+        assert sol.tobytes() == ref.tobytes()
 
 
 # ------------------------------------------------- first-layer coalitions -----
@@ -664,12 +767,13 @@ def _coalition_data(p):
     return X, y, np.digitize(y, np.quantile(y, [1 / 3, 2 / 3]))
 
 
-FIRST_LAYER_MODELS = ["linear", "mlp", "mlp_classifier", "ovr_logistic"]
+FIRST_LAYER_MODELS = ["mlp", "mlp_classifier", "ovr_logistic"]
 
 
 def _first_layer_model(name, p):
-    """(model, class index or None) of a first-layer-affine model on
-    _coalition_data(p), standardized as the pipeline fits it."""
+    """(model, class index or None) of a first-layer-affine model, or of
+    the linear model, on _coalition_data(p), standardized as the pipeline
+    fits it."""
     X, y, yc = _coalition_data(p)
     if name == "linear":
         return fit_standardized(fit_linear, X, y), None
@@ -764,7 +868,7 @@ class TestKernelMachineValues:
             model for model, c in (_first_layer_model(name, 6)
                                    for name in FIRST_LAYER_MODELS)
             if (c is None) == (class_index is None)]
-        assert len(models) == 3
+        assert len(models) == (2 if class_index is None else 3)
         for model in models:
             calls, evaluate = [], getattr(model, method)
             setattr(model, method,
@@ -799,8 +903,6 @@ def reference_first_layer(model, class_index):
             return K @ model.coef + model.b
         return (std, np.ascontiguousarray(model.support_vectors.T), 0.0,
                 model.sv_sq if rbf else None, head)
-    if isinstance(model, LinearModel):
-        return std, model.w[:, None], model.b, None, lambda H: H[:, 0]
     if isinstance(model, LogisticModel):
         return std, model.w[:, None], model.b, None, lambda H: sigmoid(H[:, 0])
     assert isinstance(model, MLPModel)
@@ -903,8 +1005,7 @@ class TestFirstLayerEdgeCases:
         # column 1 holds one value in every row, so x equals every
         # background row there; p = 6 enumerates every coalition
         X, background, svr, _ = _kernel_machines(p, "rbf")
-        models = [(svr, None), _first_layer_model("linear", p),
-                  _first_layer_model("mlp", p)]
+        models = [(svr, None), _first_layer_model("mlp", p)]
         for model, c in models:
             phi, _ = _matches_predict_loop(model, c, X[:2], background,
                                            n_samples, 1)
@@ -945,6 +1046,82 @@ class TestFirstLayerEdgeCases:
         model = LinearModel(np.zeros(4), c)
         phi, expected = shap_values(model, rows[:1], background, 64, 0)
         assert np.all(phi == 0.0) and expected[0] == c
+
+
+class TestLinearClosedForm:
+    """A LinearModel, bare or behind a standardizer, gets its exact
+    interventional values w_j mean_g(x_j - g_j) over the background rows g,
+    on the scaled columns, without a coalition design."""
+
+    @staticmethod
+    def _model(p, standardized):
+        rng = np.random.default_rng(p)
+        X = rng.normal(size=(40, p)) * 2.0 + 1.0
+        y = X @ rng.normal(size=p) + 0.3 * rng.normal(size=40)
+        fit = (partial(fit_standardized, fit_linear) if standardized
+               else fit_linear)
+        return X, fit(X, y)
+
+    @pytest.mark.parametrize("standardized", [False, True])
+    @pytest.mark.parametrize("p", [1, 2, 3, 6, 10])
+    def test_matches_exhaustive_enumeration(self, p, standardized):
+        X, model = self._model(p, standardized)
+        background = X[20:27]
+        phi, expected = shap_values(model, X[:2], background)
+        # coalition code c holds column j when bit j is set
+        codes = np.arange(2 ** p)
+        present = (codes[:, None] >> np.arange(p)) & 1 > 0
+        sizes = present.sum(axis=1)
+        weight = np.array([math.factorial(s) * math.factorial(p - s - 1)
+                           / math.factorial(p) for s in range(p)])
+        for x, got in zip(X[:2], phi):
+            rows = np.where(present[:, None, :], x, background)
+            value = model.predict(rows.reshape(-1, p)).reshape(2 ** p, -1)
+            value = value.mean(axis=1)
+            exact = np.zeros(p)
+            for j in range(p):
+                without = ~present[:, j]
+                exact[j] = np.sum(weight[sizes[without]] * (
+                    value[codes[without] | (1 << j)] - value[without]))
+            assert np.max(np.abs(got - exact)) <= 1e-12 * np.max(np.abs(exact))
+        assert np.all(expected == explain._mean(model.predict(background)))
+
+    @pytest.mark.parametrize("standardized", [False, True])
+    def test_local_accuracy(self, standardized):
+        X, model = self._model(12, standardized)
+        phi, expected = shap_values(model, X[:20], X[20:40])
+        gap = phi.sum(axis=1) + expected - model.predict(X[:20])
+        assert np.max(np.abs(gap)) <= 1e-12
+
+    @pytest.mark.parametrize("standardized", [False, True])
+    def test_null_players_read_exactly_zero(self, standardized):
+        # x equals every background row in columns 0 and 3
+        X, model = self._model(6, standardized)
+        x, background = X[0], X[20:30].copy()
+        background[:, [0, 3]] = x[[0, 3]]
+        phi, _ = shap_values(model, x, background)
+        assert np.array_equal(phi[0] == 0.0, np.isin(np.arange(6), [0, 3]))
+        # a background of copies of x leaves nothing to attribute
+        phi, expected = shap_values(model, x, np.repeat(x[None, :], 4, axis=0))
+        assert np.all(phi == 0.0)
+        assert expected[0] == pytest.approx(float(model.predict(x[None])[0]),
+                                            abs=1e-12)
+
+    def test_a_row_evaluates_only_the_background(self):
+        # the kernel path also predicted the row itself
+        X, background, _, _ = _kernel_machines(6, "rbf")
+        model, _ = _first_layer_model("linear", 6)
+        calls, evaluate = [], model.predict
+        model.predict = lambda rows: calls.append(len(rows)) or evaluate(rows)
+        shap_values(model, X[:1], background, n_samples=64)
+        assert calls == [len(background)]
+
+    def test_a_full_rank_design_recovers_them(self):
+        # a linear model's coalition game is additive, so the predict loop
+        # returns its exact values wherever its design has full rank
+        X, background, _, _ = _kernel_machines(12, "rbf")
+        model, _ = _first_layer_model("linear", 12)
+        _matches_predict_loop(model, None, X[:2], background, 64, 5)
 
 
 class TestCoalitionDraw:

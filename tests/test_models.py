@@ -333,6 +333,22 @@ class TestSVM:
         assert np.all((alpha >= 0) & (alpha <= C))
         assert abs(m.coef.sum()) <= 1e-9
 
+    @pytest.mark.parametrize("kernel", ["linear", "rbf"])
+    def test_records_a_stop_on_the_gap(self, kernel):
+        X, y = self.noisy_linear(0)
+        m = fit_svm(X, y, C=1.0, kernel=kernel, gamma=0.5)
+        hp = m.hyperparams
+        assert hp["converged"] is True and 0.0 < hp["gap"] <= hp["tol"]
+        assert 0 < hp["iterations"] < svm.SMO_STEPS_PER_ROW * len(y)
+
+    def test_records_a_stop_at_the_cap(self, monkeypatch):
+        # one step per row ends 120 steps in, far from the KKT conditions
+        monkeypatch.setattr(svm, "SMO_STEPS_PER_ROW", 1)
+        X, y = self.noisy_linear(0)
+        hp = fit_svm(X, y, C=1.0, kernel="linear").hyperparams
+        assert hp["converged"] is False and hp["gap"] > hp["tol"]
+        assert hp["iterations"] == len(y)
+
 
 class TestSVR:
     def test_fits_linear_trend(self):
@@ -360,6 +376,28 @@ class TestSVR:
         y = X[:, 0] - 2 * X[:, 1] + 0.01 * rng.normal(size=30)
         m = fit_svr(X, y, C=5.0, epsilon=0.01, kernel="rbf", gamma=0.5)
         assert abs(float(np.sum(m.coef))) < 1e-6
+
+    def test_records_a_stop_on_tol(self):
+        # the fixtures of test_fits_linear_trend and
+        # test_predictions_inside_tube_ignored
+        rng = np.random.default_rng(11)
+        X = rng.uniform(-2, 2, size=(60, 1))
+        fits = [fit_svr(X, 3.0 * X[:, 0] + 1.0, C=10.0, epsilon=0.05,
+                        kernel="linear", max_iter=4000),
+                fit_svr(np.arange(4, dtype=float).reshape(-1, 1),
+                        np.array([0.01, -0.02, 0.015, 0.0]), C=1.0,
+                        epsilon=0.5, kernel="linear")]
+        for m in fits:
+            hp = m.hyperparams
+            assert hp["converged"] is True
+            assert 0 < hp["iterations"] < hp["max_iter"]
+
+    def test_records_a_stop_at_the_cap(self):
+        rng = np.random.default_rng(11)
+        X = rng.uniform(-2, 2, size=(60, 1))
+        hp = fit_svr(X, 3.0 * X[:, 0] + 1.0, C=10.0, epsilon=0.05,
+                     kernel="linear", max_iter=1).hyperparams
+        assert hp["converged"] is False and hp["iterations"] == 1
 
     def test_rejects_non_finite_input(self):
         rng = np.random.default_rng(14)

@@ -46,13 +46,18 @@ class TestSaveLoad:
     def test_svm(self, tmp_path):
         X, y = data()
         yy = np.where(y > 0, 1.0, -1.0)
-        self.roundtrip(fit_svm(X, yy, C=1.0, kernel="rbf", gamma=0.3), X,
-                       tmp_path, "decision_function")
+        model = fit_svm(X, yy, C=1.0, kernel="rbf", gamma=0.3)
+        back = self.roundtrip(model, X, tmp_path, "decision_function")
+        # the solver's stop: steps taken, final KKT gap, converged
+        assert back.hyperparams == model.hyperparams
+        assert {"iterations", "gap", "converged"} <= set(back.hyperparams)
 
     def test_svr(self, tmp_path):
         X, y = data()
-        self.roundtrip(fit_svr(X, y, kernel="rbf", gamma=0.3, max_iter=500),
-                       X, tmp_path)
+        model = fit_svr(X, y, kernel="rbf", gamma=0.3, max_iter=500)
+        back = self.roundtrip(model, X, tmp_path)
+        assert back.hyperparams == model.hyperparams
+        assert {"iterations", "converged"} <= set(back.hyperparams)
 
     def test_forest(self, tmp_path):
         X, y = data()
