@@ -21,10 +21,16 @@ scores the coalitions from each background row's first layer (its kernel
 terms' exponents, or its first affine layer), updated by the columns where
 the row differs from the explained one, instead of predicting the imputed
 rows. One product gives the first layers of the first coalition of every
-pair, offset included, and each complement's follows by one subtraction;
-the product and the model's head run over blocks of coalitions sized to
-stay in cache. Every method satisfies local accuracy: the attributions
-plus the expected value sum to the model output for the explained row.
+pair, offset included. Between them, a coalition and its complement
+take each column once from the explained row x and once from the
+background row g, so their first layers sum to C_g = H(g) + H(x): an
+rbf machine's complement has the kernel terms exp(C_g) / exp(H), one
+reciprocal of its partner's, and any other model's complement follows
+by one subtraction, as does an rbf complement where an exponent of C_g
+is below -700 and exp(C_g) would leave the normal doubles. The product
+and the model's head run over blocks of coalitions sized to stay in
+cache. Every method satisfies local accuracy: the attributions plus the
+expected value sum to the model output for the explained row.
 The tree and kernel methods explain a classifier's predicted class unless
 a class is named, and the
 kernel method draws one coalition design per call, so a row's
@@ -349,11 +355,11 @@ def _least_squares(A, y):
 def _first_layer(model, class_index):
     """(standardizer or None, W, b, rbf, head) when the explained output is
     head(H) of a first layer H that, on a row r, is r @ W + b, or for an
-    rbf kernel machine (rbf = (sq, gamma)) -gamma times the squared
-    distances from r to W's columns, whose squared norms sq holds. That
-    covers an SVR, an MLPModel, and a one-vs-rest ensemble's SVM or
-    logistic member for the class. head may overwrite H. None for every
-    other model."""
+    rbf kernel machine (rbf = (sq, gamma, coef, intercept)) -gamma times
+    the squared distances from r to W's columns, whose squared norms sq
+    holds, with the output exp(H) @ coef + intercept. That covers an SVR,
+    an MLPModel, and a one-vs-rest ensemble's SVM or logistic member for
+    the class. head may overwrite H. None for every other model."""
     if isinstance(model, OvREnsemble):
         model = model.members[class_index]
     std = None
@@ -368,7 +374,8 @@ def _first_layer(model, class_index):
                 np.exp(H, out=H)
             return H @ model.coef + model.b
         return (std, np.ascontiguousarray(model.support_vectors.T), 0.0,
-                (model.sv_sq, model.gamma) if rbf else None, head)
+                (model.sv_sq, model.gamma, model.coef, model.b) if rbf
+                else None, head)
     if isinstance(model, LogisticModel):
         return std, model.w[:, None], model.b, None, lambda H: sigmoid(H[:, 0])
     if isinstance(model, MLPModel):
@@ -380,8 +387,45 @@ def _first_layer(model, class_index):
 
 
 # bytes of the first layers of a block of coalitions and their complements,
-# so that a block's product and head run within a core's L2 cache
+# so that a block's product and head run within a core's L2 cache. Pairs
+# scored by reciprocal hold only their first rows' layers, which they
+# exponentiate and invert in place, so their blocks take twice the pairs
 _BLOCK_BYTES = 2 ** 20
+# an rbf background row's pairs are scored by reciprocal only when every
+# exponent of its complement constant C_g is at least this: both of a
+# pair's exponents lie in [C_g, 0], so exp of either and 1/exp of either
+# stay normal doubles (the smallest is about exp(-708.4))
+_EXP_SAFE = -700.0
+
+
+def _pairs_by_subtraction(ZJ, update, complement, head, H, rows, value):
+    """A background row's coalition values, by blocks of rows pairs: each
+    complement's first layer is complement - H(z), and the head takes the
+    block's first layers and theirs at once."""
+    n = len(ZJ)
+    for start in range(0, n, rows):
+        k = min(rows, n - start)
+        np.matmul(ZJ[start:start + k], update, out=H[:k])
+        np.subtract(complement, H[:k], out=H[k:2 * k])
+        value[:, start:start + k] = head(H[:2 * k]).reshape(2, k)
+
+
+def _pairs_by_reciprocal(ZJ, update, coef, scaled, intercept, H, rows,
+                         value):
+    """An rbf background row's coalition values, by blocks of rows pairs:
+    a complement's kernel terms are exp(C_g) / exp(H(z)), so one
+    exponential of the block gives the first rows' values, E @ coef, and
+    its reciprocal the complements', with scaled = coef exp(C_g)."""
+    n = len(ZJ)
+    for start in range(0, n, rows):
+        k = min(rows, n - start)
+        E = H[:k]
+        np.matmul(ZJ[start:start + k], update, out=E)
+        np.exp(E, out=E)
+        value[0, start:start + k] = E @ coef
+        np.reciprocal(E, out=E)
+        value[1, start:start + k] = E @ scaled
+    value += intercept
 
 
 def _first_layer_values(std, W, b, rbf, head, x, background, Z):
@@ -391,22 +435,31 @@ def _first_layer_values(std, W, b, rbf, head, x, background, Z):
     columns J where x and g differ, so its first layer is [Z_J | 1] @ [U;
     H(g)], where H(g) is g's first layer and U = ((x - g) W)_J, or for an
     rbf machine U = -gamma ((x - g)(x + g - 2w))_J on each column w of W.
-    The first layer of z's complement is then 2 H(g) + sum(U) - H(z). One
-    background row at a time, the product and the head run over blocks of
-    Z's rows and their complements of at most _BLOCK_BYTES; the values are
-    the _mean of the background rows' head outputs."""
+    A coalition z and its complement take each column once from x and once
+    from g, so their first layers sum to C_g = H(g) + H(x): the
+    complement's is C_g - H(z). For an rbf machine the complement's kernel
+    terms are then exp(C_g) / exp(H(z)), and its pairs are scored by
+    _pairs_by_reciprocal, one exponential and one reciprocal per block;
+    a background row with an exponent of C_g below _EXP_SAFE, and every
+    other model, is scored by _pairs_by_subtraction, which clamps the rbf
+    exponents at 0 and takes the head of both rows. One background row at
+    a time, the product and the head run over blocks of Z's rows of at
+    most _BLOCK_BYTES; the values are the _mean of the background rows'
+    head outputs."""
     if std is not None:  # elementwise, so it commutes with the imputation
         x, background = std.transform(x), std.transform(background)
     n, M = Z.shape
+    width = W.shape[1]
     if rbf is None:
         scale, base = 1.0, background @ W + b
     else:
         scale, base = -rbf[1], sq_distances(background, W.T, rbf[0])
         base *= scale
-    W1 = np.vstack([W, np.zeros(W.shape[1])])  # row M holds H(g)
+        H_x = scale * sq_distances(x[None, :], W.T, rbf[0])[0]
+    W1 = np.vstack([W, np.zeros(width)])  # row M holds H(g)
     Z1 = np.hstack([Z, np.ones((n, 1))])
-    rows = max(1, _BLOCK_BYTES // (16 * W.shape[1]))
-    H = np.empty((2 * min(rows, n), W.shape[1]))
+    rows = max(1, _BLOCK_BYTES // (16 * max(width, 1)))
+    H = np.empty((2 * min(rows, n), width))
     values = np.empty((len(background), 2, n))
     for g, base_g, value in zip(background, base, values):
         J = np.flatnonzero(x != g)
@@ -418,13 +471,15 @@ def _first_layer_values(std, W, b, rbf, head, x, background, Z):
             U += (x + g)[J, None]
         U *= (scale * (x - g)[J])[:, None]
         update[-1] = base_g
-        complement = update.sum(axis=0) + base_g
         ZJ = Z1[:, cols]
-        for start in range(0, n, rows):
-            k = min(rows, n - start)
-            np.matmul(ZJ[start:start + k], update, out=H[:k])
-            np.subtract(complement, H[:k], out=H[k:2 * k])
-            value[:, start:start + k] = head(H[:2 * k]).reshape(2, k)
+        if rbf is not None:
+            C_g = base_g + H_x
+            if not (C_g < _EXP_SAFE).any():
+                _pairs_by_reciprocal(ZJ, update, rbf[2], rbf[2] * np.exp(C_g),
+                                     rbf[3], H, 2 * rows, value)
+                continue
+        _pairs_by_subtraction(ZJ, update, update.sum(axis=0) + base_g, head,
+                              H, rows, value)
     return _mean(values, axis=0)
 
 

@@ -530,9 +530,12 @@ class TestPipeline:
         assert len(lines) == 1 + 5  # header + m selected features
 
 
+@pytest.mark.parametrize("task", ["classification", "regression"])
 @pytest.mark.parametrize("family", ["linear", "mlp", "svm"])
-def test_explain_classifier_with_kernel_method(tmp_path, family):
-    config, raw = write_config(tmp_path, target={"task": "classification"},
+def test_explain_with_kernel_method(tmp_path, family, task):
+    # a regression svm is an SVR, a classification one one-vs-rest SVMs;
+    # a linear regression takes the closed form instead
+    config, raw = write_config(tmp_path, target={"task": task},
                                train={"representation": "bow", "family": family})
     out = Path(raw["out_dir"])
     for stage in ["ingest", "featurize", "train", "explain"]:

@@ -967,17 +967,69 @@ class TestFirstLayerReference:
         self._check([_first_layer_model(name, 12)], X, background,
                     monkeypatch)
 
+    def test_one_call_takes_both_rbf_branches(self, monkeypatch):
+        # at gamma = 10, 35 of the 39 (row, background row) combinations
+        # have an exponent of C_g below _EXP_SAFE and fall back
+        X, background, svr, svm = _kernel_machines(12, "rbf", 10.0)
+        calls = _spy_branches(monkeypatch)
+        for model, c in ((svr, None), (svm, 0), (svm, 2)):
+            calls.clear()
+            for x in X[:3]:
+                _first_layer_values(*_first_layer(model, c), x, background,
+                                    np.ones((5, 12)))
+            assert calls == {"reciprocal": 4, "subtraction": 35}
+
+    @pytest.mark.parametrize("gamma, branch", [
+        (0.01, "reciprocal"), (0.01, "subtraction"), (1.0, "reciprocal"),
+        (1.0, "subtraction"), (10.0, "subtraction")])
+    def test_each_rbf_branch_alone(self, gamma, branch, monkeypatch):
+        # every background row takes the branch; at gamma = 10 the
+        # reciprocal's exp(C_g) underflows, which is what the guard is for
+        monkeypatch.setattr(explain, "_EXP_SAFE",
+                            -np.inf if branch == "reciprocal" else np.inf)
+        calls = _spy_branches(monkeypatch)
+        X, background, svr, svm = _kernel_machines(12, "rbf", gamma)
+        self._check([(svr, None), (svm, 0), (svm, 2)], X, background,
+                    monkeypatch)
+        assert set(calls) == {branch}
+
+
+def _spy_branches(monkeypatch):
+    """Count the background rows that each of _first_layer_values' two
+    ways of scoring pairs takes; returns the counts, keyed by branch."""
+    calls = {}
+    for branch in ("reciprocal", "subtraction"):
+        name = "_pairs_by_" + branch
+        score = getattr(explain, name)
+
+        def spy(*args, branch=branch, score=score):
+            calls[branch] = calls.get(branch, 0) + 1
+            return score(*args)
+        monkeypatch.setattr(explain, name, spy)
+    return calls
+
 
 class TestFirstLayerEdgeCases:
     """Every model kind that _first_layer takes matches the predict loop
     and keeps local accuracy where the pairs or the blocks have an edge."""
 
     @pytest.mark.parametrize("n_samples", [3, 7, 33])
-    def test_odd_n_samples(self, n_samples):
-        # the last pair's complement is scored and dropped
+    def test_odd_n_samples(self, n_samples, monkeypatch):
+        # the last pair's complement is scored and dropped, by reciprocal
+        # for every background row of the SVR and the SVM member
         X, background, _, _ = _kernel_machines(12, "rbf")
+        calls = _spy_branches(monkeypatch)
         for model, c in _first_layer_models(12):
             _matches_predict_loop(model, c, X[:2], background, n_samples, 3)
+        assert calls["reciprocal"] == 2 * 2 * len(background)
+
+    @pytest.mark.parametrize("kernel", ["rbf", "linear"])
+    def test_no_support_vectors(self, kernel):
+        # a first layer of width 0: every coalition value is the offset
+        rows = np.random.default_rng(97).normal(size=(6, 4))
+        svr = SVRModel(np.zeros((0, 4)), [], 0.5, kernel, 0.1)
+        phi, expected = shap_values(svr, rows[:1], rows[1:], 64, 0)
+        assert np.all(phi == 0.0) and expected[0] == 0.5
 
     @pytest.mark.parametrize("M", range(2, 9))
     def test_exhaustive_designs_give_exact_shapley_values(self, M):
