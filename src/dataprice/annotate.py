@@ -13,13 +13,13 @@ import csv
 import hashlib
 import json
 import math
+import os
 import re
+import tempfile
 import time
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-
-import requests
 
 from .corpus import INDUSTRY_COLUMNS, industry_scores_of
 from .textrep.tokenizer import tokenize
@@ -86,13 +86,24 @@ def _cache_path(cache_dir: str, prompt: str, model: str) -> Path:
 def call_llm(request: AnnotationRequest, prompt: str) -> str:
     """One chat completion at temperature 0, with exponential-backoff
     retries and an on-disk response cache keyed by (prompt, model)."""
+    return _completion(request, prompt, lambda content: content)
+
+
+def _completion(request: AnnotationRequest, prompt: str, parse):
+    """parse(completion), through call_llm's cache and retries. Only a
+    completion that parse accepts is cached, and a cached one it rejects
+    is asked for again."""
     if request.endpoint is None:
         raise TransportError("no endpoint configured")
     cache_file = None
     if request.cache_dir:
         cache_file = _cache_path(request.cache_dir, prompt, request.model)
         if cache_file.exists():
-            return cache_file.read_text(encoding="utf-8")
+            try:
+                return parse(cache_file.read_text(encoding="utf-8"))
+            except AnnotationError:
+                pass
+    import requests  # only a call that posts pays for the HTTP stack
 
     url = request.endpoint.rstrip("/") + "/chat/completions"
     headers = {"Content-Type": "application/json"}
@@ -120,14 +131,28 @@ def call_llm(request: AnnotationRequest, prompt: str) -> str:
             content = resp.json()["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError) as exc:
             raise TransportError("malformed completion payload: %s" % exc)
+        value = parse(content)
         if cache_file:
-            cache_file.parent.mkdir(parents=True, exist_ok=True)
-            tmp = cache_file.with_suffix(".tmp")
-            tmp.write_text(content, encoding="utf-8")
-            tmp.replace(cache_file)  # atomic: concurrent writers agree on the value
-        return content
+            _write_atomic(cache_file, content)
+        return value
     raise TransportError("gave up after %d attempts (%s)"
                          % (request.retries + 1, last_error))
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write text to a temporary file of this writer's own in path's
+    directory, then rename it over path, so concurrent writers of one key
+    never share a temporary file and a reader sees a whole entry."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem,
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # --------------------------------------------------------------- parsers ----
@@ -274,15 +299,12 @@ def annotate(request: AnnotationRequest, batch_size: int = 16):
     endpoint the deterministic offline rules are used."""
     if request.endpoint is None:
         return fallback_annotate(request.kind, request.texts)
+    parse = parse_refund if request.kind == "refund" else parse_industry
     out = []
     for start in range(0, len(request.texts), batch_size):
         batch = request.texts[start:start + batch_size]
-        prompt = build_prompt(request.kind, batch)
-        raw = call_llm(request, prompt)
-        if request.kind == "refund":
-            out.extend(parse_refund(raw, len(batch)))
-        else:
-            out.extend(parse_industry(raw, len(batch)))
+        out.extend(_completion(request, build_prompt(request.kind, batch),
+                               lambda raw: parse(raw, len(batch))))
     return out
 
 

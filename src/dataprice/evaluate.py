@@ -4,7 +4,6 @@ curves."""
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import os
 import warnings
@@ -352,7 +351,8 @@ def _map_units(fn, shared: tuple, units, workers: int) -> list:
     n = min(workers, cpus, len(units))
     if n <= 1 or not hasattr(os, "fork"):
         return [fn(*shared, unit) for unit in units]
-    import multiprocessing  # only pooled runs pay for the import
+    import concurrent.futures  # only pooled runs pay for these imports
+    import multiprocessing
 
     with concurrent.futures.ProcessPoolExecutor(
             max_workers=n, mp_context=multiprocessing.get_context("fork"),

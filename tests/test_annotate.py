@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from importlib import resources
@@ -6,6 +9,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+import dataprice
 from dataprice.annotate import (AnnotationError, AnnotationRequest,
                                 TransportError, annotate, annotate_file,
                                 build_prompt, call_llm, fallback_industry_vector,
@@ -252,6 +256,51 @@ class TestTransport:
         assert server.requests == 1
         assert len(list(tmp_path.glob("*.txt"))) == 1
 
+    def test_malformed_completion_not_cached(self, mock_llm, tmp_path):
+        server = mock_llm("no levels here")
+        req = AnnotationRequest("refund", ["x"], endpoint=server.url,
+                                cache_dir=str(tmp_path))
+        with pytest.raises(AnnotationError, match="no integer array"):
+            annotate(req)
+        assert list(tmp_path.iterdir()) == []
+        server.content = "[3]"
+        assert annotate(req) == [3]
+        assert server.requests == 2
+
+    def test_rejected_cache_entry_asked_again(self, mock_llm, tmp_path):
+        server = mock_llm("[4]")
+        req = AnnotationRequest("refund", ["x"], endpoint=server.url,
+                                cache_dir=str(tmp_path))
+        assert annotate(req) == [4]
+        (entry,) = tmp_path.glob("*.txt")
+        entry.write_text("[9]", encoding="utf-8")  # out of range: rejected
+        assert annotate(req) == [4]
+        assert server.requests == 2
+        assert entry.read_text(encoding="utf-8") == "[4]"
+
+    def test_second_writer_between_write_and_rename(self, mock_llm, tmp_path,
+                                                    monkeypatch):
+        # the first call's rename runs a second call for the same key
+        # before it renames its own file
+        server = mock_llm("[1, 2]")
+        req = AnnotationRequest("refund", ["a", "b"], endpoint=server.url,
+                                cache_dir=str(tmp_path))
+        real_replace, nested = os.replace, []
+
+        def replace(src, dst):
+            if not nested:
+                nested.append(None)
+                nested[0] = call_llm(req, "prompt")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        assert call_llm(req, "prompt") == "[1, 2]"
+        assert nested == ["[1, 2]"]
+        assert server.requests == 2
+        (entry,) = tmp_path.iterdir()
+        assert entry.suffix == ".txt"
+        assert entry.read_text(encoding="utf-8") == "[1, 2]"
+
     def test_retry_then_success(self, mock_llm):
         server = mock_llm("[3]", fail_first=1)
         req = AnnotationRequest("refund", ["x"], endpoint=server.url,
@@ -384,3 +433,25 @@ class TestAnnotateFile:
         src.write_text("data")
         with pytest.raises(AnnotationError, match="format"):
             annotate_file(src, tmp_path / "out.jsonl", format="parquet")
+
+
+class TestImportSurface:
+    def test_offline_run_loads_no_http_stack(self, tmp_path):
+        # a fresh interpreter: pytest's own plugins may import requests
+        src = tmp_path / "raw.jsonl"
+        src.write_text(json.dumps(TestAnnotateFile().rows()[0]) + "\n",
+                       encoding="utf-8")
+        code = ("import sys\n"
+                "import dataprice, dataprice.cli\n"
+                "from dataprice.annotate import annotate_file\n"
+                "annotate_file(sys.argv[1], sys.argv[2], format='jsonl')\n"
+                "print(sorted(m for m in ('requests', 'urllib3')"
+                " if m in sys.modules))\n")
+        root = os.path.dirname(os.path.dirname(dataprice.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [root] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(src), str(tmp_path / "out.jsonl")],
+            env=env, capture_output=True, text=True, check=True, timeout=120)
+        assert out.stdout.strip() == "[]"
+        assert (tmp_path / "out.jsonl").exists()
