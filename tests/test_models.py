@@ -370,12 +370,56 @@ class TestSVR:
         assert epsilon_loss(np.array([0.3, -0.05, 1.1]), 0.1).tolist() == \
             pytest.approx([0.2, 0.0, 1.0])
 
-    def test_sum_constraint_respected(self):
+    @staticmethod
+    def planar():
         rng = np.random.default_rng(12)
         X = rng.normal(size=(30, 2))
-        y = X[:, 0] - 2 * X[:, 1] + 0.01 * rng.normal(size=30)
+        return X, X[:, 0] - 2 * X[:, 1] + 0.01 * rng.normal(size=30)
+
+    def test_sum_constraint_respected(self):
+        X, y = self.planar()
         m = fit_svr(X, y, C=5.0, epsilon=0.01, kernel="rbf", gamma=0.5)
         assert abs(float(np.sum(m.coef))) < 1e-6
+        hp = m.hyperparams
+        assert hp["converged"] is True and hp["iterations"] < hp["max_iter"]
+
+    def test_saved_fit_certifies_its_gap(self):
+        # P and D of the collapsed dual, from the saved coefficients, bias
+        # and training predictions alone
+        X, y = self.planar()
+        C, eps = 5.0, 0.01
+        m = fit_svr(X, y, C=C, epsilon=eps, kernel="rbf", gamma=0.5)
+        beta = np.zeros(len(y))
+        for sv, c in zip(m.support_vectors, m.coef):
+            beta[np.flatnonzero((X == sv).all(axis=1))] = c
+        f = m.predict(X)
+        quad = float(beta @ (f - m.b))  # beta' K beta
+        dual = -0.5 * quad - eps * float(np.abs(beta).sum()) + float(y @ beta)
+        primal = 0.5 * quad + C * float(epsilon_loss(f - y, eps).sum())
+        assert primal > 0
+        assert (primal - dual) / primal <= m.hyperparams["tol"]
+        assert (primal - dual) / primal == pytest.approx(m.hyperparams["gap"],
+                                                         abs=1e-9)
+
+    def test_linear_kernel_short_of_its_gap_at_the_cap(self):
+        # a linear kernel with p < n and C = 10 needs about 18,000
+        # iterations to certify 1e-4
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(200, 20))
+        y = X @ rng.normal(size=20) + 0.1 * rng.normal(size=200)
+        hp = fit_svr(X, y, C=10.0, epsilon=0.1, kernel="linear",
+                     max_iter=2000).hyperparams
+        assert hp["converged"] is False and hp["gap"] > hp["tol"]
+        assert hp["iterations"] == hp["max_iter"]
+
+    @pytest.mark.parametrize("bad, match", [
+        ({"max_iter": 0}, "max_iter must be >= 1"),
+        ({"tol": -1e-6}, "tol must be >= 0"),
+    ])
+    def test_rejects_bad_stop_settings(self, bad, match):
+        X = np.arange(8, dtype=float).reshape(-1, 1)
+        with pytest.raises(ModelError, match=match):
+            fit_svr(X, 2.0 * X[:, 0], **bad)
 
     def test_records_a_stop_on_tol(self):
         # the fixtures of test_fits_linear_trend and
@@ -1014,6 +1058,22 @@ def _ref_svr_prox(z, thr, C):
     return solve(0.5 * (lo + hi))
 
 
+def _full_sort_svr_prox(z, thr, C):
+    """The breakpoint search as it was before it sorted z first: one stable
+    sort of all 4n breakpoints."""
+    n = len(z)
+    knots = np.concatenate((z - (thr + C), z - thr, z + thr, z + (thr + C)))
+    order = np.argsort(knots, kind="stable")
+    knots = knots[order]
+    slope = np.cumsum(svm._KNOT_SLOPES[order // n])
+    at_knot = n * C + np.concatenate(
+        ([0.0], np.cumsum(slope[:-1] * np.diff(knots))))
+    k = int(np.argmax(at_knot <= 0.0))
+    lo = knots[k - 1]
+    nu = lo - svm._soft_box(z - lo, thr, C).sum() / slope[k - 1]
+    return svm._soft_box(z - nu, thr, C)
+
+
 def _prox_cases():
     rng = np.random.default_rng(21)
     for i in range(400):
@@ -1033,6 +1093,12 @@ class TestSVRProx:
             diff = svm.svr_prox(z, thr, C) - _ref_svr_prox(z, thr, C)
             worst = max(worst, float(np.max(np.abs(diff))) / max(C, 1.0))
         assert worst < 1e-9
+
+    def test_merged_runs_match_the_full_sort(self):
+        # bit for bit, tied breakpoints of the rounded z included
+        for z, thr, C in _prox_cases():
+            assert np.array_equal(svm.svr_prox(z, thr, C),
+                                  _full_sort_svr_prox(z, thr, C))
 
     def test_meets_sum_and_box(self):
         for z, thr, C in _prox_cases():
@@ -1057,10 +1123,15 @@ class TestSVRProx:
             X = rng.normal(size=(30, 2))
             y = X[:, 0] - 2 * X[:, 1] + 0.01 * rng.normal(size=30)
             kw = dict(C=5.0, epsilon=0.01, kernel="rbf", gamma=0.5)
+        # the same number of iterations for both, as a gap stop could end
+        # the two a step apart: with tol = 0 only a gap rounded to 0 or
+        # below stops m early, and the reference then runs as far
+        kw = dict(kw, tol=0.0)
         Xt = np.vstack([X, X[:5] + 0.5])
         m = fit_svr(X, y, **kw)
         monkeypatch.setattr(svm, "svr_prox", _ref_svr_prox)
-        ref = fit_svr(X, y, **kw)
+        ref = fit_svr(X, y, **dict(kw, max_iter=m.hyperparams["iterations"]))
+        assert m.hyperparams["iterations"] == ref.hyperparams["iterations"]
         assert len(m.coef) == len(ref.coef)
         assert np.max(np.abs(m.predict(Xt) - ref.predict(Xt))) < 1e-9
 

@@ -57,7 +57,7 @@ class TestSaveLoad:
         model = fit_svr(X, y, kernel="rbf", gamma=0.3, max_iter=500)
         back = self.roundtrip(model, X, tmp_path)
         assert back.hyperparams == model.hyperparams
-        assert {"iterations", "converged"} <= set(back.hyperparams)
+        assert {"iterations", "gap", "converged"} <= set(back.hyperparams)
 
     def test_forest(self, tmp_path):
         X, y = data()

@@ -20,7 +20,11 @@ output) holds
   representations   per representation: fit_s (fit plus the training
                     features; for word2vec and bertopic, on the fitted
                     table) and transform_s (the test features);
-  cells             per representation, per family: seconds and metrics;
+  cells             per representation, per family: seconds, metrics and
+                    how an iterative fit stopped: iterations, converged
+                    and gap where the model's hyperparams record them, and
+                    for a one-vs-rest ensemble unconverged_members, its
+                    members that record converged: false;
   mrmr              per representation: mrmr_select's seconds on the
                     fold's training columns, at the curve's m (the last of
                     the default curve.m_values, 10) and at every column,
@@ -71,6 +75,18 @@ def log_likelihood(model, texts, theta) -> float:
             total += float(np.log(th @ model.phi[:, ids]).sum())
             count += len(ids)
     return total / count
+
+
+def stop_record(model) -> dict:
+    """How a fit stopped, from what its hyperparams record; versions whose
+    SVR records no gap leave it out."""
+    hp = model.hyperparams
+    out = {k: hp[k] for k in ("iterations", "converged", "gap") if k in hp}
+    members = getattr(model, "members", None)
+    if members is not None:
+        out["unconverged_members"] = sum(
+            m.hyperparams.get("converged") is False for m in members)
+    return out
 
 
 def time_fold(task: str, fold: int, reps: list) -> dict:
@@ -143,7 +159,8 @@ def time_fold(task: str, fold: int, reps: list) -> dict:
                                   cfg, cell_seed)
             metrics = ev.cell_metrics(model, fte, data.y[test], task)
             cells[family] = {"s": round(time.perf_counter() - t0, 4),
-                             **{m: round(v, 6) for m, v in metrics.items()}}
+                             **{m: round(v, 6) for m, v in metrics.items()},
+                             **stop_record(model)}
         if rep == "lda":
             model = fitted[-1]
             out["lda"] = {
