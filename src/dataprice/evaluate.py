@@ -45,7 +45,7 @@ DEFAULT_CONFIG = {
     "cart": {"max_depth": 8, "min_leaf": 2},
     "svm": {"C": 1.0, "kernel": "rbf", "gamma": 0.01, "tol": 1e-3},
     "svr": {"C": 1.0, "epsilon": 0.1, "kernel": "rbf", "gamma": 0.01,
-            "max_iter": 2000},
+            "max_iter": None},
     "forest": {"n_trees": 25, "max_depth": 10, "min_leaf": 2},
     "gbt": {"n_rounds": 30, "learning_rate": 0.3, "lam": 1.0, "max_depth": 3,
             "min_leaf": 2},

@@ -504,7 +504,10 @@ def shap_values(model, X, background=None, n_samples: int = 2048,
     defaults to each row's predicted class, and one outside the model's
     classes raises ExplainError. A regression model's output and a GBT's
     raw score name no class, so there class_index is ignored. A bare binary
-    SVM or logistic model has no score per class and raises ExplainError."""
+    SVM or logistic model has no score per class and raises ExplainError.
+    A one-vs-rest ensemble's member for a class absent from training is
+    constant: a row explained for that class gets phi 0 and the member's
+    score as its expected value, without the kernel method."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if not np.isfinite(X).all():
         raise ExplainError("the explained rows hold a non-finite value")
@@ -530,16 +533,23 @@ def shap_values(model, X, background=None, n_samples: int = 2048,
         classes = model.predict(X).tolist()
     phi = np.zeros((n, p))
     expected = np.zeros(n)
+    live = range(n)
 
-    if isinstance(model, OvREnsemble) and all(
-            _is_tree(m) or m.family == "constant_score" for m in model.members):
+    if isinstance(model, OvREnsemble):
+        # a class absent from training has a constant member: phi 0 and
+        # its score as the expected value
+        live = []
         for i, c in enumerate(classes):
-            member = model.members[c]
-            if member.family == "constant_score":
-                expected[i] = member.SCORE
-                continue
-            phi[i:i + 1], expected[i:i + 1] = shap_values(member, X[i:i + 1])
-        return phi, expected
+            if model.members[c].family == "constant_score":
+                expected[i] = model.members[c].SCORE
+            else:
+                live.append(i)
+        if all(_is_tree(m) or m.family == "constant_score"
+               for m in model.members):
+            for i in live:
+                phi[i:i + 1], expected[i:i + 1] = shap_values(
+                    model.members[classes[i]], X[i:i + 1])
+            return phi, expected
     if _is_tree(model):
         paths, w, offset, divisor = _tree_sum(model)
         for i, c in enumerate(classes):
@@ -565,7 +575,8 @@ def shap_values(model, X, background=None, n_samples: int = 2048,
         for i, x in enumerate(X):
             phi[i] = inner.w * np.mean(x - background, axis=0)
         return phi, expected
-    for i, c in enumerate(classes):
+    for i in live:
+        c = classes[i]
         if c is None:
             fn = lambda rows: np.asarray(model.predict(rows), dtype=np.float64)
         else:

@@ -15,12 +15,12 @@ from dataprice.explain import (ExplainError, _first_layer,
                                embedding_keywords, global_importance,
                                kernel_shap, shap_values, shapley_kernel_weight,
                                tree_expected, tree_shap)
-from dataprice.models import (CARTModel, ForestModel, GBTModel, LinearModel,
-                              LogisticModel, MLPModel, OvREnsemble,
-                              StandardizedModel, SVMModel, SVRModel, fit_cart,
-                              fit_forest, fit_gbt, fit_linear, fit_logistic,
-                              fit_mlp, fit_standardized, fit_svm, fit_svr,
-                              one_vs_rest)
+from dataprice.models import (CARTModel, ConstantScoreModel, ForestModel,
+                              GBTModel, LinearModel, LogisticModel, MLPModel,
+                              OvREnsemble, StandardizedModel, SVMModel,
+                              SVRModel, fit_cart, fit_forest, fit_gbt,
+                              fit_linear, fit_logistic, fit_mlp,
+                              fit_standardized, fit_svm, fit_svr, one_vs_rest)
 from dataprice.models.linear import sigmoid
 from dataprice.models.svm import rbf_in_place, sq_distances
 from dataprice.textrep.word2vec import EmbeddingTable
@@ -1287,6 +1287,26 @@ class TestDispatch:
         with pytest.raises(ExplainError, match="out of range.* 0 to 2"):
             shap_values(model, X[:1], X[:5], n_samples=16,
                         class_index=class_index)
+
+    def test_absent_class_of_a_kernel_ensemble_reads_its_score(self,
+                                                                monkeypatch):
+        # the member of class 2 is constant: phi 0 and its score, with no
+        # coalition scored by the ensemble
+        X, _, yc = _coalition_data(4)
+        with pytest.warns(UserWarning, match="absent"):
+            model = one_vs_rest(partial(fit_standardized, fit_svm,
+                                        kernel="rbf", gamma=0.2),
+                                X, np.minimum(yc, 1), n_classes=3,
+                                labels="pm1")
+        assert model.members[2].family == "constant_score"
+
+        def refuse(rows):
+            raise AssertionError("predict_scores called")
+        monkeypatch.setattr(model, "predict_scores", refuse)
+        phi, expected = shap_values(model, X[:3], X[40:45], n_samples=16,
+                                    class_index=2)
+        assert np.all(phi == 0.0)
+        assert expected.tolist() == [ConstantScoreModel.SCORE] * 3
 
     def test_kernel_path_linear_model(self):
         X, y = make_data(13, n=60)

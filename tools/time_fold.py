@@ -22,9 +22,10 @@ output) holds
                     table) and transform_s (the test features);
   cells             per representation, per family: seconds, metrics and
                     how an iterative fit stopped: iterations, converged
-                    and gap where the model's hyperparams record them, and
-                    for a one-vs-rest ensemble unconverged_members, its
-                    members that record converged: false;
+                    and gap where the model's hyperparams record them, for
+                    an SVR its support_vectors, and for a one-vs-rest
+                    ensemble unconverged_members, its members that record
+                    converged: false;
   mrmr              per representation: mrmr_select's seconds on the
                     fold's training columns, at the curve's m (the last of
                     the default curve.m_values, 10) and at every column,
@@ -78,10 +79,13 @@ def log_likelihood(model, texts, theta) -> float:
 
 
 def stop_record(model) -> dict:
-    """How a fit stopped, from what its hyperparams record; versions whose
-    SVR records no gap leave it out."""
+    """How a fit stopped, from what its hyperparams record (versions whose
+    SVR records no gap leave it out), and an SVR's support vectors."""
     hp = model.hyperparams
     out = {k: hp[k] for k in ("iterations", "converged", "gap") if k in hp}
+    inner = getattr(model, "inner", model)  # behind a standardizer
+    if inner.family == "svr":
+        out["support_vectors"] = len(inner.coef)
     members = getattr(model, "members", None)
     if members is not None:
         out["unconverged_members"] = sum(
