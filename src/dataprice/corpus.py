@@ -6,7 +6,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -142,6 +142,7 @@ class DescriptiveStats:
 
 _REQUIRED_FIELDS = ["id", "name", "detail", "description"] + STRUCTURED_COLUMNS + ["price"]
 _INT_FIELDS = set(STRUCTURED_COLUMNS)
+_FIELDS = [f.name for f in fields(DataProduct)]
 
 
 def industry_scores_of(rec: dict, row_index: int) -> list[float] | None:
@@ -220,19 +221,27 @@ def load_products(path, format: str = "csv") -> list[DataProduct]:
     return products
 
 
+def _record(p: DataProduct) -> dict:
+    """The fields of p by name, as dataclasses.asdict gives them, without
+    its deep copy of every value: only industry_scores is copied."""
+    rec = {f: getattr(p, f) for f in _FIELDS}
+    if p.industry_scores is not None:
+        rec["industry_scores"] = list(p.industry_scores)
+    return rec
+
+
 def save_products(products: list[DataProduct], path, format: str = "jsonl") -> None:
     if format == "jsonl":
         with open(path, "w", encoding="utf-8") as fh:
             for p in products:
-                fh.write(json.dumps(asdict(p), sort_keys=True) + "\n")
+                fh.write(json.dumps(_record(p), sort_keys=True) + "\n")
     elif format == "csv":
         with open(path, "w", newline="", encoding="utf-8") as fh:
             header = list(_REQUIRED_FIELDS) + INDUSTRY_COLUMNS
             w = csv.writer(fh)
             w.writerow(header)
             for p in products:
-                d = asdict(p)
-                row = [d[f] for f in _REQUIRED_FIELDS]
+                row = [getattr(p, f) for f in _REQUIRED_FIELDS]
                 row += list(p.industry_scores) if p.industry_scores else [""] * 12
                 w.writerow(row)
     else:

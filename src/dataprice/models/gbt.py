@@ -13,6 +13,12 @@ the one binned X. A target may be held to a prefix of X's columns, which
 grow's draw hook gives its nodes, so one call also boosts the models of
 several column counts. Each round updates the training predictions with
 the leaf values written while growing.
+
+Every round's roots hold all of X's rows and search the same columns; only
+the derivatives change. So the first round's plan of the roots' search
+(the bins, candidates and left counts of tree.py's _Plan) serves every
+later round, which only scores it. Deeper levels are planned afresh each
+round, as their rows depend on the round's splits.
 """
 
 from __future__ import annotations
@@ -165,6 +171,7 @@ def fit_gbts(X, targets, n_rounds: int = 50, learning_rate: float = 0.3,
     raw = np.repeat(base, n).reshape(T, n)
     trees = [[] for _ in range(T)]
     binned, src = Binned(X), np.tile(np.arange(n), T)
+    memo = {}  # the roots' plan, the same every round
     for _ in range(n_rounds):
         if loss == "squared":
             booster = _Booster((raw - y).ravel(), None, lam, gamma_pen)
@@ -173,7 +180,7 @@ def fit_gbts(X, targets, n_rounds: int = 50, learning_rate: float = 0.3,
             booster = _Booster((prob - y).ravel(),
                                (prob * (1.0 - prob)).ravel(), lam, gamma_pen)
         roots = grow(binned, src, [n] * T, booster, max_depth, min_leaf,
-                     draw)
+                     draw, memo)
         for tree, root in zip(trees, roots):
             tree.append(root)
         raw += learning_rate * booster.step.reshape(T, n)

@@ -15,14 +15,27 @@ each one np.bincount over the rows in ascending order. A forest node's
 histogram covers only its drawn columns. The bins are numbered through a
 table of every bin of the open nodes' columns while that table is small,
 else by sorting, so a deep level of many small nodes holds no more bins
-than it has (row, column) pairs. Cumulative sums run over each (node,
-column)'s occurring values, ascending, one value at a time. The
-candidate splits lie between consecutive occurring values, with at least
-min_leaf rows on each side, and the threshold is the midpoint of the two
-values. A split needs a gain above 1e-12, a NaN gain rules its column
-out, and ties go to the lower feature, then the lower threshold. Rows
-with value <= threshold go left; the children of a node follow each
-other, left first, in the next level's order.
+than it has (row, column) pairs. The candidate splits lie between
+consecutive occurring values, with at least min_leaf rows on each side,
+and the threshold is the midpoint of the two values. A split needs a
+gain above 1e-12, a NaN gain rules its column out, and ties go to the
+lower feature, then the lower threshold. Rows with value <= threshold go
+left; the children of a node follow each other, left first, in the next
+level's order.
+
+A level's search is a plan and a score pass. The plan (_Plan) holds what
+depends only on the rows each node holds and the columns it searches:
+the entries' keys, the occurring bins and their (node, column) groups,
+the candidates left after the min_leaf filter, each one's left count,
+and the layout of the float running sums. The score pass takes the
+criterion's histograms, cumulates them over each group's values,
+ascending, and picks each node's best gain. Integer statistics (the
+counts, and all of Gini's) cumulate exactly with one cumsum over every
+bin, less each group's start (int_cumsums); float ones (gbt's g and h,
+squared error's y) one value at a time, as np.cumsum adds them
+(segment_cumsums). Every round of boosting searches roots with the same
+rows and columns, so fit_gbts plans them once; no plan below the roots
+outlives its level.
 
 Gini counts are integers, so those trees equal growing one node at a time
 on the rows sorted by value, bit for bit. A float criterion sums each
@@ -30,6 +43,8 @@ value's statistics in row order before it cumulates them; node totals and
 leaf values are np.sum's over the node's rows, ascending (node_sums)."""
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -59,8 +74,8 @@ class Binned:
                           axis=1)
 
 
-def grow(binned, src, sizes, crit, max_depth, min_leaf,
-         draw=None) -> list[dict]:
+def grow(binned, src, sizes, crit, max_depth, min_leaf, draw=None,
+         memo=None) -> list[dict]:
     """Grow one tree per block of stack rows; return their roots.
 
     Stack row i stands for row src[i] of binned, and tree t owns the
@@ -71,7 +86,15 @@ def grow(binned, src, sizes, crit, max_depth, min_leaf,
     entries per histogram bin, gain() scores candidate splits and leaves()
     returns leaf dicts. draw(trees), given the tree of each node to search
     in level order, returns the sorted columns each searches (nodes x k);
-    without it every node searches every column."""
+    without it every node searches every column.
+
+    Each level plans its search from its nodes' rows and columns (_Plan),
+    then scores the plan with crit, and drops it. memo, a dict kept across
+    calls, keeps the roots' plan instead: the first call stores it there
+    and later calls score it without planning again. That holds while
+    every call has the same binned, src, sizes and min_leaf, draw gives
+    the roots the same columns and no criterion marks a root pure, as in
+    the rounds of boosting."""
     lo = max(1, min_leaf)
     size = np.asarray(sizes, dtype=np.int64)
     rows = np.arange(size.sum())
@@ -86,16 +109,22 @@ def grow(binned, src, sizes, crit, max_depth, min_leaf,
             for node, leaf in zip(nodes, crit.leaves(np.arange(len(size)))):
                 node.update(leaf)
             break
-        open_ = size >= 2 * lo
-        pure = crit.pure()
-        if pure is not None:
-            open_ &= ~pure
-        which = open_.nonzero()[0]
-        cols = None if draw is None else draw(tree[which])
+        if depth or memo is None or "roots" not in memo:
+            open_ = size >= 2 * lo
+            pure = crit.pure()
+            if pure is not None:
+                open_ &= ~pure
+            which = open_.nonzero()[0]
+            cols = None if draw is None else draw(tree[which])
+            plan = _Plan(binned, src, rows, start, size, which, cols, lo)
+            if not depth and memo is not None:
+                memo["roots"] = plan
+        else:
+            plan = memo["roots"]
         feature = np.full(len(size), -1)
         threshold = np.zeros(len(size))
-        _search(binned, src, rows, start, size, which, cols, crit, lo,
-                feature, threshold)
+        plan.score(crit, feature, threshold)
+        del plan  # only the roots' plan outlives its level
         split = (feature >= 0).nonzero()[0]
         leaves = (feature < 0).nonzero()[0]
         for i, leaf in zip(leaves.tolist(), crit.leaves(leaves)):
@@ -143,12 +172,28 @@ def segment_sums(values, lengths) -> np.ndarray:
 def segment_cumsums(values, lengths) -> np.ndarray:
     """np.cumsum of each run of each array of values, bit for bit, as one
     (values per array x arrays) array. The runs lie one after another in
-    each array, lengths[i] values each, all at least 1.
+    each array, lengths[i] values each, all at least 1 (_layout)."""
+    where, steps, slot = _layout(lengths)
+    return _cumulate(values, where, steps).take(slot, axis=0)
 
-    The runs are laid out by position, longest first: the first value of
-    every run, then the second of every run at least two long, and so on.
-    One slice add per position then extends every run that has it, as
-    np.cumsum adds each value to the sum before it."""
+
+def int_cumsums(values, runs) -> np.ndarray:
+    """np.cumsum of each run of integer values along their last axis, bit
+    for bit, where the runs lie one after another, runs[i] values each,
+    all at least 1. Integer sums are exact in any order, so one cumsum
+    over every value, less the sum before each run's start, gives them."""
+    cum = np.cumsum(values, axis=-1)
+    start = np.cumsum(runs) - runs
+    return cum - np.repeat((cum - values)[..., start], runs, axis=-1)
+
+
+def _layout(lengths):
+    """Runs lengths[i] long, one after another, laid out by position,
+    longest first: the first value of every run, then the second of every
+    run at least two long, and so on. Returns the value in each slot, the
+    (from, to, count) slice adds that extend every run by one position
+    each, as np.cumsum adds each value to the sum before it, and the slot
+    of each value."""
     lengths = np.asarray(lengths)
     order = np.argsort(-lengths, kind="stable")
     rank = np.empty_like(order)
@@ -157,84 +202,123 @@ def segment_cumsums(values, lengths) -> np.ndarray:
     # runs longer than i, and where position i starts in the layout
     n_at = len(lengths) - np.bincount(lengths, minlength=longest).cumsum()
     first = n_at.cumsum() - n_at
-    at = first[np.arange(lengths.sum())
-               - np.repeat(lengths.cumsum() - lengths, lengths)]
-    at += rank.repeat(lengths)
-    where = np.empty_like(at)
-    where[at] = np.arange(len(at))
-    laid = np.empty((len(at), len(values)))
+    slot = first[np.arange(lengths.sum())
+                 - np.repeat(lengths.cumsum() - lengths, lengths)]
+    slot += rank.repeat(lengths)
+    where = np.empty_like(slot)
+    where[slot] = np.arange(len(slot))
+    starts = first[:longest].tolist()
+    steps = list(zip(starts, starts[1:], n_at[1:longest].tolist()))
+    return where, steps, slot
+
+
+def _cumulate(values, where, steps) -> np.ndarray:
+    """The running sums of the arrays values in a _layout: slot i holds
+    value where[i] of each array."""
+    laid = np.empty((len(where), len(values)))
     for j, v in enumerate(values):
         laid[:, j] = v.take(where)
-    starts = first[:longest].tolist()
-    for b, a, m in zip(starts, starts[1:], n_at[1:longest].tolist()):
+    for b, a, m in steps:
         laid[a:a + m] += laid[b:b + m]
-    return laid.take(at, axis=0)
+    return laid
 
 
-def _search(binned, src, rows, start, size, which, cols, crit, lo, feature,
-            threshold):
-    """Write the best split of each node in which to feature and threshold;
-    a node without one keeps feature -1. Node which[i] searches the
-    columns cols[i], or every column when cols is None."""
-    m, k = len(which), binned.p if cols is None else cols.shape[1]
-    if not m:
-        return
-    n = size[which]
-    node = np.arange(m).repeat(n)
-    r = rows[(start[which] - n.cumsum() + n).repeat(n) + np.arange(n.sum())]
-    # one entry per (column slot, row) pair of each node, slot by slot;
-    # the bins of group (node, slot) take the keys from first[group] on
-    if cols is None:
-        code = binned.codes[:, src[r]]
-        width = np.tile(binned.width, m)
-    else:
-        code = binned.codes[cols[node].T, src[r]]
-        width = binned.width[cols].ravel()
-    first = width.cumsum() - width
-    key = (first.reshape(m, k).T[:, node] + code).ravel()
-    space = int(width.sum())
-    keys = None
-    # a table of every bin costs a pass over it; when it would outgrow the
-    # entries and 2 ** 16 bins, sorting numbers the bins that occur
-    if space > max(len(key), 1 << 16):
-        keys, key = np.unique(key, return_inverse=True)
-        space = len(keys)
-    stats = [np.bincount(key, minlength=space), *crit.hist(key, r, k, space)]
-    if keys is None:
-        keys = stats[0].nonzero()[0]
-        stats = [v.take(keys) for v in stats]
-    group = first.searchsorted(keys, side="right") - 1
-    # a candidate is a bin with a next one in its group
-    cand = (group[1:] == group[:-1]).nonzero()[0]
-    cum = segment_cumsums(stats, np.bincount(group, minlength=m * k))
-    cum = cum.take(cand, axis=0)
-    pos = cum[:, 0]
-    cnode = group[cand] // k
-    ok = ((pos >= lo) & (pos <= n[cnode] - lo)).nonzero()[0]
-    cand, cum, cnode = cand[ok], cum.take(ok, axis=0), cnode[ok]
-    if not cand.size:
-        return
-    gain = crit.gain(which[cnode], cum[:, 0], cum[:, 1:])
-    bad = np.isnan(gain)
-    if bad.any():  # a NaN gain rules its column out
-        gain[np.isin(group[cand], group[cand[bad]])] = -np.inf
-    # candidates run by node, then column, then threshold: the first best
-    # gain of each node is its split
-    head = np.ones(len(cand), dtype=bool)
-    head[1:] = cnode[1:] != cnode[:-1]
-    head = head.nonzero()[0]
-    best = np.maximum.reduceat(gain, head)
-    top = (gain == best.repeat(np.diff(head, append=len(gain)))).nonzero()[0]
-    won = np.ones(len(top), dtype=bool)
-    won[1:] = cnode[top[1:]] != cnode[top[:-1]]
-    c = cand[top[won][best > 1e-12]]
-    g = group[c]
-    j = g % k if cols is None else cols.ravel()[g]
-    at = binned.offset[j] - first[g]
-    out = which[g // k]
-    feature[out] = j
-    threshold[out] = (binned.values[at + keys[c]]
-                      + binned.values[at + keys[c + 1]]) / 2
+class _Plan:
+    """The search of one level, less the criterion: the open nodes which,
+    each searching the columns cols[i] (every column when cols is None),
+    their entries, bins and candidate splits. It depends only on the rows
+    each node holds and the columns it searches, so one plan serves any
+    criterion on those nodes, and boosting keeps its roots' plan for every
+    round (grow).
+
+    The entries are one per (column slot, row) pair of each node, slot by
+    slot, and their keys number the bins of group (node, slot) from
+    first[group] on; the occurring bins run by group, runs[g] of them in
+    group g. The candidates are the bins with a next one in their group
+    and at least lo rows on each side; pos is each one's left count."""
+
+    def __init__(self, binned, src, rows, start, size, which, cols, lo):
+        m, k = len(which), binned.p if cols is None else cols.shape[1]
+        self.binned, self.which, self.cols, self.k = binned, which, cols, k
+        n = size[which]
+        r = rows[(start[which] - n.cumsum() + n).repeat(n)
+                 + np.arange(n.sum())]
+        if cols is None:
+            code = binned.codes[:, src[r]]
+            width = np.tile(binned.width, m)
+        else:
+            code = binned.codes[cols.repeat(n, axis=0).T, src[r]]
+            width = binned.width[cols].ravel()
+        self.first = first = width.cumsum() - width
+        key = (first.reshape(m, k).T.repeat(n, axis=1) + code).ravel()
+        space = int(width.sum())
+        # a table of every bin costs a pass over it; when it would outgrow
+        # the entries and 2 ** 16 bins, sorting numbers the bins that occur
+        if space > max(len(key), 1 << 16):
+            keys, key = np.unique(key, return_inverse=True)
+            space, self.taken = len(keys), None
+            count = np.bincount(key, minlength=space)
+            group = first.searchsorted(keys, side="right") - 1
+        else:
+            count = np.bincount(key, minlength=space)
+            keys = self.taken = count.nonzero()[0]
+            count = count.take(keys)
+            group = np.arange(m * k).repeat(width).take(keys)
+        self.rows, self.key, self.space, self.keys = r, key, space, keys
+        self.runs = np.bincount(group, minlength=m * k)  # none is empty
+        left = int_cumsums(count, self.runs)
+        # a candidate is a bin with a next one in its group
+        cand = (group[1:] == group[:-1]).nonzero()[0]
+        pos, group = left[cand], group[cand]
+        ok = ((pos >= lo)
+              & (pos <= (n - lo).repeat(k)[group])).nonzero()[0]
+        self.cand, self.pos, self.group = cand[ok], pos[ok], group[ok]
+        self.cnode = self.group // k
+        # candidates run by node, then column, then threshold
+        head = np.ones(len(ok), dtype=bool)
+        head[1:] = self.cnode[1:] != self.cnode[:-1]
+        self.head = head.nonzero()[0]
+        self.span = np.diff(self.head, append=len(ok))
+
+    @cached_property
+    def layout(self):
+        """The _layout of the groups' bins for float sums: the bin in each
+        slot, the slice adds, and the slot of each candidate."""
+        where, steps, slot = _layout(self.runs)
+        return where, steps, slot.take(self.cand)
+
+    def score(self, crit, feature, threshold):
+        """Write the best split of each open node by crit's gain to feature
+        and threshold; a node without one keeps feature -1. A NaN gain
+        rules its column out, and ties go to the first candidate."""
+        if not len(self.cand):
+            return
+        stats = crit.hist(self.key, self.rows, self.k, self.space)
+        if self.taken is not None:
+            stats = [v.take(self.taken) for v in stats]
+        if stats[0].dtype.kind == "f":
+            where, steps, slot = self.layout
+            cum = _cumulate(stats, where, steps).take(slot, axis=0)
+        else:
+            cum = int_cumsums(np.asarray(stats), self.runs)[:, self.cand].T
+        gain = crit.gain(self.which[self.cnode], self.pos, cum)
+        bad = np.isnan(gain)
+        if bad.any():
+            gain[np.isin(self.group, self.group[bad])] = -np.inf
+        # the first best gain of each node is its split
+        best = np.maximum.reduceat(gain, self.head)
+        top = (gain == best.repeat(self.span)).nonzero()[0]
+        won = np.ones(len(top), dtype=bool)
+        won[1:] = self.cnode[top[1:]] != self.cnode[top[:-1]]
+        won = top[won][best > 1e-12]
+        c, g = self.cand[won], self.group[won]
+        k, binned, keys = self.k, self.binned, self.keys
+        j = g % k if self.cols is None else self.cols.ravel()[g]
+        at = binned.offset[j] - self.first[g]
+        out = self.which[g // k]
+        feature[out] = j
+        threshold[out] = (binned.values[at + keys[c]]
+                          + binned.values[at + keys[c + 1]]) / 2
 
 
 def _partition(binned, src, rows, size, feature, threshold):

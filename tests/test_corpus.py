@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import io
 import json
 import math
 
@@ -69,6 +71,31 @@ class TestLoading:
         save_products(prods, path, format="jsonl")
         back = load_products(path, format="jsonl")
         assert back == prods
+
+    @pytest.mark.parametrize("format", ["jsonl", "csv"])
+    def test_saved_bytes_equal_the_asdict_rows(self, tmp_path, format):
+        prods = [make_product(0, scores=[1.0] + [0.1] * 11),
+                 make_product(1, price=12.5), make_product(2, name="x, \"y\"",
+                                                           scores=[0.25, 1.0] * 6)]
+        path = tmp_path / ("p." + format)
+        save_products(prods, path, format=format)
+        want = io.StringIO(newline="")
+        if format == "jsonl":
+            for p in prods:
+                want.write(json.dumps(dataclasses.asdict(p), sort_keys=True)
+                           + "\n")
+        else:
+            w = csv.writer(want)
+            w.writerow(["id", "name", "detail", "description",
+                        "listed_provider", "volume", "historical_version",
+                        "future_version", "sensitive", "data_sample",
+                        "support_email", "support_url", "refund_policy",
+                        "price"] + ["industry_%d" % i for i in range(12)])
+            for p in prods:
+                d = dataclasses.asdict(p)
+                w.writerow([d[f] for f in list(d)[:-1]]
+                           + (d["industry_scores"] or [""] * 12))
+        assert path.read_bytes() == want.getvalue().encode("utf-8")
 
     def test_csv_roundtrip(self, tmp_path):
         prods = [make_product(i, scores=[1.0] + [0.25] * 11) for i in range(3)]

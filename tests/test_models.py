@@ -1,5 +1,7 @@
+import gc
 import importlib
 import warnings
+import weakref
 from functools import partial
 
 import numpy as np
@@ -13,11 +15,11 @@ from dataprice.models import (ConstantScoreModel, ModelError, fit_cart,
                               fit_logistic, fit_mlp, fit_svm, fit_svr,
                               kernel_matrix, load_model, one_vs_rest,
                               save_model)
-from dataprice.models import svm
+from dataprice.models import gbt, svm, tree
 from dataprice.models.base import Model
 from dataprice.models.forest import _tree_rng
 from dataprice.models.gbt import _leaf_weight
-from dataprice.models.tree import (node_sums, segment_cumsums,
+from dataprice.models.tree import (int_cumsums, node_sums, segment_cumsums,
                                    segment_sums)
 
 
@@ -1009,6 +1011,20 @@ class TestLevelwiseGrower:
                           np.concatenate([np.cumsum(r, axis=1) for r in runs],
                                          axis=1).T)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.integers(1, 30), min_size=1, max_size=40),
+           st.integers(0, 40), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+    def test_int_cumsums_equal_numpy_cumsums(self, runs, at, arrays, seed):
+        runs.insert(at % (len(runs) + 1), 1)  # a run of one value
+        runs = np.array(runs)
+        values = np.random.default_rng(seed).integers(
+            -10 ** 6, 10 ** 6, size=(arrays, runs.sum()))
+        want = np.concatenate(
+            [np.cumsum(r, axis=1)
+             for r in np.split(values, runs.cumsum()[:-1], axis=1)], axis=1)
+        assert _same_bits(int_cumsums(values, runs), want)
+        assert _same_bits(int_cumsums(values[0], runs), want[0])
+
 
 class TestJointBoosting:
     PARAMS = {"n_rounds": 8, "learning_rate": 0.3, "lam": 1.0,
@@ -1083,6 +1099,96 @@ class TestJointBoosting:
         with pytest.raises(ValueError, match="column prefixes"):
             fit_family("cart", X, y, "regression", 5, merge_config({}), 0,
                        n_cols=[1, 2])
+
+
+class TestLevelPlans:
+    """grow plans each level's search, scores it and drops the plan;
+    fit_gbts plans its roots once and hands that plan to every round."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Weak references to the plans built, in order, each with the
+        count of earlier plans still alive when it was built."""
+        built = []
+        init = tree._Plan.__init__
+
+        def spy(self, *args):
+            alive = sum(ref() is not None for ref, _ in built)
+            init(self, *args)
+            built.append((weakref.ref(self), alive))
+        monkeypatch.setattr(tree._Plan, "__init__", spy)
+        return built
+
+    @staticmethod
+    def _none_alive(built):
+        gc.collect()
+        return all(ref() is None for ref, _ in built)
+
+    @staticmethod
+    def _case():
+        rng = np.random.default_rng(12)
+        X = np.column_stack([rng.poisson(0.8, size=(60, 5)),
+                             rng.normal(size=(60, 4))])
+        y = X[:, 0] - X[:, 6] + 0.5 * rng.normal(size=60)
+        return X, y, np.searchsorted(np.quantile(y, [0.25, 0.5, 0.75]), y)
+
+    @pytest.mark.parametrize("n_rounds", [1, 2, 9])
+    @pytest.mark.parametrize("loss", ["squared", "logistic"])
+    def test_boosting_plans_its_roots_once(self, monkeypatch, n_rounds, loss):
+        X, y, tiers = self._case()
+        targets = [y, -y] if loss == "squared" else [tiers == 0, tiers == 3]
+        built = self._spy(monkeypatch)
+        fit_gbts(X, targets, n_rounds=n_rounds, max_depth=1, loss=loss)
+        assert len(built) == 1
+        assert self._none_alive(built)
+
+    def test_every_round_scores_the_first_rounds_root_plan(self, monkeypatch):
+        X, y, _ = self._case()
+        built = self._spy(monkeypatch)
+        memos, grow = [], tree.grow
+
+        def spy(*args):
+            memo = args[-1]
+            held = memo.get("roots")
+            roots = grow(*args)
+            memos.append((memo, held, memo["roots"]))
+            return roots
+        monkeypatch.setattr(gbt, "grow", spy)
+        fit_gbts(X, [y, y ** 2], n_rounds=5, max_depth=3, min_leaf=2)
+        memo, held, first = memos[0]
+        assert len(memos) == 5 and held is None and first is built[0][0]()
+        assert all(m is memo and h is first and p is first
+                   for m, h, p in memos[1:])
+        # below the roots, each level's plan is gone before the next one
+        assert len(built) > 5 and all(alive <= 1 for _, alive in built)
+        del memo, held, first, memos
+        assert self._none_alive(built)
+
+    def test_joint_one_vs_rest_plans_its_roots_once(self, monkeypatch):
+        X, _, tiers = self._case()
+        tiers[tiers == 2] = 1  # class 2 absent
+        cfg = merge_config({"gbt": {"n_rounds": 6, "max_depth": 1}})
+        built = self._spy(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            models = fit_family("gbt", X, tiers, "classification", 4, cfg, 0,
+                                n_cols=[2, 5, X.shape[1]])
+        assert len(models) == 3 and len(built) == 1
+        assert self._none_alive(built)
+
+    @pytest.mark.parametrize("fit", [
+        partial(fit_cart, max_depth=4),
+        partial(fit_cart, max_depth=4, task="classification"),
+        partial(fit_forest, n_trees=4, max_depth=4, k_features=3),
+        partial(fit_forest, n_trees=4, max_depth=4, k_features=3,
+                task="classification")])
+    def test_cart_and_forest_keep_no_plan(self, monkeypatch, fit):
+        X, y, tiers = self._case()
+        built = self._spy(monkeypatch)
+        fit(X, y if fit.keywords.get("task") is None else tiers)
+        assert len(built) == 4
+        assert all(alive == 0 for _, alive in built)
+        assert self._none_alive(built)
 
 
 @pytest.mark.parametrize("task", ["regression", "classification"])

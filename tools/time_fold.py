@@ -25,7 +25,9 @@ output) holds
                     and gap where the model's hyperparams record them, for
                     an SVR its support_vectors, and for a one-vs-rest
                     ensemble unconverged_members, its members that record
-                    converged: false;
+                    converged: false; and model_sha1, the SHA-1 of the
+                    fitted model's params_dict as JSON (floats by repr,
+                    keys sorted), to compare fitted models bit for bit;
   mrmr              per representation: mrmr_select's seconds on the
                     fold's training columns, at the curve's m (the last of
                     the default curve.m_values, 10) and at every column,
@@ -39,7 +41,8 @@ output) holds
 BLAS runs on one thread, as in the benchmark's workers. The log-likelihood
 reads only train_lda's TopicModel (phi, theta, terms, infer_theta), so the
 harness runs unchanged on earlier versions of the package, and so does
-the mRMR timing, which calls only mrmr_select. On a version whose
+the mRMR timing, which calls only mrmr_select, and model_sha1, which
+calls only params_dict. On a version whose
 `fit_representation` takes no table (no `evaluate.EMBEDDED`), word2vec and
 bertopic each fit their own skip-gram inside fit_s, as that version's
 grid does. pytest does not collect it.
@@ -91,6 +94,14 @@ def stop_record(model) -> dict:
         out["unconverged_members"] = sum(
             m.hyperparams.get("converged") is False for m in members)
     return out
+
+
+def model_sha1(model) -> str:
+    """SHA-1 of model.params_dict() as JSON: json writes each float by its
+    repr, so equal digests mean bit-identical parameters."""
+    text = json.dumps(model.params_dict(), sort_keys=True,
+                      default=lambda v: v.tolist())  # NumPy values
+    return hashlib.sha1(text.encode()).hexdigest()
 
 
 def time_fold(task: str, fold: int, reps: list) -> dict:
@@ -164,7 +175,8 @@ def time_fold(task: str, fold: int, reps: list) -> dict:
             metrics = ev.cell_metrics(model, fte, data.y[test], task)
             cells[family] = {"s": round(time.perf_counter() - t0, 4),
                              **{m: round(v, 6) for m, v in metrics.items()},
-                             **stop_record(model)}
+                             **stop_record(model),
+                             "model_sha1": model_sha1(model)}
         if rep == "lda":
             model = fitted[-1]
             out["lda"] = {
