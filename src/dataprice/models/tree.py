@@ -256,7 +256,7 @@ class _Plan:
         # the entries and 2 ** 16 bins, sorting numbers the bins that occur
         if space > max(len(key), 1 << 16):
             keys, key = np.unique(key, return_inverse=True)
-            space, self.taken = len(keys), None
+            space, self.taken = len(keys), None  # key numbers only these
             count = np.bincount(key, minlength=space)
             group = first.searchsorted(keys, side="right") - 1
         else:
@@ -296,7 +296,7 @@ class _Plan:
         stats = crit.hist(self.key, self.rows, self.k, self.space)
         if self.taken is not None:
             stats = [v.take(self.taken) for v in stats]
-        if stats[0].dtype.kind == "f":
+        if stats[0].dtype.kind == "f":  # in np.cumsum's order
             where, steps, slot = self.layout
             cum = _cumulate(stats, where, steps).take(slot, axis=0)
         else:
