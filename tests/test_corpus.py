@@ -75,8 +75,8 @@ class TestLoading:
     @pytest.mark.parametrize("format", ["jsonl", "csv"])
     def test_saved_bytes_equal_the_asdict_rows(self, tmp_path, format):
         prods = [make_product(0, scores=[1.0] + [0.1] * 11),
-                 make_product(1, price=12.5), make_product(2, name="x, \"y\"",
-                                                           scores=[0.25, 1.0] * 6)]
+                 make_product(1, price=12.5),
+                 make_product(2, name='x, "y"', scores=[0.25, 1.0] * 6)]
         path = tmp_path / ("p." + format)
         save_products(prods, path, format=format)
         want = io.StringIO(newline="")
