@@ -24,6 +24,7 @@ import json
 import logging
 import shutil
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -315,6 +316,12 @@ def cmd_ingest(cfg, out_dir: Path) -> int:
         else:
             products = load_products(data["path"], format=data["format"])
             log.info("ingest: loaded %d listings from %s", len(products), data["path"])
+        repeated = [i for i, count in Counter(p.id for p in products).items()
+                    if count > 1]
+        if repeated:
+            log.warning("ingest: %d listing id(s) occur more than once, "
+                        "kept as given (first: %s)", len(repeated),
+                        ", ".join(repeated[:3]))
         save_products(products, output("products.jsonl"), format="jsonl")
         describe(products).to_csv(output("descriptive_stats.csv"))
     inputs = [] if synthetic else [data["path"]]

@@ -18,9 +18,9 @@ from .corpus import (DataProduct, TargetSpec, compose_text, make_targets,
                      structured_matrix)
 from .featsel import mrmr_select
 from .matrix import FeatureMatrix
-from .models import (fit_cart, fit_forest, fit_gbts, fit_linear,
-                     fit_logistic, fit_mlp, fit_standardized, fit_svm, fit_svr,
-                     one_vs_rest)
+from .models import (ModelError, OvREnsemble, fit_cart, fit_forest, fit_gbts,
+                     fit_linear, fit_logistics, fit_mlp, fit_standardized,
+                     fit_svms, fit_svr, one_vs_rest)
 from .textrep import (PCAReducer, build_vocabulary, bow, embedding_features,
                       kmeans, membership_probabilities, tfidf, topic_features,
                       train_lda, train_skipgram)
@@ -232,20 +232,45 @@ class _Fitter(NamedTuple):
 
 _TASKS = ("regression", "classification")
 
+
+def _on_prefixes(fit, X, targets, n_cols=None, **kwargs):
+    """fit(X, targets), a joint fitter's call, for a fitter that takes no
+    n_cols: with n_cols, the targets of each count c are fitted together
+    on the view X[:, :c], so target t's model equals its fit on the first
+    n_cols[t] columns of X."""
+    if n_cols is None:
+        return fit(X, targets, **kwargs)
+    n_cols = np.asarray(n_cols).tolist()
+    if len(n_cols) != len(targets) or not all(
+            1 <= c <= X.shape[1] for c in n_cols):
+        raise ModelError("n_cols needs one count in 1..%d per target"
+                         % X.shape[1])
+    models = [None] * len(targets)
+    for c in dict.fromkeys(n_cols):
+        which = [t for t, k in enumerate(n_cols) if k == c]
+        for t, model in zip(which, fit(X[:, :c], [targets[t] for t in which],
+                                       **kwargs)):
+            models[t] = model
+    return models
+
+
 # Each family's fitter for each task. mlp, cart and forest fit either task
-# themselves. The others classify one-vs-rest over a binary fitter: SVM
-# members on -1/+1 labels, and the boosters of all classes grown together.
-# The scale-sensitive families fit on fold-standardized columns.
+# themselves. The others classify one-vs-rest, each fitting the members of
+# all classes in one call: logistic descents run together, SVM duals
+# (on -1/+1 labels) share one kernel matrix, and the boosters grow
+# together. The scale-sensitive families fit on fold-standardized columns.
 _FITTERS = {
     "linear": {"regression": _Fitter("linear", partial(fit_standardized, fit_linear)),
                "classification": _Fitter(
-                   "logistic", partial(fit_standardized, fit_logistic), ovr={})},
+                   "logistic", partial(_on_prefixes, partial(
+                       fit_standardized, fit_logistics)), ovr={}, joint=True)},
     "mlp": dict.fromkeys(_TASKS, _Fitter(
         "mlp", partial(fit_standardized, fit_mlp), ("task", "n_classes", "seed"))),
     "cart": dict.fromkeys(_TASKS, _Fitter("cart", fit_cart, ("task", "n_classes"))),
     "svm": {"regression": _Fitter("svr", partial(fit_standardized, fit_svr)),
-            "classification": _Fitter("svm", partial(fit_standardized, fit_svm),
-                                      ovr={"labels": "pm1"})},
+            "classification": _Fitter(
+                "svm", partial(_on_prefixes, partial(fit_standardized, fit_svms)),
+                ovr={"labels": "pm1"}, joint=True)},
     "forest": dict.fromkeys(_TASKS, _Fitter("forest", fit_forest,
                                             ("task", "seed", "k_features"))),
     "gbt": {"regression": _Fitter("gbt", partial(fit_gbts, loss="squared"),
@@ -282,9 +307,14 @@ def fit_family(family: str, X, y, task: str, n_classes: int, cfg: dict,
 
 def model_scores(model, X, task: str):
     """(predictions, score matrix) for metric computation; regression
-    models have no score matrix."""
-    pred = model.predict(X)
-    return pred, None if task == "regression" else model.predict_scores(X)
+    models have no score matrix. A one-vs-rest ensemble's predictions are
+    read from its score matrix, as its predict reads them."""
+    if task == "regression":
+        return model.predict(X), None
+    scores = model.predict_scores(X)
+    if isinstance(model, OvREnsemble):
+        return OvREnsemble.decide(scores), scores
+    return model.predict(X), scores
 
 
 # ------------------------------------------------------------------ cells ----
@@ -601,11 +631,12 @@ def feature_curve(products: list[DataProduct], representation: str,
                   k: int = 5, workers: int = 1) -> FeatureCurve:
     """Metric vs number of mRMR-selected features, averaged over CV folds.
     m values beyond the feature count are clamped with a warning. A family
-    whose _FITTERS entry is joint (gbt) fits all of a fold's m values in
-    one call, each model equal to its own fit on the first m columns. Any
-    failed fold or cell raises a ValueError that names the first failed
-    (representation, family, fold). The folds run on up to `workers`
-    processes; the curve does not depend on how many."""
+    whose _FITTERS entry is joint (gbt; logistic and svm in classification)
+    fits all of a fold's m values in one call, each model equal to its own
+    fit on the first m columns. Any failed fold or cell raises a ValueError
+    that names the first failed (representation, family, fold). The folds
+    run on up to `workers` processes; the curve does not depend on how
+    many."""
     m_values = list(m_values)
     if not m_values or m_values != sorted(m_values) or m_values[0] < 1:
         raise ValueError("m_values must be non-empty, ascending and >= 1")

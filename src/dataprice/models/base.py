@@ -182,6 +182,12 @@ class StandardizedModel(Model):
                    hyperparams=hyperparams, manifest=manifest, seed=seed)
 
 
-def fit_standardized(fit_fn, X, y, **kwargs) -> StandardizedModel:
+def fit_standardized(fit_fn, X, y, **kwargs):
+    """fit_fn on X's columns standardized, and its model wrapped with the
+    Standardizer; a list of models, which a joint fitter returns for a
+    list of targets, shares one."""
     std = Standardizer.fit(X)
-    return StandardizedModel(fit_fn(std.transform(X), y, **kwargs), std)
+    fitted = fit_fn(std.transform(X), y, **kwargs)
+    if isinstance(fitted, list):
+        return [StandardizedModel(model, std) for model in fitted]
+    return StandardizedModel(fitted, std)

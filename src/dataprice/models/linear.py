@@ -1,4 +1,8 @@
-"""Linear regression (ridge) and logistic regression."""
+"""Linear regression (ridge) and logistic regression.
+
+fit_logistics fits several logistic targets on one X, as the members of a
+one-vs-rest classifier, in one gradient descent whose elementwise work
+runs on every target at once; fit_logistic fits one."""
 
 from __future__ import annotations
 
@@ -82,21 +86,36 @@ class LogisticModel(Model):
 def fit_logistic(X, y, lr: float = 0.5, epochs: int = 500) -> LogisticModel:
     """Binary logistic regression trained by full-batch gradient descent on
     the cross-entropy loss."""
+    return fit_logistics(X, [y], lr, epochs)[0]
+
+
+def fit_logistics(X, targets, lr: float = 0.5,
+                  epochs: int = 500) -> list[LogisticModel]:
+    """One fit_logistic model per target on one X, as one-vs-rest fits its
+    members: one descent over a (targets, columns) weight array. Its
+    elementwise work runs on all targets at once; X @ w and X.T @ err stay
+    one matrix-vector product per target (X @ W, a matrix product, rounds
+    differently), so each model equals fit_logistic on its own target."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    require_finite(X, y)
-    y = np.asarray(y, dtype=np.float64)
-    classes = np.unique(y)
-    if len(classes) < 2:
+    for y in targets:
+        require_finite(X, y)
+    Y = np.array(targets, dtype=np.float64)  # (targets, rows)
+    if any(len(np.unique(y)) < 2 for y in Y):
         raise ModelError("logistic regression needs both classes present")
     n, p = X.shape
-    w = np.zeros(p)
-    b = 0.0
+    W = np.zeros((len(Y), p))
+    b = np.zeros(len(Y))
+    z, gw = np.empty(Y.shape), np.empty(W.shape)
     for _ in range(epochs):
-        prob = sigmoid(X @ w + b)
-        err = prob - y
-        gw = X.T @ err / n
-        gb = float(np.mean(err))
-        w -= lr * gw
-        b -= lr * gb
+        for t, w in enumerate(W):
+            np.matmul(X, w, out=z[t])
+        z += b[:, None]
+        err = sigmoid(z) - Y
+        for t, e in enumerate(err):
+            np.matmul(X.T, e, out=gw[t])
+        W -= lr * (gw / n)
+        b -= lr * err.mean(axis=1)
     # saved models record the weight penalty, which is zero
-    return LogisticModel(w, b, hyperparams={"lr": lr, "epochs": epochs, "l2": 0.0})
+    return [LogisticModel(w, b_t, hyperparams={"lr": lr, "epochs": epochs,
+                                               "l2": 0.0})
+            for w, b_t in zip(W, b.tolist())]

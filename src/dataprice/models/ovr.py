@@ -47,8 +47,13 @@ class OvREnsemble(Model):
         return np.column_stack([m.scores(X) for m in self.members])
 
     def predict(self, X):
-        # argmax takes the lowest class index on ties
-        return np.argmax(self.predict_scores(X), axis=1).astype(np.int64)
+        return self.decide(self.predict_scores(X))
+
+    @staticmethod
+    def decide(scores):
+        """The class of each row of a score matrix; argmax takes the lowest
+        class index on ties."""
+        return np.argmax(scores, axis=1).astype(np.int64)
 
     def params_dict(self):
         return {"classes": self.classes,
@@ -67,8 +72,11 @@ def one_vs_rest(fit_fn, X, y, n_classes: int | None = None,
 
     labels="01" passes {0,1} targets, labels="pm1" passes {-1,+1} (for SVM
     members). With joint=True, fit_fn(X, targets) fits the targets of all
-    present classes in one call and returns their members in class order.
-    A class absent from y gets a constant always-negative member.
+    present classes in one call and returns their members in class order:
+    every family of the grid that classifies one-vs-rest (logistic, SVM,
+    GBT) fits so. The per-member path serves plain binary fitters, such
+    as a lambda over fit_logistic. A class absent from y gets a constant
+    always-negative member.
 
     With n_cols (joint only), the one call fits every present class's
     target once per count c, as fit_fn(X, targets, n_cols=...), and the

@@ -1,7 +1,11 @@
 """Support vector machines: one SMO with second-order working-set
 selection, stopped on the KKT gap or after SMO_STEPS_PER_ROW steps per
 dual variable, for the classification dual in n variables and for the
-epsilon-insensitive regression dual in 2n variables."""
+epsilon-insensitive regression dual in 2n variables.
+
+The SMO steps several duals over one kernel matrix in lockstep. fit_svms
+fits the one-vs-rest members of a classifier so, from one kernel matrix;
+fit_svm and fit_svr solve one dual."""
 
 from __future__ import annotations
 
@@ -95,52 +99,93 @@ SMO_STEPS_PER_ROW = 100
 
 def _smo(K, r, lo, hi, tol: float, cap: int):
     """SMO with second-order working-set selection (Fan, Chen & Lin 2005,
-    the solver of LIBSVM) on the dual
+    the solver of LIBSVM) on T duals over one kernel matrix K, in lockstep.
+    Problem t is
 
-        max  r' beta - 1/2 beta' Q beta   s.t. sum(beta) = 0, lo <= beta <= hi
+        max  r_t' beta - 1/2 beta' Q beta
+        s.t. sum(beta) = 0,  lo_t <= beta <= hi_t
 
-    where beta stacks len(r) / n copies of the n rows of the kernel matrix
-    K, so variable t reads kernel row K[t mod n] and Q (K tiled copy by
-    copy) is never built.
+    for rows t of the (T, m) arrays r, lo and hi, where beta stacks m / n
+    copies of the n rows of K, so variable v reads kernel row K[v mod n]
+    and Q (K tiled copy by copy) is never built.
 
-    It keeps F = r - Q beta, the gradient. Each step takes i, the variable
-    with the largest F among those that may move up, and stops when that F
-    exceeds the smallest F among those that may move down by at most tol:
-    the KKT conditions then hold within tol. Otherwise j is the one that
-    may move down whose pair with i gains the most in a Newton step (a
-    curvature <= 0 counts as 1e-12), and beta_i rises and beta_j falls by
-    that step, clipped to the box (a clipped variable is set to its bound
-    exactly). It also stops after cap steps. The bias is the mean F over
-    free variables, else the midpoint of the final gap. Returns beta, the
-    bias, the steps taken and the final gap.
+    Each problem keeps F = r_t - Q beta, the gradient. Each step takes i,
+    the variable with the largest F among those that may move up, and the
+    problem stops when that F exceeds the smallest F among those that may
+    move down by at most tol: the KKT conditions then hold within tol.
+    Otherwise j is the one that may move down whose pair with i gains the
+    most in a Newton step (a curvature <= 0 counts as 1e-12), and beta_i
+    rises and beta_j falls by that step, clipped to the box (a clipped
+    variable is set to its bound exactly). A problem also stops after cap
+    steps. The problems still running take each step's array work
+    together, and each one's step and clipping in Python scalars, so every
+    problem takes the steps it would take alone. Its bias is the mean F
+    over free variables, else the midpoint of the final gap. Returns beta
+    (T, m), and the biases, the steps taken and the final gaps as lists.
     """
     n = len(K)
     diag = K.diagonal()
-    beta = np.zeros(len(r))
-    F = r.copy()
-    by_copy = F.reshape(-1, n)  # a view: one row of F per copy
+    T, m = r.shape
+    row_of = np.arange(m) % n  # the kernel row of each variable
+    beta_out, F_out = np.empty((T, m)), np.empty((T, m))
+    steps_out, gap_out = [0] * T, [0.0] * T
+    # the working rows: each live problem's variables and box as Python
+    # floats, its gradient, and which of its variables may rise or fall
+    live = list(range(T))
+    beta, box_lo, box_hi = [[0.0] * m for _ in live], lo.tolist(), hi.tolist()
+    F, rises, falls = r.copy(), 0.0 < hi, 0.0 > lo
+    at = np.arange(0, T * m, m)  # where each working row starts in F
+    d = np.empty((T, 1))  # each working row's step
     for steps in range(cap + 1):
-        i = int(np.argmax(np.where(beta < hi, F, -np.inf)))
-        gain = F[i] - np.where(beta > lo, F, np.inf)
-        gap = float(np.max(gain))
-        if gap <= tol or steps == cap:
-            break
-        Ki = K[i % n]
-        curv = diag[i % n] + diag - 2.0 * Ki
+        i = np.where(rises, F, -np.inf).argmax(axis=1)
+        gain = F.take(i + at)[:, None] - np.where(falls, F, np.inf)
+        gaps = gain.max(axis=1).tolist()
+        if steps == cap or any(gap <= tol for gap in gaps):
+            keep = []
+            for t, (p, gap) in enumerate(zip(live, gaps)):
+                if steps == cap or gap <= tol:
+                    beta_out[p], F_out[p] = beta[t], F[t]
+                    steps_out[p], gap_out[p] = steps, gap
+                else:
+                    keep.append(t)
+            if not keep:
+                break
+            live = [live[t] for t in keep]
+            beta, box_lo, box_hi = ([rows[t] for t in keep]
+                                    for rows in (beta, box_lo, box_hi))
+            F, rises, falls = F[keep], rises[keep], falls[keep]
+            i, gain = i[keep], gain[keep]
+            at, d = at[:len(keep)], d[:len(keep)]
+        ki = row_of.take(i)
+        Ki = K.take(ki, axis=0)
+        curv = diag.take(ki)[:, None] + diag - 2.0 * Ki
         curv[curv <= 0] = 1e-12
-        g = gain.reshape(-1, n)
-        j = int(np.argmax(np.where(g > 0, g ** 2 / curv, -1.0)))
-        d = min(gain[j] / curv[j % n], hi[i] - beta[i], beta[j] - lo[j])
-        beta[i] = hi[i] if d == hi[i] - beta[i] else beta[i] + d
-        beta[j] = lo[j] if d == beta[j] - lo[j] else beta[j] - d
-        by_copy -= d * (Ki - K[j % n])
+        g = gain.reshape(len(live), -1, n)
+        j = np.where(g > 0, g ** 2 / curv[:, None], -1.0).reshape(
+            len(live), -1).argmax(axis=1)
+        kj = row_of.take(j)
+        for t, (it, jt, kt) in enumerate(zip(i.tolist(), j.tolist(),
+                                             kj.tolist())):
+            b, lo_t, hi_t = beta[t], box_lo[t], box_hi[t]
+            dt = min(gain[t, jt] / curv[t, kt], hi_t[it] - b[it],
+                     b[jt] - lo_t[jt])
+            b[it] = hi_t[it] if dt == hi_t[it] - b[it] else b[it] + dt
+            b[jt] = lo_t[jt] if dt == b[jt] - lo_t[jt] else b[jt] - dt
+            rises[t, it], falls[t, it] = b[it] < hi_t[it], b[it] > lo_t[it]
+            rises[t, jt], falls[t, jt] = b[jt] < hi_t[jt], b[jt] > lo_t[jt]
+            d[t, 0] = dt
+        by_copy = F.reshape(len(live), -1, n)  # a view: one row per copy
+        by_copy -= (d * (Ki - K.take(kj, axis=0)))[:, None]
 
-    free = (beta > lo) & (beta < hi)
-    if free.any():
-        b = float(np.mean(F[free]))
-    else:
-        b = 0.5 * float(np.max(F[beta < hi]) + np.min(F[beta > lo]))
-    return beta, b, steps, gap
+    bias = []
+    for beta_t, F_t, lo_t, hi_t in zip(beta_out, F_out, lo, hi):
+        free = (beta_t > lo_t) & (beta_t < hi_t)
+        if free.any():
+            bias.append(float(np.mean(F_t[free])))
+        else:
+            bias.append(0.5 * float(np.max(F_t[beta_t < hi_t])
+                                    + np.min(F_t[beta_t > lo_t])))
+    return beta_out, bias, steps_out, gap_out
 
 
 def fit_svm(X, y, C: float = 1.0, kernel: str = "linear", gamma: float = 1.0,
@@ -154,24 +199,38 @@ def fit_svm(X, y, C: float = 1.0, kernel: str = "linear", gamma: float = 1.0,
     the steps taken (iterations), the final gap and whether it fell within
     tol (converged).
     """
+    return fit_svms(X, [y], C, kernel, gamma, tol)[0]
+
+
+def fit_svms(X, targets, C: float = 1.0, kernel: str = "linear",
+             gamma: float = 1.0, tol: float = 1e-3) -> list[SVMModel]:
+    """One fit_svm model per target on one X, as one-vs-rest fits its
+    members: the kernel matrix is computed once and `_smo` solves the
+    targets' duals in lockstep, so each model equals fit_svm on its own
+    target."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    require_finite(X, y)
-    y = np.asarray(y, dtype=np.float64)
+    for y in targets:
+        require_finite(X, y)
+    y = np.array(targets, dtype=np.float64)  # (targets, rows)
     if set(np.unique(y)) - {-1.0, 1.0}:
         raise ModelError("labels must be -1/+1")
-    if len(np.unique(y)) < 2:
+    if any(len(np.unique(t)) < 2 for t in y):
         raise ModelError("both classes must be present")
     if C <= 0:
         raise ModelError("C must be positive")
     K = kernel_matrix(X, X, kernel, gamma)
-    beta, b, steps, gap = _smo(K, y, np.minimum(0.0, C * y),
-                               np.maximum(0.0, C * y), tol,
-                               SMO_STEPS_PER_ROW * len(y))
-    sv = beta != 0
-    return SVMModel(X[sv], beta[sv], b, kernel, gamma,
-                    hyperparams={"C": C, "kernel": kernel, "gamma": gamma,
-                                 "tol": tol, "iterations": steps, "gap": gap,
-                                 "converged": bool(gap <= tol)})
+    beta, bias, steps, gaps = _smo(K, y, np.minimum(0.0, C * y),
+                                   np.maximum(0.0, C * y), tol,
+                                   SMO_STEPS_PER_ROW * y.shape[1])
+    models = []
+    for beta_t, b, steps_t, gap in zip(beta, bias, steps, gaps):
+        sv = beta_t != 0
+        models.append(SVMModel(
+            X[sv], beta_t[sv], b, kernel, gamma,
+            hyperparams={"C": C, "kernel": kernel, "gamma": gamma, "tol": tol,
+                         "iterations": steps_t, "gap": gap,
+                         "converged": bool(gap <= tol)}))
+    return models
 
 
 def fit_svr(X, y, C: float = 1.0, epsilon: float = 0.1, kernel: str = "linear",
@@ -206,10 +265,10 @@ def fit_svr(X, y, C: float = 1.0, epsilon: float = 0.1, kernel: str = "linear",
         raise ModelError("max_iter must be >= 1")
     n = len(y)
     cap = SMO_STEPS_PER_ROW * 2 * n if max_iter is None else max_iter
-    beta, b, steps, gap = _smo(kernel_matrix(X, X, kernel, gamma),
-                               np.concatenate((y - epsilon, y + epsilon)),
-                               np.repeat([0.0, -C], n), np.repeat([C, 0.0], n),
-                               tol, cap)
+    (beta,), (b,), (steps,), (gap,) = _smo(
+        kernel_matrix(X, X, kernel, gamma),
+        np.concatenate((y - epsilon, y + epsilon))[None],
+        np.repeat([0.0, -C], n)[None], np.repeat([C, 0.0], n)[None], tol, cap)
     coef = beta[:n] + beta[n:]
     sv = coef != 0
     if not sv.any():

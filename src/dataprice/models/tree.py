@@ -223,6 +223,14 @@ def _cumulate(values, where, steps) -> np.ndarray:
     return laid
 
 
+# A level numbers its occurring bins through a table of every bin while
+# the table holds at most this many bins per entry, or at most
+# TABLE_BINS_MIN bins; past both, by sorting the entries' keys (np.unique).
+# Both give the same numbers; the table is the cheaper pass below them.
+TABLE_BINS_PER_ENTRY = 8
+TABLE_BINS_MIN = 1 << 16
+
+
 class _Plan:
     """The search of one level, less the criterion: the open nodes which,
     each searching the columns cols[i] (every column when cols is None),
@@ -253,8 +261,8 @@ class _Plan:
         key = (first.reshape(m, k).T.repeat(n, axis=1) + code).ravel()
         space = int(width.sum())
         # a table of every bin costs a pass over it; when it would outgrow
-        # the entries and 2 ** 16 bins, sorting numbers the bins that occur
-        if space > max(len(key), 1 << 16):
+        # both bounds, sorting numbers the bins that occur
+        if space > max(TABLE_BINS_PER_ENTRY * len(key), TABLE_BINS_MIN):
             keys, key = np.unique(key, return_inverse=True)
             space, self.taken = len(keys), None  # key numbers only these
             count = np.bincount(key, minlength=space)

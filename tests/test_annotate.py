@@ -447,11 +447,31 @@ class TestImportSurface:
                 "annotate_file(sys.argv[1], sys.argv[2], format='jsonl')\n"
                 "print(sorted(m for m in ('requests', 'urllib3')"
                 " if m in sys.modules))\n")
-        root = os.path.dirname(os.path.dirname(dataprice.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [root] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         out = subprocess.run(
             [sys.executable, "-c", code, str(src), str(tmp_path / "out.jsonl")],
-            env=env, capture_output=True, text=True, check=True, timeout=120)
+            env=self.env(), capture_output=True, text=True, check=True,
+            timeout=120)
         assert out.stdout.strip() == "[]"
         assert (tmp_path / "out.jsonl").exists()
+
+    def test_corpus_alone_loads_no_other_layer(self):
+        # the package resolves its public names on first use, so one module
+        # loads only what it imports
+        code = ("import sys\n"
+                "import dataprice.corpus\n"
+                "print(sorted(m for m in sys.modules if m in ("
+                "'dataprice.evaluate', 'dataprice.explain', 'dataprice.featsel',"
+                " 'dataprice.textrep', 'dataprice.models')))\n"
+                "import dataprice\n"
+                "print(dataprice.run_grid.__module__)\n")
+        out = subprocess.run([sys.executable, "-c", code],
+                             env=self.env(), capture_output=True, text=True,
+                             check=True, timeout=120)
+        assert out.stdout.split() == ["[]", "dataprice.evaluate"]
+
+    @staticmethod
+    def env():
+        """This environment with the package's source first on the path."""
+        root = os.path.dirname(os.path.dirname(dataprice.__file__))
+        return dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [root] + [p for p in [os.environ.get("PYTHONPATH")] if p]))

@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 from dataprice import cli
 from dataprice.cli import (_RULES, DEFAULT_RUN, ConfigError, config_hash,
                            load_config, main, up_to_date)
+from dataprice.corpus import load_products, save_products
 from dataprice.evaluate import DEFAULT_CONFIG, FAMILIES, REPRESENTATIONS
+from dataprice.synth import generate_products
 
 STAGES = ["ingest", "featurize", "select", "train", "evaluate", "explain",
           "curve", "report"]
@@ -629,6 +631,35 @@ class TestFailureModes:
         with caplog.at_level(logging.ERROR, logger="dataprice"):
             assert run("ingest", config) == 1
         assert "data.path" in caplog.text
+
+    @pytest.mark.parametrize("format", ["csv", "jsonl"])
+    def test_ingest_warns_on_repeated_ids(self, tmp_path, caplog, format):
+        products = generate_products(8, 3)
+        for k in (2, 5, 6):
+            products[k].id = products[0].id
+        products[7].id = products[1].id
+        path = tmp_path / ("listings." + format)
+        save_products(products, path, format=format)
+        config, raw = write_config(
+            tmp_path, data={"synthetic": None, "path": str(path),
+                            "format": format})
+        with caplog.at_level(logging.WARNING, logger="dataprice"):
+            assert run("ingest", config) == 0
+        warned = [r.getMessage() for r in caplog.records
+                  if r.levelno == logging.WARNING]
+        assert warned == ["ingest: 2 listing id(s) occur more than once, "
+                          "kept as given (first: %s, %s)"
+                          % (products[0].id, products[1].id)]
+        # every listing is kept, in order
+        kept = load_products(Path(raw["out_dir"]) / "products.jsonl",
+                             format="jsonl")
+        assert [p.id for p in kept] == [p.id for p in products]
+
+    def test_ingest_is_silent_on_distinct_ids(self, tmp_path, caplog):
+        config, _ = write_config(tmp_path)
+        with caplog.at_level(logging.WARNING, logger="dataprice"):
+            assert run("ingest", config) == 0
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
     def test_annotate_needs_input(self, tmp_path):
         config, _ = write_config(tmp_path)

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dataprice.evaluate import fit_family, merge_config
+from dataprice.evaluate import fit_family, merge_config, model_scores
 from dataprice.models import (ConstantScoreModel, ModelError, fit_cart,
                               fit_forest, fit_gbt, fit_gbts, fit_linear,
-                              fit_logistic, fit_mlp, fit_svm, fit_svr,
-                              kernel_matrix, load_model, one_vs_rest,
-                              save_model)
+                              fit_logistic, fit_mlp, fit_standardized,
+                              fit_svm, fit_svms, fit_svr, kernel_matrix,
+                              load_model, one_vs_rest, save_model)
 from dataprice.models import gbt, svm, tree
 from dataprice.models.base import Model
 from dataprice.models.forest import _tree_rng
@@ -1099,6 +1099,140 @@ class TestJointBoosting:
         with pytest.raises(ValueError, match="column prefixes"):
             fit_family("cart", X, y, "regression", 5, merge_config({}), 0,
                        n_cols=[1, 2])
+
+
+class TestJointOneVsRest:
+    """The grid's logistic and SVM one-vs-rest fit every class in one call
+    (fit_logistics; fit_svms on one kernel matrix), each member equal to
+    its own fit bit for bit."""
+
+    SETTINGS = {"svm": {"C": 1.0, "gamma": 0.05, "tol": 1e-3},
+                "logistic": {"lr": 0.5, "epochs": 40}}
+    FITS = {"svm": ("svm", fit_svm, "pm1"),
+            "linear": ("logistic", fit_logistic, "01")}
+
+    @staticmethod
+    def _case(absent=None):
+        """Four classes on eight columns, class 0 taking any absent one."""
+        rng = np.random.default_rng(21)
+        y = rng.integers(0, 4, size=90)
+        X = rng.normal(size=(90, 8))
+        X[:, 0] += y
+        X[:, 3] -= 0.5 * y
+        if absent is not None:
+            y[y == absent] = 0
+        return X, y
+
+    def _fits(self, family, X, y, kernel="rbf"):
+        """fit_family's ensemble and one_vs_rest's over member fits."""
+        section, fit, labels = self.FITS[family]
+        cfg = merge_config(self.SETTINGS)
+        cfg["svm"]["kernel"] = kernel
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return (fit_family(family, X, y, "classification", 4, cfg, 0),
+                    one_vs_rest(partial(fit_standardized, fit, **cfg[section]),
+                                X, y, n_classes=4, labels=labels))
+
+    @pytest.mark.parametrize("family, kernel", [
+        ("svm", "linear"), ("svm", "rbf"), ("linear", None)])
+    @pytest.mark.parametrize("absent", [None, 2])
+    def test_joint_fit_equals_member_fits(self, family, kernel, absent):
+        X, y = self._case(absent)
+        joint, members = self._fits(family, X, y, kernel)
+        assert joint.params_dict() == members.params_dict()
+        for a, b in zip(joint.members, members.members):
+            assert a.hyperparams == b.hyperparams
+            assert type(a) is type(b)
+        if absent is not None:
+            assert isinstance(joint.members[absent], ConstantScoreModel)
+        assert _same_bits(joint.predict_scores(X), members.predict_scores(X))
+
+    def test_a_member_at_its_cap_leaves_the_others_converging(
+            self, monkeypatch):
+        # one step per row: the noisy targets stop at the cap, 120 steps
+        # in, and the target of three far rows converges long before
+        monkeypatch.setattr(svm, "SMO_STEPS_PER_ROW", 1)
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(120, 20))
+        hard = np.where(X[:, 0] + 0.8 * rng.normal(size=120) > 0, 1, -1)
+        easy = np.where(np.arange(120) < 3, 1, -1)
+        X[:3] += 4.0
+        targets = [hard, easy, -hard]
+        joint = fit_svms(X, targets, kernel="linear")
+        alone = [fit_svm(X, t, kernel="linear") for t in targets]
+        stops = [(m.hyperparams["iterations"], m.hyperparams["converged"])
+                 for m in joint]
+        assert stops[0] == stops[2] == (120, False)
+        assert stops[1][0] < 120 and stops[1][1] is True
+        for a, b in zip(joint, alone):
+            assert a.params_dict() == b.params_dict()
+            assert a.hyperparams == b.hyperparams
+
+    @pytest.mark.parametrize("family", ["svm", "linear"])
+    def test_column_prefixes_equal_fits_on_a_fancy_indexed_prefix(
+            self, family):
+        # the grid's columns: a fancy-indexed prefix of the mRMR order,
+        # whose memory layout the standardizer's means depend on
+        X, y = self._case()
+        idx = np.array([5, 0, 7, 2, 3, 1, 6, 4])
+        cfg = merge_config(self.SETTINGS)
+        ms = [1, 3, 3, 6]
+        batch = fit_family(family, X[:, idx[:max(ms)]], y, "classification",
+                           4, cfg, 0, n_cols=ms)
+        assert len(batch) == len(ms)
+        for m, model in zip(ms, batch):
+            solo = fit_family(family, X[:, idx[:m]], y, "classification", 4,
+                              cfg, 0)
+            assert model.params_dict() == solo.params_dict()
+
+    @pytest.mark.parametrize("n_cols", [[0, 2], [2, 9]])
+    def test_column_counts_out_of_range_are_rejected(self, n_cols):
+        X, y = self._case()
+        with pytest.raises(ModelError, match="n_cols"):
+            fit_family("svm", X, y, "classification", 4,
+                       merge_config(self.SETTINGS), 0, n_cols=n_cols)
+
+    @pytest.mark.parametrize("family", ["svm", "linear"])
+    def test_model_scores_are_predict_and_predict_scores(self, family):
+        X, y = self._case(absent=1)
+        model, _ = self._fits(family, X, y)
+        pred, scores = model_scores(model, X, "classification")
+        assert _same_bits(pred, model.predict(X))
+        assert _same_bits(scores, model.predict_scores(X))
+
+
+class TestBinNumbering:
+    """A level numbers its occurring bins through a table of every bin or
+    by sorting the entries' keys; both give the same trees."""
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    @pytest.mark.parametrize("family", ["cart", "forest", "gbt"])
+    def test_table_and_sort_grow_the_same_trees(self, monkeypatch, family,
+                                                task):
+        rng = np.random.default_rng(17)
+        X = np.column_stack([rng.normal(size=(80, 6)),
+                             rng.poisson(1.0, size=(80, 3))])
+        y = X[:, 0] - X[:, 7] + 0.3 * rng.normal(size=80)
+        if task == "classification":
+            y = np.searchsorted(np.quantile(y, [1 / 3, 2 / 3]), y)
+        cfg = merge_config({"gbt": {"n_rounds": 4}, "forest": {"n_trees": 4}})
+        sorted_ = []  # whether each plan with entries sorted its keys
+        init = tree._Plan.__init__
+
+        def spy(self, *args):
+            init(self, *args)
+            if len(self.key):
+                sorted_.append(self.taken is None)
+        monkeypatch.setattr(tree._Plan, "__init__", spy)
+        fits = {}
+        for path, bound in (("sort", 0), ("table", 1 << 40)):
+            monkeypatch.setattr(tree, "TABLE_BINS_PER_ENTRY", bound)
+            monkeypatch.setattr(tree, "TABLE_BINS_MIN", bound)
+            sorted_.clear()
+            fits[path] = fit_family(family, X, y, task, 3, cfg, 0).params_dict()
+            assert sorted_ and all(s == (path == "sort") for s in sorted_)
+        assert fits["sort"] == fits["table"]
 
 
 class TestLevelPlans:

@@ -2,7 +2,8 @@
 """Time one real-sized cross-validation fold, layer by layer.
 
     python3 tools/time_fold.py [--task regression] [--fold 0]
-                               [--representations bow,lda] [--out fold.json]
+                               [--representations bow,lda] [--repeat 1]
+                               [--out fold.json]
 
 The corpus is the README's: `data.synthetic: 600` at seed 42, written and
 read back through the listings file as `ingest` and `evaluate` do, with
@@ -20,7 +21,9 @@ output) holds
   representations   per representation: fit_s (fit plus the training
                     features; for word2vec and bertopic, on the fitted
                     table) and transform_s (the test features);
-  cells             per representation, per family: seconds, metrics and
+  cells             per representation, per family: seconds (s, the
+                    least of --repeat runs of the cell, and spread_s, the
+                    most less the least), metrics and
                     how an iterative fit stopped: iterations, converged
                     and gap where the model's hyperparams record them, for
                     an SVR its support_vectors, and for a one-vs-rest
@@ -28,6 +31,7 @@ output) holds
                     converged: false; and model_sha1, the SHA-1 of the
                     fitted model's params_dict as JSON (floats by repr,
                     keys sorted), to compare fitted models bit for bit;
+                    all of these but the seconds from the first run;
   mrmr              per representation: mrmr_select's seconds on the
                     fold's training columns, at the curve's m (the last of
                     the default curve.m_values, 10) and at every column,
@@ -104,7 +108,7 @@ def model_sha1(model) -> str:
     return hashlib.sha1(text.encode()).hexdigest()
 
 
-def time_fold(task: str, fold: int, reps: list) -> dict:
+def time_fold(task: str, fold: int, reps: list, repeat: int = 1) -> dict:
     from dataprice import evaluate as ev
     from dataprice.corpus import load_products, save_products
     from dataprice.featsel import mrmr_select
@@ -168,15 +172,22 @@ def time_fold(task: str, fold: int, reps: list) -> dict:
              for s in trace.steps]).encode()).hexdigest()
         cells = out["cells"][rep] = {}
         for family in ev.FAMILIES:
-            t0 = time.perf_counter()
             cell_seed = ev.mix_seed(data.seed, rep, fold, family)
-            model = ev.fit_family(family, ftr, data.y[train], task, ev.N_TIERS,
-                                  cfg, cell_seed)
-            metrics = ev.cell_metrics(model, fte, data.y[test], task)
-            cells[family] = {"s": round(time.perf_counter() - t0, 4),
-                             **{m: round(v, 6) for m, v in metrics.items()},
+            seconds, first = [], None
+            for _ in range(repeat):
+                t0 = time.perf_counter()
+                model = ev.fit_family(family, ftr, data.y[train], task,
+                                      ev.N_TIERS, cfg, cell_seed)
+                metrics = ev.cell_metrics(model, fte, data.y[test], task)
+                seconds.append(time.perf_counter() - t0)
+                if first is None:
+                    first = {**{m: round(v, 6) for m, v in metrics.items()},
                              **stop_record(model),
                              "model_sha1": model_sha1(model)}
+                del model  # so no fit runs beside the last one's model
+            cells[family] = {"s": round(min(seconds), 4),
+                             "spread_s": round(max(seconds) - min(seconds), 4),
+                             **first}
         if rep == "lda":
             model = fitted[-1]
             out["lda"] = {
@@ -195,8 +206,12 @@ def main(argv=None) -> int:
     parser.add_argument("--fold", type=int, default=0, choices=range(K))
     parser.add_argument("--representations", default=None,
                         help="comma-separated (default: all five)")
+    parser.add_argument("--repeat", type=int, default=1,
+                        help="runs of each cell; its seconds are the least")
     parser.add_argument("--out", type=Path, help="JSON file to write")
     args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"  # before NumPy is imported
     sys.path.insert(0, str(ROOT / "src"))
@@ -208,7 +223,8 @@ def main(argv=None) -> int:
     if unknown:
         parser.error("unknown representation(s): %s" % ", ".join(unknown))
     logging.disable(logging.INFO)
-    text = json.dumps(time_fold(args.task, args.fold, reps), indent=1) + "\n"
+    text = json.dumps(time_fold(args.task, args.fold, reps, args.repeat),
+                      indent=1) + "\n"
     if args.out:
         args.out.write_text(text, encoding="utf-8")
     else:
